@@ -14,17 +14,11 @@ from .flow import (
     Trajectory,
     convergence_order,
     evolve,
-    linear_propagator,
     propagate,
-    step,
     wigner_deviation,
 )
 from .hamiltonians import (
     HamiltonianFunction,
-    LinearSpec,
-    MeanFieldSpec,
-    PolynomialSpec,
-    build,
     fd_differential_residual,
     from_value,
     linear,
@@ -32,7 +26,6 @@ from .hamiltonians import (
     poisson_bracket,
     polynomial,
     shift_differential,
-    zero,
 )
 from .hilbert import (
     DensityMatrix,

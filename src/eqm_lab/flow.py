@@ -19,14 +19,12 @@ import numpy as np
 from .hamiltonians import HamiltonianFunction
 from .hilbert import (
     DensityMatrix,
-    HermitianOperator,
     PURITY_TOL,
     UnitaryOperator,
     expm_hermitian,
     max_abs,
     spectrum,
     transition_probability,
-    unitary_exponential,
 )
 
 DEFAULT_MIDPOINT_TOL = 1e-12
@@ -35,7 +33,7 @@ EXACT_ERROR_FLOOR = 1e-12  # self-convergence errors below this count as exact
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the midpoint fixed-point iteration fails to settle."""
+    """Raised when the midpoint fixed-point iteration fails to settle; names the step and time."""
 
 
 @dataclass(frozen=True)
@@ -111,36 +109,40 @@ def _split_steps(span: float, dt: float) -> tuple[int, float]:
     return n, rem
 
 
-def _midpoint_generator(h: HamiltonianFunction, rho: np.ndarray, dt: float,
-                        cfg: IntegratorConfig) -> np.ndarray:
-    gen = h.differential(DensityMatrix(rho)).matrix
-    for _ in range(int(cfg.midpoint_max_iter)):
-        half = expm_hermitian(gen, 0.5 * dt)
-        rho_mid = half @ rho @ half.conj().T
-        refreshed = h.differential(DensityMatrix(rho_mid)).matrix
-        if max_abs(refreshed - gen) < cfg.midpoint_tol:
-            return refreshed
-        gen = refreshed
-    raise ConvergenceError(
-        f"midpoint iteration did not settle within {cfg.midpoint_max_iter} iterations "
-        f"(dt = {dt:g} is too large for this nonlinearity)"
-    )
+def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: IntegratorConfig):
+    """Yield (k, time, rho, u) as arrays after each step k = 1, 2, ... of the signed span.
 
-
-def _step_arrays(h: HamiltonianFunction, rho: np.ndarray, u: np.ndarray, dt: float,
-                 cfg: IntegratorConfig) -> tuple[np.ndarray, np.ndarray]:
-    gen = _midpoint_generator(h, rho, dt, cfg)
-    stepper = expm_hermitian(gen, dt)
-    return stepper @ rho @ stepper.conj().T, stepper @ u
-
-
-def step(h: HamiltonianFunction, rho: DensityMatrix, u: UnitaryOperator, dt: float,
-         cfg: IntegratorConfig) -> tuple[DensityMatrix, UnitaryOperator]:
-    """Advance one exponential-midpoint step of signed size dt, |dt| <= cfg.dt."""
-    if abs(dt) > cfg.dt * (1 + 1e-12):
-        raise ValueError(f"|dt| = {abs(dt):g} exceeds the configured step {cfg.dt:g}")
-    rho_arr, u_arr = _step_arrays(h, rho.matrix, u.matrix, dt, cfg)
-    return DensityMatrix(rho_arr), UnitaryOperator(u_arr)
+    Full steps of size cfg.dt come first; a shorter last step covers the
+    remainder when span is not a multiple of dt.  Each step conjugates by
+    exp(-i dt D_mid), with D_mid the differential at the self-consistent
+    midpoint state, and extends the cocycle u by the same factor.
+    """
+    sign = 1.0 if span > 0 else -1.0
+    n_full, rem = _split_steps(abs(span), cfg.dt)
+    u = np.eye(rho.shape[0], dtype=complex)
+    for k in range(1, n_full + (rem > 0.0) + 1):
+        if k <= n_full:
+            dt, time = sign * cfg.dt, sign * k * cfg.dt
+        else:
+            dt, time = sign * rem, span
+        gen = h.differential(DensityMatrix(rho)).matrix
+        for _ in range(int(cfg.midpoint_max_iter)):
+            half = expm_hermitian(gen, 0.5 * dt)
+            rho_mid = half @ rho @ half.conj().T
+            refreshed = h.differential(DensityMatrix(rho_mid)).matrix
+            if max_abs(refreshed - gen) < cfg.midpoint_tol:
+                break
+            gen = refreshed
+        else:
+            raise ConvergenceError(
+                f"midpoint iteration did not settle within {cfg.midpoint_max_iter} iterations "
+                f"at step {k}, t = {time - dt:g} to {time:g} "
+                f"(dt = {dt:g} is too large for this nonlinearity)"
+            )
+        stepper = expm_hermitian(refreshed, dt)
+        rho = stepper @ rho @ stepper.conj().T
+        u = stepper @ u
+        yield k, time, rho, u
 
 
 def evolve(h: HamiltonianFunction, rho0: DensityMatrix, cfg: IntegratorConfig) -> Trajectory:
@@ -149,26 +151,16 @@ def evolve(h: HamiltonianFunction, rho0: DensityMatrix, cfg: IntegratorConfig) -
     The final time is always recorded; a shorter last step is taken when
     t_final is not a multiple of dt.
     """
-    n_full, rem = _split_steps(cfg.t_final, cfg.dt)
-    eye = np.eye(rho0.dim, dtype=complex)
-    times: list[float] = [0.0]
-    states: list[DensityMatrix] = [rho0]
-    cocycle: list[UnitaryOperator] = [UnitaryOperator(eye)]
-
-    rho_arr, u_arr = rho0.matrix, eye
     stride = int(cfg.record_stride)
-    for k in range(1, n_full + 1):
-        rho_arr, u_arr = _step_arrays(h, rho_arr, u_arr, cfg.dt, cfg)
-        if k % stride == 0 or (k == n_full and rem == 0.0):
-            times.append(k * cfg.dt)
-            states.append(DensityMatrix(rho_arr))
-            cocycle.append(UnitaryOperator(u_arr))
-    if rem > 0.0:
-        rho_arr, u_arr = _step_arrays(h, rho_arr, u_arr, rem, cfg)
-        times.append(cfg.t_final)
-        states.append(DensityMatrix(rho_arr))
-        cocycle.append(UnitaryOperator(u_arr))
-    return Trajectory(tuple(times), tuple(states), tuple(cocycle))
+    records = [(0.0, rho0, UnitaryOperator(np.eye(rho0.dim, dtype=complex)))]
+    k = 0
+    for k, time, rho, u in _steps(h, rho0.matrix, cfg.t_final, cfg):
+        if k % stride == 0:
+            records.append((time, DensityMatrix(rho), UnitaryOperator(u)))
+    if k % stride:
+        records.append((time, DensityMatrix(rho), UnitaryOperator(u)))
+    times, states, cocycle = zip(*records)
+    return Trajectory(times, states, cocycle)
 
 
 def propagate(h: HamiltonianFunction, rho0: DensityMatrix, t: float,
@@ -176,22 +168,13 @@ def propagate(h: HamiltonianFunction, rho0: DensityMatrix, t: float,
     """Endpoint of the flow after signed time t; negative t integrates backward."""
     if not math.isfinite(t):
         raise ValueError("propagation time must be finite")
-    eye = np.eye(rho0.dim, dtype=complex)
-    if t == 0.0:
-        return rho0, UnitaryOperator(eye)
-    sign = 1.0 if t > 0 else -1.0
-    n_full, rem = _split_steps(abs(t), cfg.dt)
-    rho_arr, u_arr = rho0.matrix, eye
-    for _ in range(n_full):
-        rho_arr, u_arr = _step_arrays(h, rho_arr, u_arr, sign * cfg.dt, cfg)
-    if rem > 0.0:
-        rho_arr, u_arr = _step_arrays(h, rho_arr, u_arr, sign * rem, cfg)
-    return DensityMatrix(rho_arr), UnitaryOperator(u_arr)
-
-
-def linear_propagator(hamiltonian: HermitianOperator, t: float) -> UnitaryOperator:
-    """exp(-i t H): the exact propagator of the state-independent flow."""
-    return unitary_exponential(hamiltonian, t)
+    end = None
+    for end in _steps(h, rho0.matrix, t, cfg):
+        pass
+    if end is None:
+        return rho0, UnitaryOperator(np.eye(rho0.dim, dtype=complex))
+    _, _, rho, u = end
+    return DensityMatrix(rho), UnitaryOperator(u)
 
 
 def wigner_deviation(h: HamiltonianFunction, p: DensityMatrix, q: DensityMatrix,

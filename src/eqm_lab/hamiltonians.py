@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,50 +38,6 @@ class HamiltonianFunction:
     label: str = "h"
 
 
-@dataclass(frozen=True)
-class LinearSpec:
-    """h(rho) = Tr(rho A)."""
-
-    operator: HermitianOperator
-
-
-@dataclass(frozen=True)
-class MeanFieldSpec:
-    """h(rho) = Tr(rho A) + (strength/2) * Tr(rho B)^2."""
-
-    linear_term: HermitianOperator
-    coupling: HermitianOperator
-    strength: float
-
-    def __post_init__(self):
-        if self.linear_term.dim != self.coupling.dim:
-            raise ValueError(
-                f"dimension mismatch: {self.linear_term.dim} vs {self.coupling.dim}"
-            )
-        if not math.isfinite(self.strength):
-            raise ValueError("coupling strength must be finite")
-
-
-@dataclass(frozen=True)
-class PolynomialSpec:
-    """Sum of coefficient * product of trace pairings against fixed operators."""
-
-    terms: tuple
-
-    def __post_init__(self):
-        terms = tuple((float(c), tuple(factors)) for c, factors in self.terms)
-        dims = {f.dim for _, factors in terms for f in factors}
-        if len(dims) > 1:
-            raise ValueError(f"dimension mismatch among factors: {sorted(dims)}")
-        for c, _ in terms:
-            if not math.isfinite(c):
-                raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "terms", terms)
-
-
-HamiltonianSpec = Union[LinearSpec, MeanFieldSpec, PolynomialSpec]
-
-
 def linear(a: HermitianOperator, label: str = "linear") -> HamiltonianFunction:
     return HamiltonianFunction(
         value=lambda rho: trace_pairing(rho, a),
@@ -96,25 +52,33 @@ def mean_field(
     strength: float,
     label: str = "mean_field",
 ) -> HamiltonianFunction:
-    spec = MeanFieldSpec(linear_term, coupling, strength)
+    if linear_term.dim != coupling.dim:
+        raise ValueError(f"dimension mismatch: {linear_term.dim} vs {coupling.dim}")
+    if not math.isfinite(strength):
+        raise ValueError("coupling strength must be finite")
 
     def value(rho: DensityMatrix) -> float:
         m = trace_pairing(rho, coupling)
-        return trace_pairing(rho, linear_term) + 0.5 * spec.strength * m * m
+        return trace_pairing(rho, linear_term) + 0.5 * strength * m * m
 
     def differential(rho: DensityMatrix) -> HermitianOperator:
         m = trace_pairing(rho, coupling)
-        return HermitianOperator(linear_term.matrix + spec.strength * m * coupling.matrix)
+        return HermitianOperator(linear_term.matrix + strength * m * coupling.matrix)
 
     return HamiltonianFunction(value=value, differential=differential, label=label)
 
 
 def polynomial(terms: Sequence, label: str = "polynomial", dim: int | None = None) -> HamiltonianFunction:
-    spec = PolynomialSpec(tuple(terms))
+    terms = tuple((float(c), tuple(factors)) for c, factors in terms)
+    dims = {f.dim for _, factors in terms for f in factors}
+    if len(dims) > 1:
+        raise ValueError(f"dimension mismatch among factors: {sorted(dims)}")
+    if not all(math.isfinite(c) for c, _ in terms):
+        raise ValueError("coefficients must be finite")
 
     def value(rho: DensityMatrix) -> float:
         total = 0.0
-        for coeff, factors in spec.terms:
+        for coeff, factors in terms:
             prod = coeff
             for f in factors:
                 prod *= trace_pairing(rho, f)
@@ -123,7 +87,7 @@ def polynomial(terms: Sequence, label: str = "polynomial", dim: int | None = Non
 
     def differential(rho: DensityMatrix) -> HermitianOperator:
         out = None
-        for coeff, factors in spec.terms:
+        for coeff, factors in terms:
             if not factors:
                 continue
             pairings = [trace_pairing(rho, f) for f in factors]
@@ -141,23 +105,6 @@ def polynomial(terms: Sequence, label: str = "polynomial", dim: int | None = Non
         return HermitianOperator(out)
 
     return HamiltonianFunction(value=value, differential=differential, label=label)
-
-
-def zero(dim: int, label: str = "zero") -> HamiltonianFunction:
-    """The zero Hamiltonian: value 0, differential 0, fixed dimension."""
-    null = HermitianOperator(np.zeros((dim, dim), dtype=complex))
-    return HamiltonianFunction(value=lambda rho: 0.0, differential=lambda rho: null, label=label)
-
-
-def build(spec: HamiltonianSpec, label: str | None = None) -> HamiltonianFunction:
-    """Construct the function and closed-form differential for a spec."""
-    if isinstance(spec, LinearSpec):
-        return linear(spec.operator, label or "linear")
-    if isinstance(spec, MeanFieldSpec):
-        return mean_field(spec.linear_term, spec.coupling, spec.strength, label or "mean_field")
-    if isinstance(spec, PolynomialSpec):
-        return polynomial(spec.terms, label or "polynomial")
-    raise TypeError(f"unknown Hamiltonian spec: {type(spec).__name__}")
 
 
 def traceless_hermitian_basis(dim: int) -> list[np.ndarray]:

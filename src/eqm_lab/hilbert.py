@@ -244,7 +244,3 @@ def vector_from_pairs(doc) -> np.ndarray:
         raise ValueError(f"vector literal must be a list of [re, im] pairs, got shape {arr.shape}")
     return arr[:, 0] + 1j * arr[:, 1]
 
-
-def vector_to_pairs(vec: np.ndarray) -> list:
-    """Inverse of vector_from_pairs."""
-    return [[float(v.real), float(v.imag)] for v in np.asarray(vec, dtype=complex)]

@@ -9,6 +9,7 @@ defaults to the module tolerances; the runner hard-codes none of them.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import flow as flow_mod
 from . import koopman as koopman_mod
 from .config import DEFAULT_THRESHOLDS, ScenarioConfig, build_config, with_dt
-from .flow import ConvergenceError, IntegratorConfig, Trajectory, linear_propagator
+from .flow import ConvergenceError, IntegratorConfig, Trajectory
 from .hamiltonians import linear, mean_field
 from .hilbert import (
     SIGMA_X,
@@ -27,6 +28,7 @@ from .hilbert import (
     matrix_to_pairs,
     max_abs,
     trace_pairing,
+    unitary_exponential,
 )
 from .observables import StateMeasure, conservation_residual
 
@@ -64,38 +66,26 @@ def _csv(header: list[str], rows: list[list[float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _flatten(name: str, matrices) -> tuple[list[str], Iterator[list[float]]]:
+    """Column names and lazy value rows for square matrices written row-major as re/im pairs."""
+    dim = matrices[0].shape[0]
+    header = [f"{name}_{i}_{j}_{part}"
+              for i in range(dim) for j in range(dim) for part in ("re", "im")]
+    rows = ([x for entry in m.ravel() for x in (entry.real, entry.imag)] for m in matrices)
+    return header, rows
+
+
 def _trajectory_table(traj: Trajectory, observables) -> str:
-    dim = traj.states[0].dim
-    header = ["t"]
-    for i in range(dim):
-        for j in range(dim):
-            header.extend((f"rho_{i}_{j}_re", f"rho_{i}_{j}_im"))
-    header.append("purity")
-    header.extend(f"expval_{f.label}" for f in observables)
-    rows = []
-    for t, state in zip(traj.times, traj.states):
-        row = [t]
-        for entry in state.matrix.ravel():
-            row.extend((entry.real, entry.imag))
-        row.append(state.purity())
-        row.extend(trace_pairing(state, f.eval(state)) for f in observables)
-        rows.append(row)
+    columns, entries = _flatten("rho", [state.matrix for state in traj.states])
+    header = ["t", *columns, "purity", *(f"expval_{f.label}" for f in observables)]
+    rows = [[t, *flat, state.purity(), *(trace_pairing(state, f.eval(state)) for f in observables)]
+            for t, flat, state in zip(traj.times, entries, traj.states)]
     return _csv(header, rows)
 
 
 def _cocycle_table(traj: Trajectory) -> str:
-    dim = traj.cocycle[0].dim
-    header = ["t"]
-    for i in range(dim):
-        for j in range(dim):
-            header.extend((f"u_{i}_{j}_re", f"u_{i}_{j}_im"))
-    rows = []
-    for t, u in zip(traj.times, traj.cocycle):
-        row = [t]
-        for entry in u.matrix.ravel():
-            row.extend((entry.real, entry.imag))
-        rows.append(row)
-    return _csv(header, rows)
+    columns, entries = _flatten("u", [u.matrix for u in traj.cocycle])
+    return _csv(["t", *columns], [[t, *flat] for t, flat in zip(traj.times, entries)])
 
 
 def _invariant_rows(cfg: ScenarioConfig, traj: Trajectory) -> list[ReportRow]:
@@ -213,10 +203,6 @@ _PLUS = [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]
 _QUBIT_UP = [[1.0, 0.0], [0.0, 0.0]]
 
 
-def _pairs(mat) -> list:
-    return matrix_to_pairs(np.asarray(mat, dtype=complex))
-
-
 def four_level_ops() -> tuple[np.ndarray, np.ndarray]:
     """Fixed pair of 4x4 Hermitian operators for the N=4 corpus scenarios."""
     a = np.zeros((4, 4), dtype=complex)
@@ -236,11 +222,11 @@ def corpus_documents(conservation_grid=(0.5, 1.0, 2.0, 5.0)) -> list[dict]:
         {
             "id": "linear-qubit",
             "dimension": 2,
-            "hamiltonian": {"type": "linear", "A": _pairs(SIGMA_Z)},
+            "hamiltonian": {"type": "linear", "A": matrix_to_pairs(SIGMA_Z)},
             "initial": {"state_vector": _PLUS},
             "observables": [
-                {"type": "constant", "A": _pairs(SIGMA_X)},
-                {"type": "trace_scaled", "B": _pairs(SIGMA_Z), "A": _pairs(SIGMA_X)},
+                {"type": "constant", "A": matrix_to_pairs(SIGMA_X)},
+                {"type": "trace_scaled", "B": matrix_to_pairs(SIGMA_Z), "A": matrix_to_pairs(SIGMA_X)},
             ],
             "integrator": {"dt": 1e-3, "t_final": 1.0, "record_stride": 10},
             "conservation_times": grid,
@@ -249,12 +235,12 @@ def corpus_documents(conservation_grid=(0.5, 1.0, 2.0, 5.0)) -> list[dict]:
         {
             "id": "mean-field-qubit",
             "dimension": 2,
-            "hamiltonian": {"type": "mean_field", "A": _pairs(SIGMA_X),
-                            "B": _pairs(SIGMA_Z), "lambda": 1.0},
-            "initial": {"density_matrix": _pairs(np.diag([1.0, 0.0]))},
+            "hamiltonian": {"type": "mean_field", "A": matrix_to_pairs(SIGMA_X),
+                            "B": matrix_to_pairs(SIGMA_Z), "lambda": 1.0},
+            "initial": {"density_matrix": matrix_to_pairs(np.diag([1.0, 0.0]))},
             "observables": [
-                {"type": "constant", "A": _pairs(SIGMA_X)},
-                {"type": "trace_scaled", "B": _pairs(SIGMA_Z), "A": _pairs(SIGMA_X)},
+                {"type": "constant", "A": matrix_to_pairs(SIGMA_X)},
+                {"type": "trace_scaled", "B": matrix_to_pairs(SIGMA_Z), "A": matrix_to_pairs(SIGMA_X)},
             ],
             "integrator": {"dt": 1e-3, "t_final": 5.0, "record_stride": 50},
             "conservation_times": grid,
@@ -263,20 +249,20 @@ def corpus_documents(conservation_grid=(0.5, 1.0, 2.0, 5.0)) -> list[dict]:
         {
             "id": "gauge-shift",
             "dimension": 2,
-            "hamiltonian": {"type": "mean_field", "A": _pairs(SIGMA_X + 10.0 * eye2),
-                            "B": _pairs(SIGMA_Z), "lambda": 1.0},
-            "initial": {"density_matrix": _pairs(np.diag([1.0, 0.0]))},
+            "hamiltonian": {"type": "mean_field", "A": matrix_to_pairs(SIGMA_X + 10.0 * eye2),
+                            "B": matrix_to_pairs(SIGMA_Z), "lambda": 1.0},
+            "initial": {"density_matrix": matrix_to_pairs(np.diag([1.0, 0.0]))},
             "integrator": {"dt": 1e-3, "t_final": 1.0, "record_stride": 10},
             "outputs": ["invariants"],
         },
         {
             "id": "conservation-linear-n4",
             "dimension": 4,
-            "hamiltonian": {"type": "linear", "A": _pairs(a4)},
-            "initial": {"density_matrix": _pairs(np.diag([0.4, 0.3, 0.2, 0.1]))},
+            "hamiltonian": {"type": "linear", "A": matrix_to_pairs(a4)},
+            "initial": {"density_matrix": matrix_to_pairs(np.diag([0.4, 0.3, 0.2, 0.1]))},
             "observables": [
-                {"type": "constant", "A": _pairs(b4)},
-                {"type": "trace_scaled", "B": _pairs(b4), "A": _pairs(a4)},
+                {"type": "constant", "A": matrix_to_pairs(b4)},
+                {"type": "trace_scaled", "B": matrix_to_pairs(b4), "A": matrix_to_pairs(a4)},
             ],
             "integrator": {"dt": 1e-3, "t_final": 1.0, "record_stride": 10},
             "conservation_times": grid,
@@ -285,12 +271,12 @@ def corpus_documents(conservation_grid=(0.5, 1.0, 2.0, 5.0)) -> list[dict]:
         {
             "id": "conservation-mean-field-n4",
             "dimension": 4,
-            "hamiltonian": {"type": "mean_field", "A": _pairs(a4),
-                            "B": _pairs(b4), "lambda": 1.0},
-            "initial": {"density_matrix": _pairs(np.diag([0.4, 0.3, 0.2, 0.1]))},
+            "hamiltonian": {"type": "mean_field", "A": matrix_to_pairs(a4),
+                            "B": matrix_to_pairs(b4), "lambda": 1.0},
+            "initial": {"density_matrix": matrix_to_pairs(np.diag([0.4, 0.3, 0.2, 0.1]))},
             "observables": [
-                {"type": "constant", "A": _pairs(b4)},
-                {"type": "trace_scaled", "B": _pairs(b4), "A": _pairs(a4)},
+                {"type": "constant", "A": matrix_to_pairs(b4)},
+                {"type": "trace_scaled", "B": matrix_to_pairs(b4), "A": matrix_to_pairs(a4)},
             ],
             "integrator": {"dt": 1e-3, "t_final": 1.0, "record_stride": 10},
             "conservation_times": grid,
@@ -299,13 +285,13 @@ def corpus_documents(conservation_grid=(0.5, 1.0, 2.0, 5.0)) -> list[dict]:
         {
             "id": "wigner-contrast",
             "dimension": 2,
-            "hamiltonian": {"type": "mean_field", "A": _pairs(np.zeros((2, 2))),
-                            "B": _pairs(SIGMA_Z), "lambda": 1.0},
+            "hamiltonian": {"type": "mean_field", "A": matrix_to_pairs(np.zeros((2, 2))),
+                            "B": matrix_to_pairs(SIGMA_Z), "lambda": 1.0},
             "initial": {"state_vector": [[math.cos(0.1), 0.0], [math.sin(0.1), 0.0]]},
             "wigner_pair": {"state_vector": _PLUS},
             "observables": [
-                {"type": "constant", "A": _pairs(SIGMA_X)},
-                {"type": "trace_scaled", "B": _pairs(SIGMA_Z), "A": _pairs(SIGMA_X)},
+                {"type": "constant", "A": matrix_to_pairs(SIGMA_X)},
+                {"type": "trace_scaled", "B": matrix_to_pairs(SIGMA_Z), "A": matrix_to_pairs(SIGMA_X)},
             ],
             "integrator": {"dt": 1e-3, "t_final": 5.0, "record_stride": 1},
             "conservation_times": grid,
@@ -341,8 +327,7 @@ def corpus_documents(conservation_grid=(0.5, 1.0, 2.0, 5.0)) -> list[dict]:
 
 def _suite_cross_checks(dt: float | None, thresholds: dict) -> list[ReportRow]:
     """Suite-level comparisons across runs: linear oracle and gauge shift."""
-    step = 1e-3 if dt is None else dt
-    cfg = IntegratorConfig(dt=step, t_final=1.0, record_stride=10)
+    cfg = IntegratorConfig(dt=1e-3 if dt is None else dt, t_final=1.0, record_stride=10)
     sx = HermitianOperator(SIGMA_X)
     sz = HermitianOperator(SIGMA_Z)
     up = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
@@ -350,7 +335,7 @@ def _suite_cross_checks(dt: float | None, thresholds: dict) -> list[ReportRow]:
     traj = flow_mod.evolve(linear(sz), up, cfg)
     oracle_defect = 0.0
     for t, state in zip(traj.times, traj.states):
-        u = linear_propagator(sz, t)
+        u = unitary_exponential(sz, t)
         exact = u.matrix @ up.matrix @ u.matrix.conj().T
         oracle_defect = max(oracle_defect, max_abs(state.matrix - exact))
 

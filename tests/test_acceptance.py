@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from eqm_lab.flow import IntegratorConfig, convergence_order, evolve, linear_propagator, wigner_deviation
+from eqm_lab.flow import IntegratorConfig, convergence_order, evolve, wigner_deviation
 from eqm_lab.hamiltonians import linear, mean_field, polynomial, shift_differential
 from eqm_lab.hilbert import (
     SIGMA_X,
@@ -21,6 +21,7 @@ from eqm_lab.hilbert import (
     max_abs,
     projector,
     trace_pairing,
+    unitary_exponential,
 )
 from eqm_lab.koopman import (
     HarmonicOscillator,
@@ -75,7 +76,7 @@ def test_01_linear_limit_matches_exact_propagator(capsys):
         rho0 = random_density(rng, dim)
         traj = evolve(linear(h_op), rho0, cfg)
         for t, state in zip(traj.times, traj.states):
-            u = linear_propagator(h_op, t)
+            u = unitary_exponential(h_op, t)
             exact = u.matrix @ rho0.matrix @ u.matrix.conj().T
             worst = max(worst, max_abs(state.matrix - exact))
     _report(capsys, 1, "linear-limit-oracle",

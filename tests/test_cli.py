@@ -1,6 +1,7 @@
 """Tests for the command-line front end and its exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from eqm_lab.hilbert import SIGMA_X, SIGMA_Z, matrix_to_pairs
 SX = matrix_to_pairs(SIGMA_X)
 SZ = matrix_to_pairs(SIGMA_Z)
 PLUS_VEC = [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]
+GOLDEN = Path(__file__).resolve().parent.parent / "out"
 
 
 @pytest.fixture
@@ -132,3 +134,7 @@ class TestSuite:
         assert "FAIL" not in out
         assert (tmp_path / "out" / "suite_report.txt").exists()
         assert (tmp_path / "out" / "wigner-contrast" / "report.txt").exists()
+        # The committed out/ tree is the golden copy of the trajectory tables.
+        for scenario in ("linear-qubit", "mean-field-qubit"):
+            written = (tmp_path / "out" / scenario / "trajectory.csv").read_bytes()
+            assert written == (GOLDEN / scenario / "trajectory.csv").read_bytes(), scenario

@@ -1,6 +1,7 @@
 """Tests for the exponential-midpoint integrator and its diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,23 +11,31 @@ from eqm_lab.flow import (
     IntegratorConfig,
     convergence_order,
     evolve,
-    linear_propagator,
     propagate,
-    step,
     wigner_deviation,
 )
-from eqm_lab.hamiltonians import linear, mean_field, shift_differential, zero
+from eqm_lab.hamiltonians import linear, mean_field, shift_differential
 from eqm_lab.hilbert import (
+    MAX_DIM,
     SIGMA_X,
     DensityMatrix,
     HermitianOperator,
     StateVector,
-    UnitaryOperator,
     max_abs,
     projector,
     unitary_exponential,
 )
 from conftest import random_density, random_hermitian
+
+STEP_DIMS = (2, 4, 16, MAX_DIM)
+
+
+def zero_hamiltonian(dim):
+    return linear(HermitianOperator(np.zeros((dim, dim))))
+
+
+def uniform_superposition(dim):
+    return projector(StateVector(np.ones(dim) / np.sqrt(dim)))
 
 
 @pytest.fixture
@@ -52,40 +61,55 @@ class TestIntegratorConfig:
 
 
 class TestStep:
+    """Single steps, taken as propagate over one step of the configured size."""
+
     def test_zero_generator_is_identity(self, rng):
-        h = zero(3)
-        rho = random_density(rng, 3)
-        u = UnitaryOperator(np.eye(3))
-        cfg = IntegratorConfig(dt=0.1, t_final=1.0)
-        rho2, u2 = step(h, rho, u, 0.1, cfg)
-        assert max_abs(rho2.matrix - rho.matrix) == 0.0
-        assert max_abs(u2.matrix - np.eye(3)) == 0.0
+        for dim in STEP_DIMS:
+            rho = random_density(rng, dim)
+            cfg = IntegratorConfig(dt=0.1, t_final=1.0)
+            rho2, u2 = propagate(zero_hamiltonian(dim), rho, 0.1, cfg)
+            assert max_abs(rho2.matrix - rho.matrix) == 0.0, dim
+            assert max_abs(u2.matrix - np.eye(dim)) == 0.0, dim
 
     def test_linear_step_is_exact_exponential(self, rng):
-        a = random_hermitian(rng, 4)
-        rho = random_density(rng, 4)
-        u0 = unitary_exponential(random_hermitian(rng, 4), 0.3)
-        cfg = IntegratorConfig(dt=1e-3, t_final=1.0)
-        _, u1 = step(linear(a), rho, u0, 1e-3, cfg)
-        expected = unitary_exponential(a, 1e-3).matrix @ u0.matrix
-        assert max_abs(u1.matrix - expected) < 1e-14
+        for dim in STEP_DIMS:
+            a = random_hermitian(rng, dim)
+            rho = random_density(rng, dim)
+            cfg = IntegratorConfig(dt=1e-3, t_final=1.0)
+            rho1, u1 = propagate(linear(a), rho, 1e-3, cfg)
+            expected = unitary_exponential(a, 1e-3).matrix
+            assert max_abs(u1.matrix - expected) < 1e-14, dim
+            assert max_abs(rho1.matrix - expected @ rho.matrix @ expected.conj().T) < 1e-14, dim
 
-    def test_mean_field_fixed_point(self, sz, qubit_plus):
-        # Tr(rho sigma_z) = 0 at |+><+|, so the generator vanishes there.
-        h = mean_field(HermitianOperator(np.zeros((2, 2))), sz, 1.0)
-        cfg = IntegratorConfig(dt=0.05, t_final=1.0)
-        rho2, _ = step(h, qubit_plus, UnitaryOperator(np.eye(2)), 0.05, cfg)
-        assert max_abs(rho2.matrix - qubit_plus.matrix) < 1e-15
-
-    def test_rejects_oversized_step(self, sz, qubit_up):
-        cfg = IntegratorConfig(dt=1e-3, t_final=1.0)
-        with pytest.raises(ValueError, match="exceeds the configured step"):
-            step(linear(sz), qubit_up, UnitaryOperator(np.eye(2)), 0.1, cfg)
+    def test_mean_field_fixed_point(self):
+        # Tr(rho B) = 0 for the uniform superposition and a traceless diagonal
+        # B, so the generator vanishes there.
+        for dim in STEP_DIMS:
+            coupling = HermitianOperator(np.diag(np.linspace(-1.0, 1.0, dim)))
+            h = mean_field(HermitianOperator(np.zeros((dim, dim))), coupling, 1.0)
+            rho = uniform_superposition(dim)
+            cfg = IntegratorConfig(dt=0.05, t_final=1.0)
+            rho2, _ = propagate(h, rho, 0.05, cfg)
+            assert max_abs(rho2.matrix - rho.matrix) < 1e-15, dim
 
     def test_non_convergence_raises(self, h_mf, qubit_up):
         cfg = IntegratorConfig(dt=3.0, t_final=3.0)
-        with pytest.raises(ConvergenceError, match="did not settle"):
-            step(h_mf, qubit_up, UnitaryOperator(np.eye(2)), 3.0, cfg)
+        with pytest.raises(ConvergenceError, match=r"did not settle .* at step 1, t = 0 to 3 "):
+            propagate(h_mf, qubit_up, 3.0, cfg)
+
+    def test_non_convergence_names_the_failing_step(self, sz):
+        # The first steps start near the sigma_z eigenstate, where the
+        # iteration contracts fast; it stalls only once the state has turned.
+        h = mean_field(HermitianOperator(4.0 * SIGMA_X), sz, 5.0)
+        cfg = IntegratorConfig(dt=0.02, t_final=1.0, midpoint_max_iter=5)
+        rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+        with pytest.raises(ConvergenceError, match="did not settle") as failure:
+            evolve(h, rho, cfg)
+        found = re.search(r"at step (\d+), t = (\S+) to (\S+) ", str(failure.value))
+        k, start, end = int(found[1]), float(found[2]), float(found[3])
+        assert k > 1
+        assert start == pytest.approx((k - 1) * cfg.dt)
+        assert end == pytest.approx(k * cfg.dt)
 
 
 class TestEvolve:
@@ -113,7 +137,7 @@ class TestEvolve:
         traj = evolve(linear(sz), qubit_plus, cfg)
         assert traj.times[-1] == pytest.approx(0.0105, abs=1e-15)
         assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
-        exact = linear_propagator(sz, 0.0105)
+        exact = unitary_exponential(sz, 0.0105)
         ref = exact.matrix @ qubit_plus.matrix @ exact.matrix.conj().T
         assert max_abs(traj.states[-1].matrix - ref) < 1e-12
 
@@ -156,19 +180,16 @@ class TestPropagate:
         assert max_abs(rho_back.matrix - qubit_up.matrix) < 1e-9
         assert max_abs(u_back.matrix @ u_fwd.matrix - np.eye(2)) < 1e-9
 
-
-class TestLinearPropagator:
-    def test_zero_time(self, sz):
-        assert max_abs(linear_propagator(sz, 0.0).matrix - np.eye(2)) < 1e-15
-
-    def test_sigma_z_quarter_period(self, sz):
-        np.testing.assert_allclose(linear_propagator(sz, np.pi / 2).matrix,
-                                   np.diag([-1j, 1j]), atol=1e-15)
-
-    def test_group_property(self, rng):
-        h = random_hermitian(rng, 3)
-        lhs = linear_propagator(h, 0.4).matrix @ linear_propagator(h, 1.1).matrix
-        assert max_abs(lhs - linear_propagator(h, 1.5).matrix) < 1e-12
+    def test_backward_inverts_forward_at_max_dim(self, rng):
+        a, b = random_hermitian(rng, MAX_DIM), random_hermitian(rng, MAX_DIM)
+        h = mean_field(a, b, 0.5)
+        rho = random_density(rng, MAX_DIM)
+        cfg = IntegratorConfig(dt=1e-3, t_final=1.0)
+        rho_t, u_fwd = propagate(h, rho, 5e-3, cfg)
+        assert max_abs(rho_t.matrix - rho.matrix) > 1e-6
+        rho_back, u_back = propagate(h, rho_t, -5e-3, cfg)
+        assert max_abs(rho_back.matrix - rho.matrix) < 1e-9
+        assert max_abs(u_back.matrix @ u_fwd.matrix - np.eye(MAX_DIM)) < 1e-9
 
 
 class TestWignerDeviation:
@@ -227,6 +248,6 @@ class TestConvergenceOrder:
         assert max(estimate.coarse_error, estimate.fine_error) < 1e-12
 
     def test_zero_generator_is_exact(self, qubit_up):
-        estimate = convergence_order(zero(2), qubit_up, t_final=1.0, dt=0.01)
+        estimate = convergence_order(zero_hamiltonian(2), qubit_up, t_final=1.0, dt=0.01)
         assert estimate.exact
         assert estimate.coarse_error == 0.0

@@ -4,10 +4,6 @@ import numpy as np
 import pytest
 
 from eqm_lab.hamiltonians import (
-    LinearSpec,
-    MeanFieldSpec,
-    PolynomialSpec,
-    build,
     fd_differential_residual,
     from_value,
     linear,
@@ -16,7 +12,6 @@ from eqm_lab.hamiltonians import (
     polynomial,
     shift_differential,
     traceless_hermitian_basis,
-    zero,
 )
 from eqm_lab.hilbert import (
     SIGMA_X,
@@ -37,26 +32,26 @@ from conftest import (
 
 class TestBuild:
     def test_linear_family(self, sz, qubit_up, rng):
-        h = build(LinearSpec(sz))
+        h = linear(sz)
         assert h.value(qubit_up) == pytest.approx(1.0, abs=1e-14)
         for _ in range(5):
             rho = random_density(rng, 2)
             assert max_abs(h.differential(rho).matrix - SIGMA_Z) == 0.0
 
     def test_mean_field_zero_at_mixed(self, sz):
-        h = build(MeanFieldSpec(HermitianOperator(np.zeros((2, 2))), sz, 1.0))
+        h = mean_field(HermitianOperator(np.zeros((2, 2))), sz, 1.0)
         mixed = DensityMatrix(np.eye(2) / 2)
         assert max_abs(h.differential(mixed).matrix) < 1e-15
         assert h.value(mixed) == pytest.approx(0.0, abs=1e-15)
 
     def test_mean_field_closed_form(self, sx, sz, qubit_up):
-        h = build(MeanFieldSpec(sx, sz, 2.0))
+        h = mean_field(sx, sz, 2.0)
         np.testing.assert_allclose(h.differential(qubit_up).matrix,
                                    SIGMA_X + 2.0 * SIGMA_Z, atol=1e-14)
 
     def test_polynomial_matches_product_rule(self, rng):
         f1, f2 = random_hermitian(rng, 3), random_hermitian(rng, 3)
-        h = build(PolynomialSpec(((0.8, (f1, f2)),)))
+        h = polynomial([(0.8, (f1, f2))])
         rho = random_density(rng, 3)
         t1, t2 = trace_pairing(rho, f1), trace_pairing(rho, f2)
         assert h.value(rho) == pytest.approx(0.8 * t1 * t2, abs=1e-12)
@@ -65,10 +60,22 @@ class TestBuild:
 
     def test_mean_field_dimension_mismatch(self, sx):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            MeanFieldSpec(sx, HermitianOperator(np.eye(3)), 1.0)
+            mean_field(sx, HermitianOperator(np.eye(3)), 1.0)
+
+    def test_mean_field_rejects_non_finite_strength(self, sx, sz):
+        with pytest.raises(ValueError, match="strength must be finite"):
+            mean_field(sx, sz, float("nan"))
+
+    def test_polynomial_rejects_non_finite_coefficient(self, sx):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            polynomial([(1.0, (sx,)), (float("inf"), (sx, sx))])
+
+    def test_polynomial_factor_dimension_mismatch(self, sx):
+        with pytest.raises(ValueError, match="dimension mismatch among factors"):
+            polynomial([(1.0, (sx, HermitianOperator(np.eye(3))))])
 
     def test_zero_hamiltonian(self, rng):
-        h = zero(3)
+        h = linear(HermitianOperator(np.zeros((3, 3))))
         rho = random_density(rng, 3)
         assert h.value(rho) == 0.0
         assert max_abs(h.differential(rho).matrix) == 0.0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eqm_lab.flow import IntegratorConfig, linear_propagator, propagate
+from eqm_lab.flow import IntegratorConfig, propagate
 from eqm_lab.hamiltonians import linear, mean_field
 from eqm_lab.hilbert import (
     SIGMA_X,
@@ -16,6 +16,7 @@ from eqm_lab.hilbert import (
     max_abs,
     projector,
     trace_pairing,
+    unitary_exponential,
 )
 from eqm_lab.observables import (
     ObservableFunction,
@@ -110,7 +111,7 @@ class TestHeisenbergTransform:
         h = linear(sz)
         f = constant_observable(sx)
         moved = heisenberg_transform(f, h, 0.7, cfg)
-        u = linear_propagator(sz, 0.7)
+        u = unitary_exponential(sz, 0.7)
         expected = u.matrix.conj().T @ SIGMA_X @ u.matrix
         for rho in (random_density(rng, 2), random_density(rng, 2)):
             assert max_abs(moved.eval(rho).matrix - expected) < 1e-8
