@@ -52,11 +52,13 @@ from .koopman import (
     inner_product,
     liouville_generator_residual,
     unitarity_residual,
+    unitarity_residuals,
 )
 from .observables import (
     ObservableFunction,
     StateMeasure,
     conservation_residual,
+    conservation_residuals,
     constant_observable,
     expectation,
     heisenberg_transform,

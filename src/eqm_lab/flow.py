@@ -33,7 +33,26 @@ EXACT_ERROR_FLOOR = 1e-12  # self-convergence errors below this count as exact
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the midpoint fixed-point iteration fails to settle; names the step and time."""
+    """Raised when the midpoint fixed-point iteration fails to settle; names the step and time.
+
+    Built by ``at_step``: ``step`` counts from the start of the failing run,
+    and ``start`` and ``end`` bound the failing step on that run's clock,
+    which reads 0 at its start.
+    """
+
+    @classmethod
+    def at_step(cls, max_iter: int, step: int, start: float, end: float,
+                leg: str = "") -> "ConvergenceError":
+        exc = cls(f"{leg}midpoint iteration did not settle within {max_iter} iterations "
+                  f"at step {step}, t = {start:g} to {end:g} "
+                  f"(dt = {end - start:g} is too large for this nonlinearity)")
+        exc.max_iter, exc.step, exc.start, exc.end = max_iter, step, start, end
+        return exc
+
+    def on_leg(self, leg: str, origin: float) -> "ConvergenceError":
+        """The same failure named by leg, on a clock that reads origin at the run's start."""
+        return self.at_step(self.max_iter, self.step, origin + self.start, origin + self.end,
+                            f"{leg}: ")
 
 
 @dataclass(frozen=True)
@@ -134,11 +153,7 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
                 break
             gen = refreshed
         else:
-            raise ConvergenceError(
-                f"midpoint iteration did not settle within {cfg.midpoint_max_iter} iterations "
-                f"at step {k}, t = {time - dt:g} to {time:g} "
-                f"(dt = {dt:g} is too large for this nonlinearity)"
-            )
+            raise ConvergenceError.at_step(cfg.midpoint_max_iter, k, time - dt, time)
         stepper = expm_hermitian(refreshed, dt)
         rho = stepper @ rho @ stepper.conj().T
         u = stepper @ u

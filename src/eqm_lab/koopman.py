@@ -194,6 +194,25 @@ def inner_product(f: ClassicalObservable, g: ClassicalObservable, quad: Quadratu
     return complex(np.sum(quad.weights * (fv * np.conj(gv))))
 
 
+def _warn_on_leak(f: ClassicalObservable, values: np.ndarray, quad: Quadrature) -> None:
+    """Warn, at the residual's caller, when f is not negligible on the boundary nodes."""
+    leak = float(np.max(np.abs(values[quad.boundary]))) if np.any(quad.boundary) else 0.0
+    if leak > BOUNDARY_DECAY:
+        warnings.warn(
+            f"observable {f.label!r} reaches {leak:.3e} on the domain boundary; "
+            "transported mass may leak outside the quadrature square",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
+def _pair_residual(weights: np.ndarray, fv, gv, f_moved, g_moved) -> float:
+    """|sum w f(moved) conj g(moved) - sum w f conj g| from node values."""
+    moved = np.sum(weights * f_moved * np.conj(g_moved))
+    ref = np.sum(weights * fv * np.conj(gv))
+    return abs(complex(moved - ref))
+
+
 def unitarity_residual(f: ClassicalObservable, g: ClassicalObservable,
                        flow: SymplecticFlow, t: float, quad: Quadrature) -> float:
     """|<f o flow_t, g o flow_t> - <f, g>| via transported node evaluation.
@@ -204,18 +223,29 @@ def unitarity_residual(f: ClassicalObservable, g: ClassicalObservable,
     """
     fv = _node_values(f, quad.q, quad.p)
     gv = _node_values(g, quad.q, quad.p)
-    leak = float(np.max(np.abs(fv[quad.boundary]))) if np.any(quad.boundary) else 0.0
-    if leak > BOUNDARY_DECAY:
-        warnings.warn(
-            f"observable {f.label!r} reaches {leak:.3e} on the domain boundary; "
-            "transported mass may leak outside the quadrature square",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _warn_on_leak(f, fv, quad)
     qt, pt = flow_map(flow, quad.q, quad.p, t)
-    moved = np.sum(quad.weights * _node_values(f, qt, pt) * np.conj(_node_values(g, qt, pt)))
-    ref = np.sum(quad.weights * fv * np.conj(gv))
-    return abs(complex(moved - ref))
+    return _pair_residual(quad.weights, fv, gv, _node_values(f, qt, pt), _node_values(g, qt, pt))
+
+
+def unitarity_residuals(fs, flow: SymplecticFlow, t: float, quad: Quadrature) -> np.ndarray:
+    """Symmetric matrix whose entry (i, j), i <= j, is unitarity_residual(fs[i], fs[j], ...).
+
+    The nodes are transported once and each observable is evaluated once on
+    the fixed and once on the moved nodes, whatever the number of pairs.
+    """
+    fs = tuple(fs)
+    fixed = [_node_values(f, quad.q, quad.p) for f in fs]
+    for f, values in zip(fs, fixed):
+        _warn_on_leak(f, values, quad)
+    qt, pt = flow_map(flow, quad.q, quad.p, t)
+    moved = [_node_values(f, qt, pt) for f in fs]
+    out = np.empty((len(fs), len(fs)))
+    for i in range(len(fs)):
+        for j in range(i, len(fs)):
+            out[i, j] = out[j, i] = _pair_residual(quad.weights, fixed[i], fixed[j],
+                                                   moved[i], moved[j])
+    return out
 
 
 def liouville_generator_residual(f: ClassicalObservable, flow: SymplecticFlow,

@@ -24,9 +24,9 @@ from typing import Callable
 import numpy as np
 
 from . import flow as flow_mod
-from .flow import IntegratorConfig
+from .flow import ConvergenceError, IntegratorConfig
 from .hamiltonians import HamiltonianFunction
-from .hilbert import DensityMatrix, HermitianOperator, trace_pairing
+from .hilbert import DensityMatrix, HermitianOperator, UnitaryOperator, trace_pairing
 
 WEIGHT_TOL = 1e-12
 
@@ -101,6 +101,12 @@ def expectation(omega: StateMeasure, f: ObservableFunction) -> float:
     ))
 
 
+def _pull_back(f: ObservableFunction, rho_t: DensityMatrix,
+               u: UnitaryOperator) -> HermitianOperator:
+    """u^dagger f(rho_t) u: f read at the end of a flow, conjugated back by its cocycle."""
+    return HermitianOperator(u.matrix.conj().T @ f.eval(rho_t).matrix @ u.matrix)
+
+
 def heisenberg_transform(f: ObservableFunction, h: HamiltonianFunction, t: float,
                          cfg: IntegratorConfig) -> ObservableFunction:
     """The time-t Heisenberg transport of f along the flow generated by h.
@@ -115,9 +121,7 @@ def heisenberg_transform(f: ObservableFunction, h: HamiltonianFunction, t: float
         raise ValueError("transport time must be finite")
 
     def evaluate(rho: DensityMatrix) -> HermitianOperator:
-        rho_t, u = flow_mod.propagate(h, rho, t, cfg)
-        inner = f.eval(rho_t).matrix
-        return HermitianOperator(u.matrix.conj().T @ inner @ u.matrix)
+        return _pull_back(f, *flow_mod.propagate(h, rho, t, cfg))
 
     return ObservableFunction(eval=evaluate, label=f"T[{t:g}]{f.label}")
 
@@ -129,6 +133,40 @@ def pushforward_state(omega: StateMeasure, h: HamiltonianFunction, t: float,
     return StateMeasure(support=moved, weights=np.array(omega.weights))
 
 
+def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times,
+                           cfg: IntegratorConfig) -> np.ndarray:
+    """conservation_residual for every observable in fs (rows) at every time in times (columns).
+
+    Each flow is integrated once.  The forward leg of each sign chains
+    propagate through the sorted distinct times, e.g. 0 -> 0.5 -> 1 -> 2 -> 5;
+    the integrator never reads the absolute time, so on times that are whole
+    numbers of steps every state is bit-identical to a run restarted from 0.
+    The backward run from rho_t depends only on t and is shared by all
+    observables.  A ConvergenceError names the leg and the absolute times.
+    """
+    fs, times = tuple(fs), tuple(times)
+    if not all(math.isfinite(t) for t in times):
+        raise ValueError("transport time must be finite")
+    rhs = [trace_pairing(rho, f.eval(rho)) for f in fs]
+    columns = {}
+    for forward in (True, False):
+        grid = sorted({t for t in times if (t >= 0) == forward}, key=abs)
+        start, rho_t = 0.0, rho
+        for t in grid:
+            try:
+                rho_t, _ = flow_mod.propagate(h, rho_t, t - start, cfg)
+            except ConvergenceError as exc:
+                raise exc.on_leg(f"forward leg from t = {start:g}", start) from exc
+            start = t
+            try:
+                back = flow_mod.propagate(h, rho_t, -t, cfg)
+            except ConvergenceError as exc:
+                raise exc.on_leg(f"backward run from grid time t = {t:g}", t) from exc
+            columns[t] = [abs(trace_pairing(rho_t, _pull_back(f, *back)) - ref)
+                          for f, ref in zip(fs, rhs)]
+    return np.array([columns[t] for t in times], dtype=float).reshape(len(times), len(fs)).T
+
+
 def conservation_residual(f: ObservableFunction, h: HamiltonianFunction,
                           rho: DensityMatrix, t: float, cfg: IntegratorConfig) -> float:
     """|Tr(rho_t (T_{-t} f)(rho_t)) - Tr(rho f(rho))|.
@@ -137,8 +175,4 @@ def conservation_residual(f: ObservableFunction, h: HamiltonianFunction,
     cancels exactly in the continuum, for linear and nonlinear flows alike;
     the numerical residual measures integrator error only.
     """
-    rho_t, _ = flow_mod.propagate(h, rho, t, cfg)
-    pulled_back = heisenberg_transform(f, h, -t, cfg)
-    lhs = trace_pairing(rho_t, pulled_back.eval(rho_t))
-    rhs = trace_pairing(rho, f.eval(rho))
-    return abs(lhs - rhs)
+    return float(conservation_residuals((f,), h, rho, (t,), cfg)[0, 0])

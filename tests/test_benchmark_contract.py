@@ -13,7 +13,7 @@ import pytest
 
 from eqm_lab import config, flow, hamiltonians, hilbert, koopman, observables, runner
 from eqm_lab.flow import IntegratorConfig
-from eqm_lab.observables import constant_observable
+from eqm_lab.observables import constant_observable, trace_scaled_observable
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PATCHED_MODULES = (config, flow, hamiltonians, hilbert, koopman, observables, runner)
@@ -53,6 +53,25 @@ def test_traced_residual_counts_each_step_once(tracer, sx, sz, qubit_up):
     assert spans.in_flow["differential"] >= 2 * nominal
     assert spans.in_flow["expm"] >= 2 * nominal
     assert spans.spans["hamiltonians.differential.mean_field.d2"][0] == spans.in_flow["differential"]
+
+    after = _attributes()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+
+
+def test_traced_grid_integrates_each_flow_once(tracer, sx, sz, qubit_up):
+    before = _attributes()
+    cfg = IntegratorConfig(dt=0.01, t_final=0.05)
+    fs = (constant_observable(sx), trace_scaled_observable(sz, sx))
+    spans = tracer.Tracer()
+    with spans.installed():
+        h = config.mean_field(sx, sz, 1.0)
+        observables.conservation_residuals(fs, h, qubit_up, (0.02, 0.05), cfg)
+
+    # One forward sweep to 0.05 and one backward run per grid time, shared by
+    # both observables: 5 + (2 + 5) steps, where one residual per cell takes 28.
+    assert spans.steps_integrated() == 5 + (2 + 5)
+    assert spans.spans["flow.propagate.mean_field.d2"][0] == 2 + 2
 
     after = _attributes()
     assert after.keys() == before.keys()

@@ -138,3 +138,14 @@ class TestSuite:
         for scenario in ("linear-qubit", "mean-field-qubit"):
             written = (tmp_path / "out" / scenario / "trajectory.csv").read_bytes()
             assert written == (GOLDEN / scenario / "trajectory.csv").read_bytes(), scenario
+
+    def test_dt_override_skips_scenarios_without_integrator(self, tmp_path, capsys):
+        # The Koopman scenarios have no integrator section; --dt applies to the rest.
+        code = main(["suite", "--dt", "0.01", "--out-dir", str(tmp_path / "out"), "--quiet"])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        report = (tmp_path / "out" / "suite_report.txt").read_text().splitlines()
+        rows = report[2:-1]
+        assert rows and all(line.endswith(" PASS") for line in rows)
+        assert report[-1] == f"{len(rows)}/{len(rows)} checks passed"
+        assert (tmp_path / "out" / "koopman-pendulum" / "report.txt").exists()

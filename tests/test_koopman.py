@@ -18,6 +18,7 @@ from eqm_lab.koopman import (
     inner_product,
     liouville_generator_residual,
     unitarity_residual,
+    unitarity_residuals,
 )
 
 OSC = HarmonicOscillator(omega=1.0)
@@ -160,6 +161,28 @@ class TestUnitarityResidual:
         wide = gaussian_observable(center=(3.0, 0.0), width=2.0)
         with pytest.warns(RuntimeWarning, match="boundary"):
             unitarity_residual(wide, wide, OSC, 0.5, quad)
+
+
+class TestUnitarityResiduals:
+    def test_matches_each_pair_bit_for_bit(self):
+        # A small rule keeps the pendulum leapfrog cheap; equality holds at any order.
+        quad = Quadrature.gauss_legendre(order=16)
+        fs = (gaussian_observable(center=(0.2, 0.0), width=0.5),
+              gaussian_observable(center=(0.0, -0.1), width=0.5),
+              gaussian_observable(center=(-0.3, 0.2), width=0.6))
+        for flow in (OSC, PEND):
+            values = unitarity_residuals(fs, flow, 0.5, quad)
+            assert values.shape == (3, 3)
+            assert np.array_equal(values, values.T)
+            for i in range(3):
+                for j in range(i, 3):
+                    assert values[i, j] == unitarity_residual(fs[i], fs[j], flow, 0.5, quad), \
+                        (flow, i, j)
+
+    def test_boundary_mass_leak_warns(self, quad, gauss_pair):
+        wide = gaussian_observable(center=(3.0, 0.0), width=2.0)
+        with pytest.warns(RuntimeWarning, match="'gaussian\\(3,0;2\\)' reaches"):
+            unitarity_residuals((gauss_pair[0], wide), OSC, 0.5, quad)
 
 
 class TestGeneratorResidual:

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from eqm_lab.flow import IntegratorConfig, propagate
-from eqm_lab.hamiltonians import linear, mean_field
+from eqm_lab.config import DEFAULT_THRESHOLDS
+from eqm_lab.flow import ConvergenceError, IntegratorConfig, propagate
+from eqm_lab.hamiltonians import HamiltonianFunction, linear, mean_field
 from eqm_lab.hilbert import (
     SIGMA_X,
     SIGMA_Z,
@@ -22,6 +23,7 @@ from eqm_lab.observables import (
     ObservableFunction,
     StateMeasure,
     conservation_residual,
+    conservation_residuals,
     constant_observable,
     expectation,
     heisenberg_transform,
@@ -204,3 +206,79 @@ class TestConservationResidual:
     def test_mean_field_with_state_dependent_observable(self, h_mf, cfg, sx, sz, qubit_up):
         f = trace_scaled_observable(sz, sx)
         assert conservation_residual(f, h_mf, qubit_up, 2.0, cfg) <= 1e-7
+
+
+def _settles_for(calls: int, a: HermitianOperator) -> HamiltonianFunction:
+    """A differential that returns A for its first calls, then alternates sign forever.
+
+    A linear step asks for the differential twice, so the midpoint iteration
+    settles while the budget lasts and never afterwards.
+    """
+    count = [0]
+
+    def differential(rho):
+        count[0] += 1
+        sign = 1.0 if count[0] <= calls or count[0] % 2 else -1.0
+        return HermitianOperator(sign * a.matrix)
+
+    return HamiltonianFunction(value=lambda rho: trace_pairing(rho, a),
+                               differential=differential, label="stalls")
+
+
+class TestConservationResiduals:
+    # Whole numbers of steps at dt = 0.01, unsorted, with a duplicate, 0 and a
+    # negative time.
+    GRID = (0.2, 0.0, -0.1, 0.05, 0.2)
+
+    def test_each_cell_is_the_single_residual_bit_for_bit(self, h_mf, sx, sz, qubit_up, rng):
+        cfg = IntegratorConfig(dt=0.01, t_final=0.2)
+        fs = (constant_observable(sx), trace_scaled_observable(sz, sx))
+        omega = StateMeasure(support=(qubit_up, random_density(rng, 2)),
+                             weights=np.array([0.5, 0.5]))
+        for h in (linear(sz), h_mf):
+            for rho in omega.support:
+                grid = conservation_residuals(fs, h, rho, self.GRID, cfg)
+                assert grid.shape == (len(fs), len(self.GRID))
+                for i, f in enumerate(fs):
+                    for j, t in enumerate(self.GRID):
+                        assert grid[i, j] == conservation_residual(f, h, rho, t, cfg), (h.label, i, t)
+
+    def test_off_step_grid_stays_within_threshold(self, h_mf, sx, sz, qubit_up):
+        # 0.5 and 1.1 are not whole numbers of 0.003-steps, so the chained
+        # leg to 1.1 takes its short steps where a restarted run does not.
+        cfg = IntegratorConfig(dt=0.003, t_final=1.1)
+        fs = (constant_observable(sx), trace_scaled_observable(sz, sx))
+        times = (0.5, 1.1)
+        grid = conservation_residuals(fs, h_mf, qubit_up, times, cfg)
+        single = np.array([[conservation_residual(f, h_mf, qubit_up, t, cfg) for t in times]
+                           for f in fs])
+        limit = DEFAULT_THRESHOLDS["conservation"]
+        assert np.all(grid <= limit)
+        assert np.all(single <= limit)
+        # The first segment starts at 0, as a restarted run does.
+        assert np.array_equal(grid[:, 0], single[:, 0])
+
+    def test_rejects_non_finite_time(self, h_mf, sx, qubit_up, cfg):
+        with pytest.raises(ValueError, match="finite"):
+            conservation_residuals((constant_observable(sx),), h_mf, qubit_up, (0.5, math.nan), cfg)
+
+    def test_forward_failure_names_the_absolute_time(self, sx, sz, qubit_up):
+        # 0 -> 0.05 forward and back takes 2 x 5 steps of 2 calls each; the
+        # budget runs out at the third step of the forward leg from 0.05.
+        cfg = IntegratorConfig(dt=0.01, t_final=0.1, midpoint_max_iter=3)
+        h = _settles_for(20 + 2 * 2, sz)
+        with pytest.raises(ConvergenceError) as failure:
+            conservation_residuals((constant_observable(sx),), h, qubit_up, (0.05, 0.1), cfg)
+        message = str(failure.value)
+        assert message.startswith("forward leg from t = 0.05: midpoint iteration did not settle")
+        assert "at step 3, t = 0.07 to 0.08 " in message
+
+    def test_backward_failure_names_its_grid_time(self, sx, sz, qubit_up):
+        # The budget runs out at the third step of the backward run from 0.05.
+        cfg = IntegratorConfig(dt=0.01, t_final=0.1, midpoint_max_iter=3)
+        h = _settles_for(10 + 2 * 2, sz)
+        with pytest.raises(ConvergenceError) as failure:
+            conservation_residuals((constant_observable(sx),), h, qubit_up, (0.05, 0.1), cfg)
+        message = str(failure.value)
+        assert message.startswith("backward run from grid time t = 0.05: midpoint iteration")
+        assert "at step 3, t = 0.03 to 0.02 " in message
