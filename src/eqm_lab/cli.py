@@ -15,14 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config, with_dt
-from .runner import (
-    ScenarioError,
-    emit_bundled_suite,
-    render_report,
-    run_koopman,
-    run_scenario,
-    write_outputs,
-)
+from .runner import ScenarioError, koopman_only, render_report, run_and_write, run_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,31 +54,24 @@ def _load_config(path: Path):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = _load_config(args.config)
-            if args.dt is not None:
-                cfg = with_dt(cfg, args.dt)
-            tables, rows = run_scenario(cfg)
-            write_outputs(args.out_dir, cfg.scenario_id, tables, rows)
-            if not args.quiet:
-                print(render_report(rows), end="")
-            return 0 if all(r.passed for r in rows) else 1
         if args.command == "suite":
-            return emit_bundled_suite(out_dir=args.out_dir, dt=args.dt, quiet=args.quiet)
-        if args.command == "koopman":
+            rows = run_suite(args.out_dir, args.dt)
+        else:
             cfg = _load_config(args.config)
-            rows = run_koopman(cfg)
-            write_outputs(args.out_dir, cfg.scenario_id, [], rows)
-            if not args.quiet:
-                print(render_report(rows), end="")
-            return 0 if all(r.passed for r in rows) else 1
-        raise AssertionError(f"unhandled command {args.command!r}")
+            if args.command == "koopman":
+                cfg = koopman_only(cfg)
+            elif args.dt is not None:
+                cfg = with_dt(cfg, args.dt)
+            rows = run_and_write(cfg, args.out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if not args.quiet:
+        print(render_report(rows), end="")
+    return 0 if all(r.passed for r in rows) else 1
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -92,6 +93,15 @@ class ScenarioConfig:
         raise ValueError("this scenario's initial condition is a measure, not a single state")
 
 
+@contextmanager
+def _at(path: str):
+    """Report a ValueError or TypeError raised while building a value as a ConfigError at path."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def parse_config(document: str) -> ScenarioConfig:
     """Parse and fully validate a JSON scenario document."""
     try:
@@ -106,10 +116,8 @@ def with_dt(cfg: ScenarioConfig, dt: float) -> ScenarioConfig:
     """Return the config with the integrator step overridden."""
     if cfg.integrator is None:
         raise ConfigError("integrator", "cannot override dt: config has no integrator section")
-    try:
+    with _at("integrator.dt"):
         integrator = replace(cfg.integrator, dt=float(dt))
-    except ValueError as exc:
-        raise ConfigError("integrator.dt", str(exc)) from None
     return replace(cfg, integrator=integrator)
 
 
@@ -143,40 +151,34 @@ def _number(value, path, minimum=None) -> float:
 
 
 def _matrix(value, path, dim=None) -> np.ndarray:
-    try:
+    with _at(path):
         mat = hilbert.matrix_from_pairs(value)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
     if dim is not None and mat.shape[0] != dim:
         raise ConfigError(path, f"expected dimension {dim}, got {mat.shape[0]}")
     return mat
 
 
 def _hermitian(value, path, dim=None) -> HermitianOperator:
-    try:
-        return HermitianOperator(_matrix(value, path, dim))
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+    mat = _matrix(value, path, dim)
+    with _at(path):
+        return HermitianOperator(mat)
 
 
 def _density(value, path, dim=None) -> DensityMatrix:
-    try:
-        return DensityMatrix(_matrix(value, path, dim))
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+    mat = _matrix(value, path, dim)
+    with _at(path):
+        return DensityMatrix(mat)
 
 
 def _state(value, path, dim) -> DensityMatrix:
     """A single state given either as a state vector or as a density matrix."""
     obj = _expect_object(value, path)
     if "state_vector" in obj:
-        try:
+        with _at(f"{path}.state_vector"):
             vec = hilbert.vector_from_pairs(obj["state_vector"])
             if vec.shape[0] != dim:
                 raise ValueError(f"expected dimension {dim}, got {vec.shape[0]}")
             return projector(StateVector(vec))
-        except ValueError as exc:
-            raise ConfigError(f"{path}.state_vector", str(exc)) from None
     if "density_matrix" in obj:
         return _density(obj["density_matrix"], f"{path}.density_matrix", dim)
     raise ConfigError(path, "expected a state_vector or density_matrix field")
@@ -224,10 +226,8 @@ def _parse_initial(value, path, dim):
             for i, w in enumerate(_expect_list(_get(measure, "weights", measure_path),
                                                f"{measure_path}.weights"))
         ]
-        try:
+        with _at(measure_path):
             return StateMeasure(support=tuple(support), weights=np.array(weights))
-        except ValueError as exc:
-            raise ConfigError(measure_path, str(exc)) from None
     return _state(value, path, dim)
 
 
@@ -257,10 +257,16 @@ def _parse_integrator(value, path) -> IntegratorConfig:
         kwargs["midpoint_max_iter"] = int(_number(obj["midpoint_max_iter"], f"{path}.midpoint_max_iter", 1))
     if "record_stride" in obj:
         kwargs["record_stride"] = int(_number(obj["record_stride"], f"{path}.record_stride", 1))
-    try:
+    with _at(path):
         return IntegratorConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+
+
+def _phase_point(value, path) -> tuple[float, float]:
+    """A phase-space point written as [q, p]."""
+    pair = _expect_list(value, path)
+    if len(pair) != 2:
+        raise ConfigError(path, "expected [q, p]")
+    return _number(pair[0], f"{path}[0]"), _number(pair[1], f"{path}[1]")
 
 
 def _parse_classical_observable(value, path) -> ClassicalObservable:
@@ -268,17 +274,11 @@ def _parse_classical_observable(value, path) -> ClassicalObservable:
     name = _get(obj, "name", path)
     params = {}
     if "center" in obj:
-        center = _expect_list(obj["center"], f"{path}.center")
-        if len(center) != 2:
-            raise ConfigError(f"{path}.center", "expected [q, p]")
-        params["center"] = (_number(center[0], f"{path}.center[0]"),
-                            _number(center[1], f"{path}.center[1]"))
+        params["center"] = _phase_point(obj["center"], f"{path}.center")
     if "width" in obj:
         params["width"] = _number(obj["width"], f"{path}.width")
-    try:
+    with _at(path):
         return koopman.builtin_observable(name, **params)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from None
 
 
 def _parse_koopman(value, path) -> KoopmanSetup:
@@ -309,22 +309,20 @@ def _parse_koopman(value, path) -> KoopmanSetup:
 
     quad_obj = obj.get("quadrature", {})
     _expect_object(quad_obj, f"{path}.quadrature")
-    try:
-        quadrature = Quadrature.gauss_legendre(
-            extent=_number(quad_obj.get("extent", koopman.DEFAULT_EXTENT), f"{path}.quadrature.extent"),
-            order=int(_number(quad_obj.get("order", koopman.DEFAULT_ORDER), f"{path}.quadrature.order", 2)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}.quadrature", str(exc)) from None
+    extent = _number(quad_obj.get("extent", koopman.DEFAULT_EXTENT), f"{path}.quadrature.extent")
+    order = int(_number(quad_obj.get("order", koopman.DEFAULT_ORDER), f"{path}.quadrature.order", 2))
+    with _at(f"{path}.quadrature"):
+        quadrature = Quadrature.gauss_legendre(extent=extent, order=order)
 
     points = DEFAULT_GENERATOR_POINTS
     if "points" in obj:
-        raw = _expect_list(obj["points"], f"{path}.points")
-        points = tuple(
-            (_number(pt[0], f"{path}.points[{i}][0]"), _number(pt[1], f"{path}.points[{i}][1]"))
-            for i, pt in enumerate(raw)
-        )
+        points = tuple(_phase_point(pt, f"{path}.points[{i}]")
+                       for i, pt in enumerate(_expect_list(obj["points"], f"{path}.points")))
     generator_dt = _number(obj.get("generator_dt", DEFAULT_GENERATOR_DT), f"{path}.generator_dt")
+    if not koopman.GEN_DT_MIN <= generator_dt <= koopman.GEN_DT_MAX:
+        raise ConfigError(f"{path}.generator_dt",
+                          f"must lie in [{koopman.GEN_DT_MIN:g}, {koopman.GEN_DT_MAX:g}], "
+                          f"got {generator_dt:g}")
     return KoopmanSetup(flow=flow, observables=observables, times=times,
                         quadrature=quadrature, generator_points=points,
                         generator_dt=generator_dt)

@@ -3,8 +3,7 @@
 Wrapper types enforce the structural invariants (hermiticity, unitarity,
 unit trace, positive semidefiniteness, unit norm) at construction time and
 are immutable afterwards.  Constructors reject bad input rather than fixing
-it; ``DensityMatrix.renormalize`` is the one explicit repair hook.  All
-tolerances used by the invariant checks live here.
+it.  All tolerances used by the invariant checks live here.
 """
 
 from __future__ import annotations
@@ -126,19 +125,6 @@ class DensityMatrix:
     def purity(self) -> float:
         """Tr(rho^2), equal to 1 exactly for one-dimensional projections."""
         return float(np.trace(self.matrix @ self.matrix).real)
-
-    @classmethod
-    def renormalize(cls, entries) -> "DensityMatrix":
-        """Escape hatch: symmetrize (A + A_dagger)/2 and rescale to unit trace.
-
-        Positivity is still enforced; this repairs hermiticity and trace only.
-        """
-        mat = as_complex_matrix(entries)
-        sym = 0.5 * (mat + mat.conj().T)
-        trace = float(np.trace(sym).real)
-        if abs(trace) < 1e-12:
-            raise ValueError("cannot renormalize a traceless matrix")
-        return cls(sym / trace)
 
 
 @dataclass(frozen=True, eq=False)

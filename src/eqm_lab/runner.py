@@ -8,9 +8,10 @@ defaults to the module tolerances; the runner hard-codes none of them.
 
 from __future__ import annotations
 
-import math
+import json
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .hilbert import (
     SIGMA_Z,
     DensityMatrix,
     HermitianOperator,
-    matrix_to_pairs,
+    matrix_from_pairs,
     max_abs,
     trace_pairing,
     unitary_exponential,
@@ -167,11 +168,11 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[list[tuple[str, str]], list[Repor
     return tables, rows
 
 
-def run_koopman(cfg: ScenarioConfig) -> list[ReportRow]:
-    """The classical diagnostics alone, for the dedicated CLI subcommand."""
+def koopman_only(cfg: ScenarioConfig) -> ScenarioConfig:
+    """The config narrowed to its classical diagnostics, for the dedicated CLI subcommand."""
     if cfg.koopman is None:
         raise ScenarioError(f"scenario '{cfg.scenario_id}': config has no koopman section")
-    return _koopman_rows(cfg)
+    return replace(cfg, outputs=("koopman",))
 
 
 def render_report(rows: list[ReportRow]) -> str:
@@ -196,132 +197,36 @@ def write_outputs(out_dir: Path, scenario_id: str, tables, rows) -> None:
     (target / "report.txt").write_text(render_report(rows), newline="\n")
 
 
+def run_and_write(cfg: ScenarioConfig, out_dir: Path) -> list[ReportRow]:
+    """Run one scenario and write its tables and report under ``out_dir/<id>/``."""
+    tables, rows = run_scenario(cfg)
+    write_outputs(out_dir, cfg.scenario_id, tables, rows)
+    return rows
+
+
 # --- the bundled scenario corpus -------------------------------------------
 
-_PLUS = [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]
-_QUBIT_UP = [[1.0, 0.0], [0.0, 0.0]]
+
+def corpus_documents() -> list[dict]:
+    """The shipped scenario corpus, as plain config documents in suite order.
+
+    One JSON file per scenario under ``eqm_lab/corpus/``; the numbered file
+    names set which scenarios run and in what order.
+    """
+    files = sorted((f for f in resources.files(__package__).joinpath("corpus").iterdir()
+                    if f.name.endswith(".json")), key=lambda f: f.name)
+    return [json.loads(f.read_text()) for f in files]
 
 
 def four_level_ops() -> tuple[np.ndarray, np.ndarray]:
-    """Fixed pair of 4x4 Hermitian operators for the N=4 corpus scenarios."""
-    a = np.zeros((4, 4), dtype=complex)
-    for k in range(3):
-        a[k, k + 1] = math.sqrt(k + 1)
-        a[k + 1, k] = math.sqrt(k + 1)
-    b = np.diag([1.5, 0.5, -0.5, -1.5]).astype(complex)
-    return a, b
+    """The N=4 ladder operator and diag(1.5, 0.5, -0.5, -1.5).
 
-
-def corpus_documents(conservation_grid=(0.5, 1.0, 2.0, 5.0)) -> list[dict]:
-    """The shipped scenario corpus, as plain config documents."""
-    eye2 = np.eye(2, dtype=complex)
-    a4, b4 = four_level_ops()
-    grid = list(conservation_grid)
-    docs = [
-        {
-            "id": "linear-qubit",
-            "dimension": 2,
-            "hamiltonian": {"type": "linear", "A": matrix_to_pairs(SIGMA_Z)},
-            "initial": {"state_vector": _PLUS},
-            "observables": [
-                {"type": "constant", "A": matrix_to_pairs(SIGMA_X)},
-                {"type": "trace_scaled", "B": matrix_to_pairs(SIGMA_Z), "A": matrix_to_pairs(SIGMA_X)},
-            ],
-            "integrator": {"dt": 1e-3, "t_final": 1.0, "record_stride": 10},
-            "conservation_times": grid,
-            "outputs": ["trajectory", "invariants", "conservation"],
-        },
-        {
-            "id": "mean-field-qubit",
-            "dimension": 2,
-            "hamiltonian": {"type": "mean_field", "A": matrix_to_pairs(SIGMA_X),
-                            "B": matrix_to_pairs(SIGMA_Z), "lambda": 1.0},
-            "initial": {"density_matrix": matrix_to_pairs(np.diag([1.0, 0.0]))},
-            "observables": [
-                {"type": "constant", "A": matrix_to_pairs(SIGMA_X)},
-                {"type": "trace_scaled", "B": matrix_to_pairs(SIGMA_Z), "A": matrix_to_pairs(SIGMA_X)},
-            ],
-            "integrator": {"dt": 1e-3, "t_final": 5.0, "record_stride": 50},
-            "conservation_times": grid,
-            "outputs": ["trajectory", "invariants", "conservation"],
-        },
-        {
-            "id": "gauge-shift",
-            "dimension": 2,
-            "hamiltonian": {"type": "mean_field", "A": matrix_to_pairs(SIGMA_X + 10.0 * eye2),
-                            "B": matrix_to_pairs(SIGMA_Z), "lambda": 1.0},
-            "initial": {"density_matrix": matrix_to_pairs(np.diag([1.0, 0.0]))},
-            "integrator": {"dt": 1e-3, "t_final": 1.0, "record_stride": 10},
-            "outputs": ["invariants"],
-        },
-        {
-            "id": "conservation-linear-n4",
-            "dimension": 4,
-            "hamiltonian": {"type": "linear", "A": matrix_to_pairs(a4)},
-            "initial": {"density_matrix": matrix_to_pairs(np.diag([0.4, 0.3, 0.2, 0.1]))},
-            "observables": [
-                {"type": "constant", "A": matrix_to_pairs(b4)},
-                {"type": "trace_scaled", "B": matrix_to_pairs(b4), "A": matrix_to_pairs(a4)},
-            ],
-            "integrator": {"dt": 1e-3, "t_final": 1.0, "record_stride": 10},
-            "conservation_times": grid,
-            "outputs": ["invariants", "conservation"],
-        },
-        {
-            "id": "conservation-mean-field-n4",
-            "dimension": 4,
-            "hamiltonian": {"type": "mean_field", "A": matrix_to_pairs(a4),
-                            "B": matrix_to_pairs(b4), "lambda": 1.0},
-            "initial": {"density_matrix": matrix_to_pairs(np.diag([0.4, 0.3, 0.2, 0.1]))},
-            "observables": [
-                {"type": "constant", "A": matrix_to_pairs(b4)},
-                {"type": "trace_scaled", "B": matrix_to_pairs(b4), "A": matrix_to_pairs(a4)},
-            ],
-            "integrator": {"dt": 1e-3, "t_final": 1.0, "record_stride": 10},
-            "conservation_times": grid,
-            "outputs": ["invariants", "conservation"],
-        },
-        {
-            "id": "wigner-contrast",
-            "dimension": 2,
-            "hamiltonian": {"type": "mean_field", "A": matrix_to_pairs(np.zeros((2, 2))),
-                            "B": matrix_to_pairs(SIGMA_Z), "lambda": 1.0},
-            "initial": {"state_vector": [[math.cos(0.1), 0.0], [math.sin(0.1), 0.0]]},
-            "wigner_pair": {"state_vector": _PLUS},
-            "observables": [
-                {"type": "constant", "A": matrix_to_pairs(SIGMA_X)},
-                {"type": "trace_scaled", "B": matrix_to_pairs(SIGMA_Z), "A": matrix_to_pairs(SIGMA_X)},
-            ],
-            "integrator": {"dt": 1e-3, "t_final": 5.0, "record_stride": 1},
-            "conservation_times": grid,
-            "outputs": ["invariants", "wigner", "conservation"],
-        },
-        {
-            "id": "koopman-harmonic",
-            "outputs": ["koopman"],
-            "koopman": {
-                "flow": {"type": "harmonic", "omega": 1.0},
-                "observables": [
-                    {"name": "gaussian", "center": [0.3, 0.0], "width": 0.9},
-                    {"name": "gaussian", "center": [0.0, -0.2], "width": 0.9},
-                ],
-                "times": [0.5, 1.0, 3.141592653589793],
-            },
-        },
-        {
-            "id": "koopman-pendulum",
-            "outputs": ["koopman"],
-            "koopman": {
-                "flow": {"type": "pendulum", "g": 1.0},
-                "observables": [
-                    {"name": "gaussian", "center": [0.2, 0.0], "width": 0.5},
-                    {"name": "gaussian", "center": [0.0, -0.1], "width": 0.5},
-                ],
-                "times": [0.5],
-            },
-        },
-    ]
-    return docs
+    They are the Hamiltonian and the constant observable of the
+    ``conservation-linear-n4`` corpus scenario.
+    """
+    doc = next(d for d in corpus_documents() if d["id"] == "conservation-linear-n4")
+    constant = next(f for f in doc["observables"] if f["type"] == "constant")
+    return matrix_from_pairs(doc["hamiltonian"]["A"]), matrix_from_pairs(constant["A"])
 
 
 def _suite_cross_checks(dt: float | None, thresholds: dict) -> list[ReportRow]:
@@ -356,20 +261,18 @@ def _suite_cross_checks(dt: float | None, thresholds: dict) -> list[ReportRow]:
     ]
 
 
-def emit_bundled_suite(out_dir=Path("out"), dt: float | None = None,
-                       quiet: bool = False) -> int:
-    """Run the shipped corpus plus the cross-run checks; nonzero exit on failure."""
+def run_suite(out_dir: Path, dt: float | None = None) -> list[ReportRow]:
+    """Run the shipped corpus plus the cross-run checks; returns every report row.
+
+    Each scenario goes through :func:`run_and_write`; the combined report is
+    written to ``out_dir/suite_report.txt``.
+    """
     all_rows: list[ReportRow] = []
     for doc in corpus_documents():
         cfg = build_config(doc)
         if dt is not None and cfg.integrator is not None:
             cfg = with_dt(cfg, dt)
-        tables, rows = run_scenario(cfg)
-        write_outputs(Path(out_dir), cfg.scenario_id, tables, rows)
-        all_rows.extend(rows)
+        all_rows.extend(run_and_write(cfg, out_dir))
     all_rows.extend(_suite_cross_checks(dt, dict(DEFAULT_THRESHOLDS)))
-    report = render_report(all_rows)
-    (Path(out_dir) / "suite_report.txt").write_text(report, newline="\n")
-    if not quiet:
-        print(report, end="")
-    return 0 if all(r.passed for r in all_rows) else 1
+    (Path(out_dir) / "suite_report.txt").write_text(render_report(all_rows), newline="\n")
+    return all_rows

@@ -76,3 +76,13 @@ def test_traced_grid_integrates_each_flow_once(tracer, sx, sz, qubit_up):
     after = _attributes()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+@pytest.mark.parametrize("name", ["corpus-suite", "state-sweep", "long-flow"])
+def test_workloads_build_their_calls(tracer, name, tmp_path):
+    # The workloads call runner.corpus_documents, four_level_ops and
+    # _suite_cross_checks among others; building one must not fail.
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS[name](1, tmp_path)
+    workload.setup()
+    assert workload.calls()

@@ -123,6 +123,24 @@ class TestKoopmanCommand:
         assert main(["koopman", str(rabi_config), "--out-dir", str(tmp_path / "out")]) == 1
         assert "no koopman section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "koopman"])
+    def test_generator_dt_out_of_range_is_config_error(self, command, tmp_path, capsys):
+        doc = {
+            "id": "koopman-coarse",
+            "outputs": ["koopman"],
+            "koopman": {
+                "flow": {"type": "harmonic", "omega": 1.0},
+                "observables": [{"name": "q"}],
+                "times": [0.5],
+                "generator_dt": 0.01,
+            },
+        }
+        path = tmp_path / "coarse.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "koopman.generator_dt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSuite:
     def test_fresh_checkout_passes(self, tmp_path, capsys):

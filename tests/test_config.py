@@ -1,10 +1,12 @@
 """Tests for scenario document parsing and validation."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eqm_lab
 from eqm_lab.config import (
     DEFAULT_THRESHOLDS,
     ConfigError,
@@ -169,6 +171,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="hamiltonian.*missing"):
             build_config(doc)
 
+    @pytest.mark.parametrize("point, message", [(5, "expected an array"),
+                                                 ([1.0], r"expected \[q, p\]")])
+    def test_koopman_points_are_phase_points(self, point, message):
+        doc = {
+            "id": "koopman-test",
+            "outputs": ["koopman"],
+            "koopman": {
+                "flow": {"type": "harmonic"},
+                "observables": [{"name": "q"}],
+                "times": [0.5],
+                "points": [point],
+            },
+        }
+        with pytest.raises(ConfigError, match=rf"koopman\.points\[0\]: {message}") as err:
+            build_config(doc)
+        assert err.value.path == "koopman.points[0]"
+
     def test_dimension_bounds(self):
         doc = minimal_doc(dimension=1)
         with pytest.raises(ConfigError, match="dimension"):
@@ -177,11 +196,10 @@ class TestValidation:
 
 class TestShippedConfigs:
     def test_sample_documents_parse(self):
-        from pathlib import Path
-
-        config_dir = Path(__file__).resolve().parent.parent / "configs"
-        paths = sorted(config_dir.glob("*.json"))
-        assert len(paths) == 3
+        # The shipped configs are the corpus files, one per suite scenario.
+        corpus_dir = Path(eqm_lab.__file__).resolve().parent / "corpus"
+        paths = sorted(corpus_dir.glob("*.json"))
+        assert len(paths) == 8
         for path in paths:
             parse_config(path.read_text())
 

@@ -60,19 +60,6 @@ class TestConstructors:
         with pytest.raises(ValueError):
             sz.matrix[0, 0] = 5.0
 
-    def test_renormalize_escape_hatch(self):
-        raw = np.array([[2.0, 0.1 + 0.05j], [0.1 - 0.02j, 1.0]])
-        rho = DensityMatrix.renormalize(raw)
-        assert abs(np.trace(rho.matrix) - 1.0) < 1e-14
-
-    def test_renormalize_still_rejects_non_psd(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            DensityMatrix.renormalize(np.diag([3.0, -1.0]))
-
-    def test_renormalize_rejects_traceless(self):
-        with pytest.raises(ValueError, match="traceless"):
-            DensityMatrix.renormalize(SIGMA_Z)
-
 
 class TestCommutator:
     def test_self_commutator_vanishes(self, sx):

@@ -1,17 +1,21 @@
 """Tests for scenario execution, CSV emission, and report semantics."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eqm_lab
 from eqm_lab.config import build_config, with_dt
 from eqm_lab.runner import (
     ReportRow,
     ScenarioError,
     corpus_documents,
+    four_level_ops,
+    koopman_only,
     render_report,
-    run_koopman,
     run_scenario,
     write_outputs,
 )
@@ -154,14 +158,28 @@ class TestKoopmanRunner:
                 "points": [[0.5, 0.0], [0.0, 0.5]],
             },
         }
-        rows = run_koopman(build_config(doc))
+        tables, rows = run_scenario(koopman_only(build_config(doc)))
+        assert tables == []
         assert len(rows) == 1 + 2  # one pair row, two generator points
         assert all(r.passed for r in rows)
 
     def test_koopman_requires_section(self):
         cfg = build_config(rabi_doc())
         with pytest.raises(ScenarioError, match="no koopman section"):
-            run_koopman(cfg)
+            koopman_only(cfg)
+
+    def test_koopman_only_drops_flow_outputs(self):
+        doc = rabi_doc(koopman={
+            "flow": {"type": "harmonic", "omega": 1.0},
+            "observables": [{"name": "gaussian", "center": [0.3, 0.0], "width": 0.9}],
+            "times": [0.5],
+            "points": [[0.5, 0.0]],
+        })
+        cfg = koopman_only(build_config(doc))
+        assert cfg.outputs == ("koopman",)
+        _, rows = run_scenario(cfg)
+        assert {r.check.split("[", 1)[0] for r in rows} == {"koopman_unitarity",
+                                                           "koopman_generator"}
 
 
 class TestWriteOutputs:
@@ -176,6 +194,12 @@ class TestWriteOutputs:
         assert raw.endswith(b"\n")
 
 
+CORPUS = Path(eqm_lab.__file__).resolve().parent / "corpus"
+SUITE_ORDER = ("linear-qubit", "mean-field-qubit", "gauge-shift", "conservation-linear-n4",
+               "conservation-mean-field-n4", "wigner-contrast", "koopman-harmonic",
+               "koopman-pendulum")
+
+
 class TestCorpus:
     def test_documents_validate(self):
         docs = corpus_documents()
@@ -183,3 +207,23 @@ class TestCorpus:
         assert len(ids) == len(set(ids))
         for doc in docs:
             build_config(doc)
+
+    def test_files_are_named_for_their_id(self):
+        paths = sorted(CORPUS.glob("*.json"))
+        assert paths
+        for number, path in enumerate(paths, start=1):
+            doc = json.loads(path.read_text())
+            assert path.name == f"{number:02d}-{doc['id']}.json"
+
+    def test_documents_come_in_suite_order(self):
+        docs = corpus_documents()
+        assert tuple(d["id"] for d in docs) == SUITE_ORDER
+        assert docs == [json.loads(p.read_text()) for p in sorted(CORPUS.glob("*.json"))]
+
+    def test_four_level_ops(self):
+        ladder = np.zeros((4, 4), dtype=complex)
+        for k in range(3):
+            ladder[k, k + 1] = ladder[k + 1, k] = math.sqrt(k + 1)
+        a, b = four_level_ops()
+        assert np.array_equal(a, ladder)
+        assert np.array_equal(b, np.diag([1.5, 0.5, -0.5, -1.5]).astype(complex))
