@@ -119,7 +119,7 @@ class Trajectory:
         return max(abs(state.purity() - base) for state in self.states)
 
 
-def _split_steps(span: float, dt: float) -> tuple[int, float]:
+def split_steps(span: float, dt: float) -> tuple[int, float]:
     """Number of full steps of size dt covering span >= 0, plus the remainder."""
     n = int(math.floor(span / dt + 1e-9))
     rem = span - n * dt
@@ -128,27 +128,43 @@ def _split_steps(span: float, dt: float) -> tuple[int, float]:
     return n, rem
 
 
+def _schedule(span: float, dt: float):
+    """Yield (signed step size, signed time after the step) for each step of span.
+
+    Full steps of size dt cover the span, plus one shorter step for the
+    remainder when span is not a multiple of dt: last on a forward span and
+    first on a backward one, so a backward run from rho_t retraces, step for
+    step, the forward run that reached it.
+    """
+    n_full, rem = split_steps(abs(span), dt)
+    if span >= 0:
+        for k in range(1, n_full + 1):
+            yield dt, k * dt
+        if rem:
+            yield rem, span
+        return
+    if rem:
+        yield -rem, -rem
+    for k in range(1, n_full + 1):
+        yield -dt, -(rem + k * dt)
+
+
 def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: IntegratorConfig):
     """Yield (k, time, rho, u) as arrays after each step k = 1, 2, ... of the signed span.
 
-    Full steps of size cfg.dt come first; a shorter last step covers the
-    remainder when span is not a multiple of dt.  Each step conjugates by
-    exp(-i dt D_mid), with D_mid the differential at the self-consistent
-    midpoint state, and extends the cocycle u by the same factor.
+    Each step conjugates by exp(-i dt D_mid), with D_mid the differential at
+    the self-consistent midpoint state, and extends the cocycle u by the
+    same factor.  Only h.generator and expm_hermitian run here, on plain
+    arrays; states are validated where they leave the kernel.
     """
-    sign = 1.0 if span > 0 else -1.0
-    n_full, rem = _split_steps(abs(span), cfg.dt)
+    generator = h.generator
     u = np.eye(rho.shape[0], dtype=complex)
-    for k in range(1, n_full + (rem > 0.0) + 1):
-        if k <= n_full:
-            dt, time = sign * cfg.dt, sign * k * cfg.dt
-        else:
-            dt, time = sign * rem, span
-        gen = h.differential(DensityMatrix(rho)).matrix
+    for k, (dt, time) in enumerate(_schedule(span, cfg.dt), 1):
+        gen = generator(rho)
         for _ in range(int(cfg.midpoint_max_iter)):
             half = expm_hermitian(gen, 0.5 * dt)
             rho_mid = half @ rho @ half.conj().T
-            refreshed = h.differential(DensityMatrix(rho_mid)).matrix
+            refreshed = generator(rho_mid)
             if max_abs(refreshed - gen) < cfg.midpoint_tol:
                 break
             gen = refreshed
@@ -158,6 +174,15 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
         rho = stepper @ rho @ stepper.conj().T
         u = stepper @ u
         yield k, time, rho, u
+
+
+def _validated(k: int, time: float, rho: np.ndarray,
+               u: np.ndarray) -> tuple[DensityMatrix, UnitaryOperator]:
+    """The kernel's state and cocycle after step k as wrappers; a failure names the step."""
+    try:
+        return DensityMatrix(rho), UnitaryOperator(u)
+    except ValueError as exc:
+        raise ValueError(f"state after step {k}, t = {time:g}: {exc}") from exc
 
 
 def evolve(h: HamiltonianFunction, rho0: DensityMatrix, cfg: IntegratorConfig) -> Trajectory:
@@ -171,16 +196,20 @@ def evolve(h: HamiltonianFunction, rho0: DensityMatrix, cfg: IntegratorConfig) -
     k = 0
     for k, time, rho, u in _steps(h, rho0.matrix, cfg.t_final, cfg):
         if k % stride == 0:
-            records.append((time, DensityMatrix(rho), UnitaryOperator(u)))
+            records.append((time, *_validated(k, time, rho, u)))
     if k % stride:
-        records.append((time, DensityMatrix(rho), UnitaryOperator(u)))
+        records.append((time, *_validated(k, time, rho, u)))
     times, states, cocycle = zip(*records)
     return Trajectory(times, states, cocycle)
 
 
 def propagate(h: HamiltonianFunction, rho0: DensityMatrix, t: float,
               cfg: IntegratorConfig) -> tuple[DensityMatrix, UnitaryOperator]:
-    """Endpoint of the flow after signed time t; negative t integrates backward."""
+    """Endpoint of the flow after signed time t; negative t integrates backward.
+
+    A backward run takes its shorter step first, so propagating rho_t by -t
+    retraces the forward run from rho to rho_t.
+    """
     if not math.isfinite(t):
         raise ValueError("propagation time must be finite")
     end = None
@@ -188,8 +217,7 @@ def propagate(h: HamiltonianFunction, rho0: DensityMatrix, t: float,
         pass
     if end is None:
         return rho0, UnitaryOperator(np.eye(rho0.dim, dtype=complex))
-    _, _, rho, u = end
-    return DensityMatrix(rho), UnitaryOperator(u)
+    return _validated(*end)
 
 
 def wigner_deviation(h: HamiltonianFunction, p: DensityMatrix, q: DensityMatrix,

@@ -12,6 +12,11 @@ Tr(delta D(rho)).  The built-in families carry closed-form differentials:
 The canonical bracket of two such functions at a state rho is
 {f, h}(rho) = i Tr(rho [Df(rho), Dh(rho)]); the flow it generates is
 integrated in :mod:`eqm_lab.flow`.
+
+Each function also carries its differential on plain arrays, the form the
+integrator calls.  The public differential takes a validated state and
+returns a validated operator; the array generator does the same arithmetic
+on the bare matrices and builds no wrapper.
 """
 
 from __future__ import annotations
@@ -31,11 +36,43 @@ GENERIC_FD_STEP = 1e-5  # differential reconstruction for closure-defined functi
 
 @dataclass(frozen=True)
 class HamiltonianFunction:
-    """A value map together with its operator-valued differential."""
+    """A value map together with its operator-valued differential.
+
+    ``generator`` is the differential on plain arrays: it maps the matrix of
+    a state to the matrix of D(rho), and the integrator calls nothing else.
+    It is trusted to agree with ``differential``.  When none is given it
+    defaults to ``m -> differential(DensityMatrix(m)).matrix``, which keeps
+    every check that the state, the differential and its operator make.
+    """
 
     value: Callable[[DensityMatrix], float]
     differential: Callable[[DensityMatrix], HermitianOperator]
     label: str = "h"
+    generator: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.generator is None:
+            differential = self.differential
+            object.__setattr__(self, "generator",
+                               lambda m: differential(DensityMatrix(m)).matrix)
+
+
+def _over_pairings(generator_of):
+    """The differential and the array generator of one closed form, written once.
+
+    generator_of(pair) builds the matrix of D(rho) from pair(A) = Re Tr(rho A).
+    The differential pairs through trace_pairing, which checks dimensions and
+    the imaginary part, and validates the operator it returns; the generator
+    pairs the bare arrays, which gives the same float.
+    """
+
+    def differential(rho: DensityMatrix) -> HermitianOperator:
+        return HermitianOperator(generator_of(lambda a: trace_pairing(rho, a)))
+
+    def generator(m: np.ndarray) -> np.ndarray:
+        return generator_of(lambda a: (m @ a.matrix).trace().real)
+
+    return differential, generator
 
 
 def linear(a: HermitianOperator, label: str = "linear") -> HamiltonianFunction:
@@ -43,6 +80,7 @@ def linear(a: HermitianOperator, label: str = "linear") -> HamiltonianFunction:
         value=lambda rho: trace_pairing(rho, a),
         differential=lambda rho: a,
         label=label,
+        generator=lambda m: a.matrix,
     )
 
 
@@ -61,11 +99,12 @@ def mean_field(
         m = trace_pairing(rho, coupling)
         return trace_pairing(rho, linear_term) + 0.5 * strength * m * m
 
-    def differential(rho: DensityMatrix) -> HermitianOperator:
-        m = trace_pairing(rho, coupling)
-        return HermitianOperator(linear_term.matrix + strength * m * coupling.matrix)
+    def generator_of(pair) -> np.ndarray:
+        return linear_term.matrix + strength * pair(coupling) * coupling.matrix
 
-    return HamiltonianFunction(value=value, differential=differential, label=label)
+    differential, generator = _over_pairings(generator_of)
+    return HamiltonianFunction(value=value, differential=differential, label=label,
+                               generator=generator)
 
 
 def polynomial(terms: Sequence, label: str = "polynomial", dim: int | None = None) -> HamiltonianFunction:
@@ -85,12 +124,12 @@ def polynomial(terms: Sequence, label: str = "polynomial", dim: int | None = Non
             total += prod
         return total
 
-    def differential(rho: DensityMatrix) -> HermitianOperator:
+    def generator_of(pair) -> np.ndarray:
         out = None
         for coeff, factors in terms:
             if not factors:
                 continue
-            pairings = [trace_pairing(rho, f) for f in factors]
+            pairings = [pair(f) for f in factors]
             for j, f in enumerate(factors):
                 partial = coeff
                 for i, p in enumerate(pairings):
@@ -102,9 +141,11 @@ def polynomial(terms: Sequence, label: str = "polynomial", dim: int | None = Non
                 raise ValueError("polynomial differential needs a known dimension; "
                                  "give at least one term with factors or pass dim")
             out = np.zeros((dim, dim), dtype=complex)
-        return HermitianOperator(out)
+        return out
 
-    return HamiltonianFunction(value=value, differential=differential, label=label)
+    differential, generator = _over_pairings(generator_of)
+    return HamiltonianFunction(value=value, differential=differential, label=label,
+                               generator=generator)
 
 
 def traceless_hermitian_basis(dim: int) -> list[np.ndarray]:
@@ -148,14 +189,19 @@ def from_value(
     def value(rho: DensityMatrix) -> float:
         return float(fn(rho.matrix))
 
-    def differential(rho: DensityMatrix) -> HermitianOperator:
+    def generator(m: np.ndarray) -> np.ndarray:
         out = np.zeros((dim, dim), dtype=complex)
         for direction in basis:
-            slope = (fn(rho.matrix + step * direction) - fn(rho.matrix - step * direction)) / (2.0 * step)
+            slope = (fn(m + step * direction) - fn(m - step * direction)) / (2.0 * step)
             out += slope * direction
-        return HermitianOperator(out)
+        # fn is user code: a non-finite slope must not reach the integrator.
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"value map {label!r} gave a non-finite slope")
+        return out
 
-    return HamiltonianFunction(value=value, differential=differential, label=label)
+    return HamiltonianFunction(value=value,
+                               differential=lambda rho: HermitianOperator(generator(rho.matrix)),
+                               label=label, generator=generator)
 
 
 def poisson_bracket(f: HamiltonianFunction, h: HamiltonianFunction, rho: DensityMatrix) -> float:
@@ -205,9 +251,11 @@ def shift_differential(h: HamiltonianFunction, c: float) -> HamiltonianFunction:
     def value(rho: DensityMatrix) -> float:
         return h.value(rho) + c
 
-    def differential(rho: DensityMatrix) -> HermitianOperator:
-        base = h.differential(rho).matrix
-        return HermitianOperator(base + c * np.eye(base.shape[0]))
+    def shifted(base: np.ndarray) -> np.ndarray:
+        return base + c * np.eye(base.shape[0])
 
-    return HamiltonianFunction(value=value, differential=differential,
-                               label=f"{h.label}+{c:g}*tr")
+    return HamiltonianFunction(
+        value=value,
+        differential=lambda rho: HermitianOperator(shifted(h.differential(rho).matrix)),
+        label=f"{h.label}+{c:g}*tr",
+        generator=lambda m: shifted(h.generator(m)))

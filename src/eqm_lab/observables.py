@@ -138,11 +138,13 @@ def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times
     """conservation_residual for every observable in fs (rows) at every time in times (columns).
 
     Each flow is integrated once.  The forward leg of each sign chains
-    propagate through the sorted distinct times, e.g. 0 -> 0.5 -> 1 -> 2 -> 5;
-    the integrator never reads the absolute time, so on times that are whole
-    numbers of steps every state is bit-identical to a run restarted from 0.
-    The backward run from rho_t depends only on t and is shared by all
-    observables.  A ConvergenceError names the leg and the absolute times.
+    propagate through the sorted distinct times that are whole numbers of
+    steps, e.g. 0 -> 0.5 -> 1 -> 2 -> 5; the integrator never reads the
+    absolute time, so every such state is bit-identical to a run restarted
+    from 0.  A time off the step grid ends in a shorter step that a chained
+    leg would take elsewhere, so its leg restarts from 0.  The backward run
+    from rho_t depends only on t and is shared by all observables.  A
+    ConvergenceError names the leg and the absolute times.
     """
     fs, times = tuple(fs), tuple(times)
     if not all(math.isfinite(t) for t in times):
@@ -151,13 +153,16 @@ def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times
     columns = {}
     for forward in (True, False):
         grid = sorted({t for t in times if (t >= 0) == forward}, key=abs)
-        start, rho_t = 0.0, rho
+        chained, rho_chained = 0.0, rho  # the latest whole-step time reached
         for t in grid:
+            whole = flow_mod.split_steps(abs(t), cfg.dt)[1] == 0.0
+            start, rho_start = (chained, rho_chained) if whole else (0.0, rho)
             try:
-                rho_t, _ = flow_mod.propagate(h, rho_t, t - start, cfg)
+                rho_t, _ = flow_mod.propagate(h, rho_start, t - start, cfg)
             except ConvergenceError as exc:
                 raise exc.on_leg(f"forward leg from t = {start:g}", start) from exc
-            start = t
+            if whole:
+                chained, rho_chained = t, rho_t
             try:
                 back = flow_mod.propagate(h, rho_t, -t, cfg)
             except ConvergenceError as exc:

@@ -4,16 +4,26 @@ The traced benchmark pass wraps module attributes such as ``flow.propagate``,
 ``flow.expm_hermitian`` and ``config.mean_field`` and reads ``.dim`` from
 the state each differential receives.  A rename or a changed call path would
 otherwise break ``perfbench/run.py --trace 1`` without failing any test.
+
+The tracer's copies of a Hamiltonian function carry no array generator, so
+the kernel reaches them through the default adapter, which wraps every
+state in a ``DensityMatrix`` and every differential in a
+``HermitianOperator``.  Untraced functions run on plain arrays.  The traced
+per-layer numbers (``hilbert.validations_per_step``, ``flow.step_us.*``)
+therefore keep measuring the wrapper path; the arithmetic is the same, which
+``test_traced_copy_integrates_the_same_arithmetic`` checks bit for bit.
 """
 
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eqm_lab import config, flow, hamiltonians, hilbert, koopman, observables, runner
 from eqm_lab.flow import IntegratorConfig
 from eqm_lab.observables import constant_observable, trace_scaled_observable
+from conftest import random_density, random_hermitian
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PATCHED_MODULES = (config, flow, hamiltonians, hilbert, koopman, observables, runner)
@@ -76,6 +86,27 @@ def test_traced_grid_integrates_each_flow_once(tracer, sx, sz, qubit_up):
     after = _attributes()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+BUILDERS = {
+    "mean_field": lambda a, b: hamiltonians.mean_field(a, b, 0.7),
+    "polynomial": lambda a, b: hamiltonians.polynomial([(0.8, (a, b)), (-0.3, (b, b, a))]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BUILDERS))
+def test_traced_copy_integrates_the_same_arithmetic(tracer, family, rng):
+    h = BUILDERS[family](random_hermitian(rng, 4), random_hermitian(rng, 4))
+    spans = tracer.Tracer()
+    traced = spans.hamiltonian(h, family)
+    rho = random_density(rng, 4)
+    cfg = IntegratorConfig(dt=0.01, t_final=0.2)
+    array_rho, array_u = flow.propagate(h, rho, 0.2, cfg)
+    adapter_rho, adapter_u = flow.propagate(traced, rho, 0.2, cfg)
+    # The traced copy integrates through its wrapped differential.
+    assert spans.spans[f"hamiltonians.differential.{family}.d4"][0] >= 2 * 20
+    assert np.array_equal(adapter_rho.matrix, array_rho.matrix)
+    assert np.array_equal(adapter_u.matrix, array_u.matrix)
 
 
 @pytest.mark.parametrize("name", ["corpus-suite", "state-sweep", "long-flow"])

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from eqm_lab import flow, hilbert
 from eqm_lab.flow import (
     ConvergenceError,
     IntegratorConfig,
@@ -14,7 +15,7 @@ from eqm_lab.flow import (
     propagate,
     wigner_deviation,
 )
-from eqm_lab.hamiltonians import linear, mean_field, shift_differential
+from eqm_lab.hamiltonians import HamiltonianFunction, linear, mean_field, shift_differential
 from eqm_lab.hilbert import (
     MAX_DIM,
     SIGMA_X,
@@ -190,6 +191,49 @@ class TestPropagate:
         rho_back, u_back = propagate(h, rho_t, -5e-3, cfg)
         assert max_abs(rho_back.matrix - rho.matrix) < 1e-9
         assert max_abs(u_back.matrix @ u_fwd.matrix - np.eye(MAX_DIM)) < 1e-9
+
+
+    def test_backward_retraces_an_off_step_forward_run(self, h_mf, qubit_up):
+        # 1.1 is three 0.3-steps and a 0.2-step; the backward run takes the
+        # 0.2-step first, so it undoes the forward steps in reverse order.
+        cfg = IntegratorConfig(dt=0.3, t_final=1.1)
+        rho_t, u_fwd = propagate(h_mf, qubit_up, 1.1, cfg)
+        rho_back, u_back = propagate(h_mf, rho_t, -1.1, cfg)
+        assert max_abs(rho_back.matrix - qubit_up.matrix) < 1e-13
+        assert max_abs(u_back.matrix @ u_fwd.matrix - np.eye(2)) < 1e-13
+
+    def test_non_hermitian_differential_fails(self, qubit_up):
+        h = HamiltonianFunction(value=lambda rho: 0.0,
+                                differential=lambda rho: HermitianOperator(SIGMA_X + 1e-6j))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            propagate(h, qubit_up, 0.1, IntegratorConfig(dt=0.01, t_final=0.1))
+
+    def test_failure_names_the_step_and_time(self, h_mf, qubit_up, monkeypatch):
+        # A step map 1e-8 off unitarity moves the trace past TRACE_TOL at once;
+        # the kernel runs on, and the state fails where it leaves the kernel.
+        exact = flow.expm_hermitian
+        monkeypatch.setattr(flow, "expm_hermitian", lambda mat, s: exact(mat, s) * (1 + 1e-8))
+        cfg = IntegratorConfig(dt=0.01, t_final=0.2, record_stride=5)
+        with pytest.raises(ValueError, match=r"^state after step 20, t = 0\.2: state must have unit trace"):
+            propagate(h_mf, qubit_up, 0.2, cfg)
+        with pytest.raises(ValueError, match=r"^state after step 5, t = 0\.05: state must have unit trace"):
+            evolve(h_mf, qubit_up, cfg)
+
+    def test_builds_wrappers_only_at_the_endpoint(self, rng, monkeypatch):
+        h = mean_field(random_hermitian(rng, 4), random_hermitian(rng, 4), 0.7)
+        rho = random_density(rng, 4)
+        built = dict.fromkeys(("DensityMatrix", "UnitaryOperator", "HermitianOperator"), 0)
+        for name in built:
+            cls = getattr(hilbert, name)
+            check = cls.__post_init__
+
+            def counted(self, name=name, check=check):
+                built[name] += 1
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        propagate(h, rho, 0.2, IntegratorConfig(dt=0.01, t_final=0.2))
+        assert built == {"DensityMatrix": 1, "UnitaryOperator": 1, "HermitianOperator": 0}
 
 
 class TestWignerDeviation:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from eqm_lab.flow import IntegratorConfig, propagate
 from eqm_lab.hamiltonians import (
+    HamiltonianFunction,
     fd_differential_residual,
     from_value,
     linear,
@@ -14,6 +16,7 @@ from eqm_lab.hamiltonians import (
     traceless_hermitian_basis,
 )
 from eqm_lab.hilbert import (
+    MAX_DIM,
     SIGMA_X,
     SIGMA_Z,
     DensityMatrix,
@@ -210,3 +213,48 @@ class TestGenericClosure:
             rho = random_density(rng, 2)
             assert poisson_bracket(generic, probe, rho) == pytest.approx(
                 poisson_bracket(closed, probe, rho), abs=1e-7)
+
+
+def _families(rng, dim):
+    """One function of every built-in family at dimension dim."""
+    a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
+    mf = mean_field(a, b, 0.7)
+    # A cubic trace functional: Tr(rho A) Tr(rho B)^2.
+    cubic = from_value(lambda m: float((np.trace(m @ a.matrix)
+                                        * np.trace(m @ b.matrix) ** 2).real), dim=dim)
+    return {
+        "linear": linear(a),
+        "mean_field": mf,
+        "polynomial": polynomial([(0.8, (a, b)), (-0.3, (b, b, a)), (1.5, ())]),
+        "from_value": cubic,
+        "shift_differential": shift_differential(mf, 2.5),
+    }
+
+
+class TestArrayGenerator:
+    @pytest.mark.parametrize("dim", [2, 4, 16, MAX_DIM])
+    def test_generator_is_the_differential_bit_for_bit(self, rng, dim):
+        rho = random_density(rng, dim)
+        for name, h in _families(rng, dim).items():
+            assert np.array_equal(h.generator(rho.matrix), h.differential(rho).matrix), (name, dim)
+
+    def test_default_generator_goes_through_the_differential(self, sz, rng):
+        seen = []
+
+        def differential(rho):
+            seen.append(rho)
+            return sz
+
+        h = HamiltonianFunction(value=lambda rho: 0.0, differential=differential)
+        m = random_density(rng, 2).matrix
+        assert h.generator(m) is sz.matrix
+        assert isinstance(seen[0], DensityMatrix)
+        np.testing.assert_array_equal(seen[0].matrix, m)
+        with pytest.raises(ValueError, match="unit trace"):
+            h.generator(2.0 * m)
+
+    def test_non_finite_closure_fails_inside_propagate(self, qubit_up):
+        h = from_value(lambda m: float("nan"), dim=2, label="broken")
+        cfg = IntegratorConfig(dt=0.01, t_final=0.1)
+        with pytest.raises(ValueError, match="'broken' gave a non-finite slope"):
+            propagate(h, qubit_up, 0.1, cfg)

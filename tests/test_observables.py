@@ -244,19 +244,18 @@ class TestConservationResiduals:
                         assert grid[i, j] == conservation_residual(f, h, rho, t, cfg), (h.label, i, t)
 
     def test_off_step_grid_stays_within_threshold(self, h_mf, sx, sz, qubit_up):
-        # 0.5 and 1.1 are not whole numbers of 0.003-steps, so the chained
-        # leg to 1.1 takes its short steps where a restarted run does not.
-        cfg = IntegratorConfig(dt=0.003, t_final=1.1)
+        # 0.5 and 1.1 are whole numbers of neither step, 0.7 of 0.007-steps
+        # and 2.1 of both: legs to off-step times restart from 0, and the leg
+        # to 2.1 chains from the latest whole-step time.
         fs = (constant_observable(sx), trace_scaled_observable(sz, sx))
-        times = (0.5, 1.1)
-        grid = conservation_residuals(fs, h_mf, qubit_up, times, cfg)
-        single = np.array([[conservation_residual(f, h_mf, qubit_up, t, cfg) for t in times]
-                           for f in fs])
-        limit = DEFAULT_THRESHOLDS["conservation"]
-        assert np.all(grid <= limit)
-        assert np.all(single <= limit)
-        # The first segment starts at 0, as a restarted run does.
-        assert np.array_equal(grid[:, 0], single[:, 0])
+        times = (0.5, 0.7, 1.1, 2.1)
+        for dt in (0.003, 0.007):
+            cfg = IntegratorConfig(dt=dt, t_final=2.1)
+            grid = conservation_residuals(fs, h_mf, qubit_up, times, cfg)
+            single = np.array([[conservation_residual(f, h_mf, qubit_up, t, cfg) for t in times]
+                               for f in fs])
+            assert np.all(grid <= DEFAULT_THRESHOLDS["conservation"]), dt
+            assert np.array_equal(grid, single), dt
 
     def test_rejects_non_finite_time(self, h_mf, sx, qubit_up, cfg):
         with pytest.raises(ValueError, match="finite"):
