@@ -11,9 +11,11 @@ from .flow import (
     ConvergenceError,
     ConvergenceEstimate,
     IntegratorConfig,
+    StateError,
     Trajectory,
     convergence_order,
     evolve,
+    overlap_deviation,
     propagate,
     wigner_deviation,
 )

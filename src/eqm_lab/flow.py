@@ -55,6 +55,24 @@ class ConvergenceError(RuntimeError):
                             f"{leg}: ")
 
 
+class StateError(ValueError):
+    """Raised when a state or cocycle fails validation where it leaves the step kernel.
+
+    Built by ``at_step``, on the same clock as ``ConvergenceError``: ``step``
+    counts from the start of the run and ``time`` is the signed time after it.
+    """
+
+    @classmethod
+    def at_step(cls, step: int, time: float, reason: str, leg: str = "") -> "StateError":
+        exc = cls(f"{leg}state after step {step}, t = {time:g}: {reason}")
+        exc.step, exc.time, exc.reason = step, time, reason
+        return exc
+
+    def on_leg(self, leg: str, origin: float) -> "StateError":
+        """The same failure named by leg, on a clock that reads origin at the run's start."""
+        return self.at_step(self.step, origin + self.time, self.reason, f"{leg}: ")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float
@@ -156,21 +174,33 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
     the self-consistent midpoint state, and extends the cocycle u by the
     same factor.  Only h.generator and expm_hermitian run here, on plain
     arrays; states are validated where they leave the kernel.
+
+    For a state-independent h the midpoint iteration settles on its first
+    pass with an increment of exactly 0, and the step map is exp(-i dt D)
+    of the one matrix D; it is computed once per signed step size (the full
+    step and the remainder), which gives the same bits every step.
     """
     generator = h.generator
+    fixed = generator(rho) if h.state_independent else None
+    steppers = {}  # signed step size -> exp(-i dt D) of the fixed generator
     u = np.eye(rho.shape[0], dtype=complex)
     for k, (dt, time) in enumerate(_schedule(span, cfg.dt), 1):
-        gen = generator(rho)
-        for _ in range(int(cfg.midpoint_max_iter)):
-            half = expm_hermitian(gen, 0.5 * dt)
-            rho_mid = half @ rho @ half.conj().T
-            refreshed = generator(rho_mid)
-            if max_abs(refreshed - gen) < cfg.midpoint_tol:
-                break
-            gen = refreshed
+        if fixed is not None:
+            if dt not in steppers:
+                steppers[dt] = expm_hermitian(fixed, dt)
+            stepper = steppers[dt]
         else:
-            raise ConvergenceError.at_step(cfg.midpoint_max_iter, k, time - dt, time)
-        stepper = expm_hermitian(refreshed, dt)
+            gen = generator(rho)
+            for _ in range(int(cfg.midpoint_max_iter)):
+                half = expm_hermitian(gen, 0.5 * dt)
+                rho_mid = half @ rho @ half.conj().T
+                refreshed = generator(rho_mid)
+                if max_abs(refreshed - gen) < cfg.midpoint_tol:
+                    break
+                gen = refreshed
+            else:
+                raise ConvergenceError.at_step(cfg.midpoint_max_iter, k, time - dt, time)
+            stepper = expm_hermitian(refreshed, dt)
         rho = stepper @ rho @ stepper.conj().T
         u = stepper @ u
         yield k, time, rho, u
@@ -182,7 +212,7 @@ def _validated(k: int, time: float, rho: np.ndarray,
     try:
         return DensityMatrix(rho), UnitaryOperator(u)
     except ValueError as exc:
-        raise ValueError(f"state after step {k}, t = {time:g}: {exc}") from exc
+        raise StateError.at_step(k, time, str(exc)) from exc
 
 
 def evolve(h: HamiltonianFunction, rho0: DensityMatrix, cfg: IntegratorConfig) -> Trajectory:
@@ -220,6 +250,12 @@ def propagate(h: HamiltonianFunction, rho0: DensityMatrix, t: float,
     return _validated(*end)
 
 
+def _require_pure(p: DensityMatrix, q: DensityMatrix) -> None:
+    for name, state in (("p", p), ("q", q)):
+        if state.purity() < 1.0 - PURITY_TOL:
+            raise ValueError(f"{name} must be pure, got purity = {state.purity():.17g}")
+
+
 def wigner_deviation(h: HamiltonianFunction, p: DensityMatrix, q: DensityMatrix,
                      cfg: IntegratorConfig) -> tuple[float, float]:
     """Worst drift of Tr(P_t Q_t) from Tr(P_0 Q_0) over the recorded grid.
@@ -229,12 +265,20 @@ def wigner_deviation(h: HamiltonianFunction, p: DensityMatrix, q: DensityMatrix,
     genuinely state-dependent one generically does not.
     Returns (max deviation, time at which it occurs).
     """
-    for name, state in (("p", p), ("q", q)):
-        if state.purity() < 1.0 - PURITY_TOL:
-            raise ValueError(f"{name} must be pure, got purity = {state.purity():.17g}")
-    baseline = transition_probability(p, q)
-    traj_p = evolve(h, p, cfg)
-    traj_q = evolve(h, q, cfg)
+    _require_pure(p, q)
+    return overlap_deviation(evolve(h, p, cfg), evolve(h, q, cfg))
+
+
+def overlap_deviation(traj_p: Trajectory, traj_q: Trajectory) -> tuple[float, float]:
+    """The scan of wigner_deviation over two trajectories recorded at the same times.
+
+    The first records are P_0 and Q_0, which must be pure.
+    Returns (max deviation of Tr(P_t Q_t) from Tr(P_0 Q_0), time at which it occurs).
+    """
+    _require_pure(traj_p.states[0], traj_q.states[0])
+    if traj_p.times != traj_q.times:
+        raise ValueError("the two trajectories must be recorded at the same times")
+    baseline = transition_probability(traj_p.states[0], traj_q.states[0])
     best_dev, best_t = 0.0, 0.0
     for t, sp, sq in zip(traj_p.times, traj_p.states, traj_q.states):
         dev = abs(float(np.trace(sp.matrix @ sq.matrix).real) - baseline)

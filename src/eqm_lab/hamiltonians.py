@@ -43,12 +43,17 @@ class HamiltonianFunction:
     It is trusted to agree with ``differential``.  When none is given it
     defaults to ``m -> differential(DensityMatrix(m)).matrix``, which keeps
     every check that the state, the differential and its operator make.
+
+    ``state_independent`` marks a generator that returns the same matrix at
+    every state; the integrator then exponentiates it once per step size.
+    The factories set it; a function built by hand is not marked.
     """
 
     value: Callable[[DensityMatrix], float]
     differential: Callable[[DensityMatrix], HermitianOperator]
     label: str = "h"
     generator: Callable[[np.ndarray], np.ndarray] | None = None
+    state_independent: bool = False
 
     def __post_init__(self):
         if self.generator is None:
@@ -81,6 +86,7 @@ def linear(a: HermitianOperator, label: str = "linear") -> HamiltonianFunction:
         differential=lambda rho: a,
         label=label,
         generator=lambda m: a.matrix,
+        state_independent=True,
     )
 
 
@@ -114,6 +120,8 @@ def polynomial(terms: Sequence, label: str = "polynomial", dim: int | None = Non
         raise ValueError(f"dimension mismatch among factors: {sorted(dims)}")
     if not all(math.isfinite(c) for c, _ in terms):
         raise ValueError("coefficients must be finite")
+    # Each distinct factor, by identity, is paired once per evaluation.
+    distinct = {id(f): f for _, factors in terms for f in factors}
 
     def value(rho: DensityMatrix) -> float:
         total = 0.0
@@ -125,11 +133,12 @@ def polynomial(terms: Sequence, label: str = "polynomial", dim: int | None = Non
         return total
 
     def generator_of(pair) -> np.ndarray:
+        paired = {key: pair(f) for key, f in distinct.items()}
         out = None
         for coeff, factors in terms:
             if not factors:
                 continue
-            pairings = [pair(f) for f in factors]
+            pairings = [paired[id(f)] for f in factors]
             for j, f in enumerate(factors):
                 partial = coeff
                 for i, p in enumerate(pairings):
@@ -258,4 +267,5 @@ def shift_differential(h: HamiltonianFunction, c: float) -> HamiltonianFunction:
         value=value,
         differential=lambda rho: HermitianOperator(shifted(h.differential(rho).matrix)),
         label=f"{h.label}+{c:g}*tr",
-        generator=lambda m: shifted(h.generator(m)))
+        generator=lambda m: shifted(h.generator(m)),
+        state_independent=h.state_independent)

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import flow as flow_mod
-from .flow import ConvergenceError, IntegratorConfig
+from .flow import ConvergenceError, IntegratorConfig, StateError, Trajectory
 from .hamiltonians import HamiltonianFunction
 from .hilbert import DensityMatrix, HermitianOperator, UnitaryOperator, trace_pairing
 
@@ -134,7 +134,7 @@ def pushforward_state(omega: StateMeasure, h: HamiltonianFunction, t: float,
 
 
 def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times,
-                           cfg: IntegratorConfig) -> np.ndarray:
+                           cfg: IntegratorConfig, trajectory: Trajectory | None = None) -> np.ndarray:
     """conservation_residual for every observable in fs (rows) at every time in times (columns).
 
     Each flow is integrated once.  The forward leg of each sign chains
@@ -144,28 +144,43 @@ def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times
     from 0.  A time off the step grid ends in a shorter step that a chained
     leg would take elsewhere, so its leg restarts from 0.  The backward run
     from rho_t depends only on t and is shared by all observables.  A
-    ConvergenceError names the leg and the absolute times.
+    ConvergenceError or StateError names the leg and the absolute times.
+
+    trajectory, when given, is what evolve recorded from rho with the same
+    dt and midpoint settings as cfg.  Its records at whole numbers of steps
+    join the chain: a grid time it already holds costs no forward step, and
+    a later one chains from the last such record before it.
     """
     fs, times = tuple(fs), tuple(times)
     if not all(math.isfinite(t) for t in times):
         raise ValueError("transport time must be finite")
+    recorded = {}  # whole steps -> (time, state) of the trajectory's records
+    if trajectory is not None:
+        if not np.array_equal(trajectory.states[0].matrix, rho.matrix):
+            raise ValueError("the trajectory must start at rho")
+        for time, state in zip(trajectory.times, trajectory.states):
+            n, rem = flow_mod.split_steps(time, cfg.dt)
+            if rem == 0.0:
+                recorded[n] = (time, state)
     rhs = [trace_pairing(rho, f.eval(rho)) for f in fs]
     columns = {}
     for forward in (True, False):
         grid = sorted({t for t in times if (t >= 0) == forward}, key=abs)
-        chained, rho_chained = 0.0, rho  # the latest whole-step time reached
+        chain = {0: (0.0, rho), **(recorded if forward else {})}  # whole steps -> (time, state)
         for t in grid:
-            whole = flow_mod.split_steps(abs(t), cfg.dt)[1] == 0.0
-            start, rho_start = (chained, rho_chained) if whole else (0.0, rho)
+            n, rem = flow_mod.split_steps(abs(t), cfg.dt)
+            k = max(j for j in chain if j <= n) if rem == 0.0 else 0
+            start, rho_t = chain[k]
             try:
-                rho_t, _ = flow_mod.propagate(h, rho_start, t - start, cfg)
-            except ConvergenceError as exc:
+                if k != n or rem:
+                    rho_t, _ = flow_mod.propagate(h, rho_t, t - start, cfg)
+            except (ConvergenceError, StateError) as exc:
                 raise exc.on_leg(f"forward leg from t = {start:g}", start) from exc
-            if whole:
-                chained, rho_chained = t, rho_t
+            if rem == 0.0:
+                chain[n] = (t, rho_t)
             try:
                 back = flow_mod.propagate(h, rho_t, -t, cfg)
-            except ConvergenceError as exc:
+            except (ConvergenceError, StateError) as exc:
                 raise exc.on_leg(f"backward run from grid time t = {t:g}", t) from exc
             columns[t] = [abs(trace_pairing(rho_t, _pull_back(f, *back)) - ref)
                           for f, ref in zip(fs, rhs)]

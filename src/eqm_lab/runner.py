@@ -102,19 +102,21 @@ def _invariant_rows(cfg: ScenarioConfig, traj: Trajectory) -> list[ReportRow]:
     ]
 
 
-def _conservation_rows(cfg: ScenarioConfig) -> list[ReportRow]:
+def _conservation_rows(cfg: ScenarioConfig, traj: Trajectory | None) -> list[ReportRow]:
+    """Rows of the conservation grid; traj, when given, is the evolve run of the single initial state."""
     if isinstance(cfg.initial, StateMeasure):
-        points = [(f"[{i}]", rho) for i, rho in enumerate(cfg.initial.support)]
+        points = [(f"[{i}]", rho, None) for i, rho in enumerate(cfg.initial.support)]
     else:
-        points = [("", cfg.initial)]
+        points = [("", cfg.initial, traj)]
     times = cfg.conservation_times
-    grids = [conservation_residuals(cfg.observables, cfg.hamiltonian, rho, times, cfg.integrator)
-             for _, rho in points]
+    grids = [conservation_residuals(cfg.observables, cfg.hamiltonian, rho, times, cfg.integrator,
+                                    recorded)
+             for _, rho, recorded in points]
     return [ReportRow(cfg.scenario_id, f"conservation[{f.label},t={t:g}]{suffix}",
                       float(grid[i, j]), cfg.thresholds["conservation"])
             for i, f in enumerate(cfg.observables)
             for j, t in enumerate(times)
-            for (suffix, _), grid in zip(points, grids)]
+            for (suffix, _, _), grid in zip(points, grids)]
 
 
 def _koopman_rows(cfg: ScenarioConfig) -> list[ReportRow]:
@@ -141,12 +143,17 @@ def _koopman_rows(cfg: ScenarioConfig) -> list[ReportRow]:
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[list[tuple[str, str]], list[ReportRow]]:
-    """Execute every requested output; returns (named CSV tables, report rows)."""
+    """Execute every requested output; returns (named CSV tables, report rows).
+
+    The initial state is evolved once: that one trajectory gives the tables,
+    the invariant rows, the P side of the Wigner scan and the forward states
+    of the conservation grid.
+    """
     tables: list[tuple[str, str]] = []
     rows: list[ReportRow] = []
     try:
         traj = None
-        if "trajectory" in cfg.outputs or "invariants" in cfg.outputs:
+        if {"trajectory", "invariants", "wigner"} & set(cfg.outputs):
             traj = flow_mod.evolve(cfg.hamiltonian, cfg.initial_state, cfg.integrator)
         if "trajectory" in cfg.outputs:
             tables.append(("trajectory.csv", _trajectory_table(traj, cfg.observables)))
@@ -155,12 +162,12 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[list[tuple[str, str]], list[Repor
         if "invariants" in cfg.outputs:
             rows.extend(_invariant_rows(cfg, traj))
         if "wigner" in cfg.outputs:
-            deviation, _ = flow_mod.wigner_deviation(cfg.hamiltonian, cfg.initial_state,
-                                                     cfg.wigner_pair, cfg.integrator)
+            pair = flow_mod.evolve(cfg.hamiltonian, cfg.wigner_pair, cfg.integrator)
+            deviation, _ = flow_mod.overlap_deviation(traj, pair)
             rows.append(ReportRow(cfg.scenario_id, "wigner_deviation", deviation,
                                   cfg.thresholds["wigner_min"], mode="min"))
         if "conservation" in cfg.outputs:
-            rows.extend(_conservation_rows(cfg))
+            rows.extend(_conservation_rows(cfg, traj))
         if "koopman" in cfg.outputs:
             rows.extend(_koopman_rows(cfg))
     except (ConvergenceError, ValueError) as exc:

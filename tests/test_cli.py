@@ -152,10 +152,13 @@ class TestSuite:
         assert "FAIL" not in out
         assert (tmp_path / "out" / "suite_report.txt").exists()
         assert (tmp_path / "out" / "wigner-contrast" / "report.txt").exists()
-        # The committed out/ tree is the golden copy of the trajectory tables.
-        for scenario in ("linear-qubit", "mean-field-qubit"):
-            written = (tmp_path / "out" / scenario / "trajectory.csv").read_bytes()
-            assert written == (GOLDEN / scenario / "trajectory.csv").read_bytes(), scenario
+        # The committed out/ tree is the golden copy of every file the suite writes.
+        golden = sorted(p.relative_to(GOLDEN) for p in GOLDEN.rglob("*") if p.is_file())
+        written = sorted(p.relative_to(tmp_path / "out")
+                         for p in (tmp_path / "out").rglob("*") if p.is_file())
+        assert len(golden) == 11 and written == golden
+        for name in golden:
+            assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
     def test_dt_override_skips_scenarios_without_integrator(self, tmp_path, capsys):
         # The Koopman scenarios have no integrator section; --dt applies to the rest.

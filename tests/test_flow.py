@@ -11,11 +11,20 @@ from eqm_lab.flow import (
     ConvergenceError,
     IntegratorConfig,
     convergence_order,
+    StateError,
     evolve,
+    overlap_deviation,
     propagate,
     wigner_deviation,
 )
-from eqm_lab.hamiltonians import HamiltonianFunction, linear, mean_field, shift_differential
+from eqm_lab.hamiltonians import (
+    HamiltonianFunction,
+    from_value,
+    linear,
+    mean_field,
+    polynomial,
+    shift_differential,
+)
 from eqm_lab.hilbert import (
     MAX_DIM,
     SIGMA_X,
@@ -33,6 +42,12 @@ STEP_DIMS = (2, 4, 16, MAX_DIM)
 
 def zero_hamiltonian(dim):
     return linear(HermitianOperator(np.zeros((dim, dim))))
+
+
+def unmarked_linear(a):
+    """linear(a) built by hand without the state-independent mark: the midpoint path."""
+    return HamiltonianFunction(value=lambda rho: 0.0, differential=lambda rho: a,
+                               generator=lambda m: a.matrix)
 
 
 def uniform_superposition(dim):
@@ -73,14 +88,17 @@ class TestStep:
             assert max_abs(u2.matrix - np.eye(dim)) == 0.0, dim
 
     def test_linear_step_is_exact_exponential(self, rng):
+        # The unmarked copy drives a constant generator through the midpoint
+        # iteration, which must land on the exact exponential as well.
         for dim in STEP_DIMS:
             a = random_hermitian(rng, dim)
             rho = random_density(rng, dim)
             cfg = IntegratorConfig(dt=1e-3, t_final=1.0)
-            rho1, u1 = propagate(linear(a), rho, 1e-3, cfg)
             expected = unitary_exponential(a, 1e-3).matrix
-            assert max_abs(u1.matrix - expected) < 1e-14, dim
-            assert max_abs(rho1.matrix - expected @ rho.matrix @ expected.conj().T) < 1e-14, dim
+            for h in (linear(a), unmarked_linear(a)):
+                rho1, u1 = propagate(h, rho, 1e-3, cfg)
+                assert max_abs(u1.matrix - expected) < 1e-14, dim
+                assert max_abs(rho1.matrix - expected @ rho.matrix @ expected.conj().T) < 1e-14, dim
 
     def test_mean_field_fixed_point(self):
         # Tr(rho B) = 0 for the uniform superposition and a traceless diagonal
@@ -214,7 +232,7 @@ class TestPropagate:
         exact = flow.expm_hermitian
         monkeypatch.setattr(flow, "expm_hermitian", lambda mat, s: exact(mat, s) * (1 + 1e-8))
         cfg = IntegratorConfig(dt=0.01, t_final=0.2, record_stride=5)
-        with pytest.raises(ValueError, match=r"^state after step 20, t = 0\.2: state must have unit trace"):
+        with pytest.raises(StateError, match=r"^state after step 20, t = 0\.2: state must have unit trace"):
             propagate(h_mf, qubit_up, 0.2, cfg)
         with pytest.raises(ValueError, match=r"^state after step 5, t = 0\.05: state must have unit trace"):
             evolve(h_mf, qubit_up, cfg)
@@ -234,6 +252,46 @@ class TestPropagate:
             monkeypatch.setattr(cls, "__post_init__", counted)
         propagate(h, rho, 0.2, IntegratorConfig(dt=0.01, t_final=0.2))
         assert built == {"DensityMatrix": 1, "UnitaryOperator": 1, "HermitianOperator": 0}
+
+
+class TestStateIndependent:
+    def test_factories_set_the_mark(self, rng, sz):
+        a, b = random_hermitian(rng, 2), random_hermitian(rng, 2)
+        marked = (linear(a), shift_differential(linear(a), 1.5))
+        unmarked = (mean_field(a, b, 0.7), shift_differential(mean_field(a, b, 0.7), 1.5),
+                    polynomial([(1.0, (a,))]), from_value(lambda m: 0.0, dim=2),
+                    unmarked_linear(sz))
+        assert all(h.state_independent for h in marked)
+        assert not any(h.state_independent for h in unmarked)
+
+    def test_marked_run_is_the_midpoint_run_bit_for_bit(self, rng):
+        # 0.05 is five whole steps, 0.037 three steps and a remainder.
+        for dim in STEP_DIMS:
+            a = random_hermitian(rng, dim)
+            rho = random_density(rng, dim)
+            cfg = IntegratorConfig(dt=0.01, t_final=0.037)
+            for h in (linear(a), shift_differential(linear(a), -2.0)):
+                reference = HamiltonianFunction(h.value, h.differential, generator=h.generator)
+                for t in (0.05, -0.05, 0.037, -0.037):
+                    (rho_a, u_a), (rho_b, u_b) = (propagate(g, rho, t, cfg) for g in (h, reference))
+                    assert np.array_equal(rho_a.matrix, rho_b.matrix), (dim, t)
+                    assert np.array_equal(u_a.matrix, u_b.matrix), (dim, t)
+                marked, plain = evolve(h, rho, cfg), evolve(reference, rho, cfg)
+                assert marked.times == plain.times
+                for x, y in zip(marked.states + marked.cocycle, plain.states + plain.cocycle):
+                    assert np.array_equal(x.matrix, y.matrix), dim
+
+    def test_one_exponential_per_step_size(self, rng, monkeypatch):
+        exact, sizes = flow.expm_hermitian, []
+
+        def counted(mat, s):
+            sizes.append(s)
+            return exact(mat, s)
+
+        monkeypatch.setattr(flow, "expm_hermitian", counted)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.037)
+        propagate(linear(random_hermitian(rng, 4)), random_density(rng, 4), -0.037, cfg)
+        assert sizes == pytest.approx([-0.007, -0.01])
 
 
 class TestWignerDeviation:
@@ -261,6 +319,19 @@ class TestWignerDeviation:
         mixed = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError, match="pure"):
             wigner_deviation(h_mf, qubit_up, mixed, IntegratorConfig(dt=1e-3, t_final=1.0))
+
+    def test_scan_of_recorded_trajectories(self, sz, qubit_plus):
+        h = mean_field(HermitianOperator(np.zeros((2, 2))), sz, 1.0)
+        tilted = projector(StateVector(np.array([math.cos(0.1), math.sin(0.1)])))
+        cfg = IntegratorConfig(dt=0.01, t_final=1.0, record_stride=3)
+        traj_p, traj_q = evolve(h, tilted, cfg), evolve(h, qubit_plus, cfg)
+        assert overlap_deviation(traj_p, traj_q) == wigner_deviation(h, tilted, qubit_plus, cfg)
+        coarse = evolve(h, qubit_plus, IntegratorConfig(dt=0.01, t_final=1.0, record_stride=5))
+        with pytest.raises(ValueError, match="same times"):
+            overlap_deviation(traj_p, coarse)
+        mixed = evolve(h, DensityMatrix(np.eye(2) / 2), cfg)
+        with pytest.raises(ValueError, match="q must be pure"):
+            overlap_deviation(traj_p, mixed)
 
 
 class TestGaugeInvariance:

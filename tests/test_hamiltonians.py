@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eqm_lab import hamiltonians
 from eqm_lab.flow import IntegratorConfig, propagate
 from eqm_lab.hamiltonians import (
     HamiltonianFunction,
@@ -258,3 +259,49 @@ class TestArrayGenerator:
         cfg = IntegratorConfig(dt=0.01, t_final=0.1)
         with pytest.raises(ValueError, match="'broken' gave a non-finite slope"):
             propagate(h, qubit_up, 0.1, cfg)
+
+
+class TestPolynomialPairing:
+    @staticmethod
+    def _terms(rng, dim):
+        a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
+        return [(1.0, (a,)), (0.5, (b, b)), (0.25, (a, b))]
+
+    def test_each_distinct_factor_is_paired_once(self, rng, monkeypatch):
+        h = polynomial(self._terms(rng, 4))
+        pairings = []
+        exact = hamiltonians.trace_pairing
+
+        def counted(rho, a):
+            pairings.append(a)
+            return exact(rho, a)
+
+        monkeypatch.setattr(hamiltonians, "trace_pairing", counted)
+        h.differential(random_density(rng, 4))
+        assert len(pairings) == 2
+
+    def test_endpoints_match_pairing_every_factor(self, rng):
+        # The reference pairs a factor again in every term it appears in,
+        # with the same per-term product and sum order.
+        for dim in (2, 4, 16):
+            terms = self._terms(rng, dim)
+
+            def generator(m):
+                out = None
+                for coeff, factors in terms:
+                    pairings = [(m @ f.matrix).trace().real for f in factors]
+                    for j, f in enumerate(factors):
+                        partial = coeff
+                        for i, p in enumerate(pairings):
+                            if i != j:
+                                partial *= p
+                        out = partial * f.matrix if out is None else out + partial * f.matrix
+                return out
+
+            h = polynomial(terms)
+            reference = HamiltonianFunction(h.value, h.differential, generator=generator)
+            rho = random_density(rng, dim)
+            cfg = IntegratorConfig(dt=0.01, t_final=0.05)
+            (rho_a, u_a), (rho_b, u_b) = (propagate(g, rho, 0.05, cfg) for g in (h, reference))
+            assert np.array_equal(rho_a.matrix, rho_b.matrix), dim
+            assert np.array_equal(u_a.matrix, u_b.matrix), dim

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from eqm_lab import koopman
 from eqm_lab.koopman import (
     ClassicalObservable,
     HarmonicOscillator,
@@ -67,6 +68,36 @@ class TestFlows:
     def test_small_angle_pendulum_matches_oscillator(self):
         q, p = flow_map(PEND, 0.01, 0.0, 1.0)
         assert q == pytest.approx(0.01 * math.cos(1.0), abs=1e-6)
+
+
+def _kick_drift_kick(g, q, p, t):
+    """The leapfrog written as the plain loop: two sines per step."""
+    span = abs(t)
+    n = int(math.floor(span / koopman.PENDULUM_STEP + 1e-9))
+    rem = span - n * koopman.PENDULUM_STEP
+    sign = 1.0 if t > 0 else -1.0
+    steps = [sign * koopman.PENDULUM_STEP] * n + ([sign * rem] if rem >= 1e-15 else [])
+    q, p = np.array(q, dtype=float), np.array(p, dtype=float)
+    for h in steps:
+        p = p - 0.5 * h * g * np.sin(q)
+        q = q + h * p
+        p = p - 0.5 * h * g * np.sin(q)
+    return q, p
+
+
+class TestLeapfrog:
+    def test_one_sine_per_step_is_bit_identical(self, quad):
+        # -0.37 is 3700 steps and a remainder, taken backward.
+        for t in (0.5, -0.37):
+            q, p = flow_map(Pendulum(g=1.3), quad.q, quad.p, t)
+            q_ref, p_ref = _kick_drift_kick(1.3, quad.q, quad.p, t)
+            assert np.array_equal(q, q_ref) and np.array_equal(p, p_ref), t
+
+    def test_scalar_point(self):
+        q, p = flow_map(PEND, 0.4, -0.2, 0.00037)
+        q_ref, p_ref = _kick_drift_kick(1.0, 0.4, -0.2, 0.00037)
+        assert (q, p) == (q_ref, p_ref)
+        assert np.ndim(q) == np.ndim(p) == 0
 
 
 class TestCompose:
@@ -161,6 +192,19 @@ class TestUnitarityResidual:
         wide = gaussian_observable(center=(3.0, 0.0), width=2.0)
         with pytest.warns(RuntimeWarning, match="boundary"):
             unitarity_residual(wide, wide, OSC, 0.5, quad)
+
+    def test_leak_warning_points_at_the_caller(self, quad, gauss_pair):
+        wide = gaussian_observable(center=(3.0, 0.0), width=2.0)
+        for call in (lambda: unitarity_residual(wide, gauss_pair[0], OSC, 0.5, quad),
+                     lambda: unitarity_residuals((gauss_pair[0], wide), OSC, 0.5, quad)):
+            with pytest.warns(RuntimeWarning, match="boundary") as record:
+                call()
+            assert [w.filename for w in record] == [__file__]
+
+    def test_is_the_off_diagonal_cell_of_the_grid(self, quad, gauss_pair):
+        for flow in (OSC, PEND):
+            grid = unitarity_residuals(gauss_pair, flow, 0.3, quad)
+            assert unitarity_residual(*gauss_pair, flow, 0.3, quad) == grid[0, 1]
 
 
 class TestUnitarityResiduals:

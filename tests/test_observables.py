@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from eqm_lab.config import DEFAULT_THRESHOLDS
-from eqm_lab.flow import ConvergenceError, IntegratorConfig, propagate
+from eqm_lab import flow
+from eqm_lab.flow import ConvergenceError, IntegratorConfig, StateError, evolve, propagate
 from eqm_lab.hamiltonians import HamiltonianFunction, linear, mean_field
 from eqm_lab.hilbert import (
     SIGMA_X,
@@ -281,3 +282,71 @@ class TestConservationResiduals:
         message = str(failure.value)
         assert message.startswith("backward run from grid time t = 0.05: midpoint iteration")
         assert "at step 3, t = 0.03 to 0.02 " in message
+
+    def test_state_failure_names_the_leg_and_absolute_time(self, sx, sz, qubit_up, monkeypatch):
+        # From its 61st call the step map is 1e-8 off unitarity; the trace
+        # drifts past TRACE_TOL and the state fails at the end of the
+        # backward run from 0.1, whose last step ends at t = 0.
+        exact, calls = flow.expm_hermitian, [0]
+
+        def drifting(mat, s):
+            calls[0] += 1
+            return exact(mat, s) * (1 + 1e-8) if calls[0] > 60 else exact(mat, s)
+
+        monkeypatch.setattr(flow, "expm_hermitian", drifting)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.1)
+        with pytest.raises(StateError) as failure:
+            conservation_residuals((constant_observable(sx),), mean_field(sx, sz, 1.0), qubit_up,
+                                   (0.05, 0.1), cfg)
+        assert str(failure.value).startswith(
+            "backward run from grid time t = 0.1: state after step 10, t = 0: "
+            "state must have unit trace")
+
+
+class TestRecordedForwardStates:
+    """conservation_residuals fed the evolve run of rho gives the unfed grid exactly."""
+
+    def _fed_and_unfed(self, fs, h, rho, times, cfg):
+        return (conservation_residuals(fs, h, rho, times, cfg, evolve(h, rho, cfg)),
+                conservation_residuals(fs, h, rho, times, cfg))
+
+    def test_corpus_grids(self, h_mf, sx, sz, qubit_up):
+        # t_final 1 and 5 at the corpus strides: the records hold some or all
+        # of the grid times, and 2 and 5 chain from the record at 1.
+        fs = (constant_observable(sx), trace_scaled_observable(sz, sx))
+        times = (0.5, 1.0, 2.0, 5.0)
+        for t_final, stride in ((1.0, 10), (5.0, 50), (5.0, 1)):
+            cfg = IntegratorConfig(dt=0.01, t_final=t_final, record_stride=stride)
+            for h in (linear(sz), h_mf):
+                fed, unfed = self._fed_and_unfed(fs, h, qubit_up, times, cfg)
+                assert np.all(fed == unfed), (t_final, stride, h.label)
+
+    def test_off_step_grid(self, h_mf, sx, sz, qubit_up):
+        # At dt = 0.007 the last record, 1.1, is off the step grid and is not
+        # used; 0.7 and 2.1 are whole numbers of steps.
+        fs = (constant_observable(sx), trace_scaled_observable(sz, sx))
+        times = (0.5, 0.7, 1.1, 2.1, -0.7)
+        cfg = IntegratorConfig(dt=0.007, t_final=1.1, record_stride=4)
+        fed, unfed = self._fed_and_unfed(fs, h_mf, qubit_up, times, cfg)
+        assert np.all(fed == unfed)
+
+    def test_recorded_times_cost_no_forward_steps(self, h_mf, sx, qubit_up, monkeypatch):
+        spans = []
+        counted = flow.propagate
+
+        def propagate_counted(h, rho, t, cfg):
+            spans.append(t)
+            return counted(h, rho, t, cfg)
+
+        cfg = IntegratorConfig(dt=0.01, t_final=1.0, record_stride=10)
+        traj = evolve(h_mf, qubit_up, cfg)
+        monkeypatch.setattr(flow, "propagate", propagate_counted)
+        conservation_residuals((constant_observable(sx),), h_mf, qubit_up, (0.5, 1.0, 2.0), cfg, traj)
+        # Backward runs from 0.5, 1 and 2, and one forward leg from 1 to 2.
+        assert spans == pytest.approx([-0.5, -1.0, 1.0, -2.0])
+
+    def test_trajectory_must_start_at_rho(self, h_mf, sx, qubit_up, qubit_plus):
+        cfg = IntegratorConfig(dt=0.01, t_final=0.1)
+        with pytest.raises(ValueError, match="start at rho"):
+            conservation_residuals((constant_observable(sx),), h_mf, qubit_up, (0.1,), cfg,
+                                   evolve(h_mf, qubit_plus, cfg))

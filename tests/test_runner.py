@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import eqm_lab
+from eqm_lab import flow
 from eqm_lab.config import build_config, with_dt
 from eqm_lab.runner import (
     ReportRow,
@@ -122,6 +123,42 @@ class TestRunScenario:
         _, rows = run_scenario(build_config(doc))
         assert len(rows) == 2  # one observable, one time, two support points
         assert all(r.passed for r in rows)
+
+
+class TestOneForwardRun:
+    @staticmethod
+    def _count_steps(monkeypatch):
+        counts = []
+        kernel = flow._steps
+
+        def counted(*args):
+            counts.append(0)
+            for step in kernel(*args):
+                counts[-1] += 1
+                yield step
+
+        monkeypatch.setattr(flow, "_steps", counted)
+        return counts
+
+    def test_mean_field_qubit_integrates_forward_once(self, monkeypatch):
+        # dt = 0.01: the 500-step evolve records every 0.5, which holds every
+        # grid time, so only the backward runs (50 + 100 + 200 + 500) remain.
+        doc = next(d for d in corpus_documents() if d["id"] == "mean-field-qubit")
+        cfg = with_dt(build_config(doc), 0.01)
+        counts = self._count_steps(monkeypatch)
+        run_scenario(cfg)
+        assert counts == [500, 50, 100, 200, 500]
+
+    def test_wigner_reads_the_recorded_trajectory(self, monkeypatch):
+        doc = next(d for d in corpus_documents() if d["id"] == "wigner-contrast")
+        cfg = with_dt(build_config(doc), 0.01)
+        counts = self._count_steps(monkeypatch)
+        _, rows = run_scenario(cfg)
+        # One evolve each for P and Q, then the four backward runs.
+        assert counts == [500, 500, 50, 100, 200, 500]
+        (row,) = [r for r in rows if r.check == "wigner_deviation"]
+        assert row.value == flow.wigner_deviation(cfg.hamiltonian, cfg.initial_state,
+                                                  cfg.wigner_pair, cfg.integrator)[0]
 
 
 class TestReportRendering:
