@@ -13,10 +13,10 @@ The canonical bracket of two such functions at a state rho is
 {f, h}(rho) = i Tr(rho [Df(rho), Dh(rho)]); the flow it generates is
 integrated in :mod:`eqm_lab.flow`.
 
-Each function also carries its differential on plain arrays, the form the
-integrator calls.  The public differential takes a validated state and
-returns a validated operator; the array generator does the same arithmetic
-on the bare matrices and builds no wrapper.
+Each family is defined once, by its generator: the differential on plain
+arrays, which maps the matrix of a state to the matrix of D(rho) and is the
+form the integrator calls.  The public differential is derived from it and
+validates the operator it returns.
 """
 
 from __future__ import annotations
@@ -40,9 +40,12 @@ class HamiltonianFunction:
 
     ``generator`` is the differential on plain arrays: it maps the matrix of
     a state to the matrix of D(rho), and the integrator calls nothing else.
-    It is trusted to agree with ``differential``.  When none is given it
-    defaults to ``m -> differential(DensityMatrix(m)).matrix``, which keeps
-    every check that the state, the differential and its operator make.
+    A function given a generator alone gets the derived differential
+    ``rho -> HermitianOperator(generator(rho.matrix))``; every factory builds
+    its function that way.  A function given a differential alone gets the
+    adapter ``m -> differential(DensityMatrix(m)).matrix`` as its generator,
+    which keeps every check that the state, the differential and its
+    operator make.  When both are given, they are trusted to agree.
 
     ``state_independent`` marks a generator that returns the same matrix at
     every state; the integrator then exponentiates it once per step size.
@@ -50,40 +53,27 @@ class HamiltonianFunction:
     """
 
     value: Callable[[DensityMatrix], float]
-    differential: Callable[[DensityMatrix], HermitianOperator]
+    differential: Callable[[DensityMatrix], HermitianOperator] | None = None
     label: str = "h"
     generator: Callable[[np.ndarray], np.ndarray] | None = None
     state_independent: bool = False
 
     def __post_init__(self):
-        if self.generator is None:
-            differential = self.differential
+        generator, differential = self.generator, self.differential
+        if generator is None:
+            if differential is None:
+                raise ValueError(f"Hamiltonian function {self.label!r} needs "
+                                 "a differential or a generator")
             object.__setattr__(self, "generator",
                                lambda m: differential(DensityMatrix(m)).matrix)
-
-
-def _over_pairings(generator_of):
-    """The differential and the array generator of one closed form, written once.
-
-    generator_of(pair) builds the matrix of D(rho) from pair(A) = Re Tr(rho A).
-    The differential pairs through trace_pairing, which checks dimensions and
-    the imaginary part, and validates the operator it returns; the generator
-    pairs the bare arrays, which gives the same float.
-    """
-
-    def differential(rho: DensityMatrix) -> HermitianOperator:
-        return HermitianOperator(generator_of(lambda a: trace_pairing(rho, a)))
-
-    def generator(m: np.ndarray) -> np.ndarray:
-        return generator_of(lambda a: (m @ a.matrix).trace().real)
-
-    return differential, generator
+        elif differential is None:
+            object.__setattr__(self, "differential",
+                               lambda rho: HermitianOperator(generator(rho.matrix)))
 
 
 def linear(a: HermitianOperator, label: str = "linear") -> HamiltonianFunction:
     return HamiltonianFunction(
         value=lambda rho: trace_pairing(rho, a),
-        differential=lambda rho: a,
         label=label,
         generator=lambda m: a.matrix,
         state_independent=True,
@@ -105,12 +95,12 @@ def mean_field(
         m = trace_pairing(rho, coupling)
         return trace_pairing(rho, linear_term) + 0.5 * strength * m * m
 
-    def generator_of(pair) -> np.ndarray:
-        return linear_term.matrix + strength * pair(coupling) * coupling.matrix
+    a, b = linear_term.matrix, coupling.matrix
 
-    differential, generator = _over_pairings(generator_of)
-    return HamiltonianFunction(value=value, differential=differential, label=label,
-                               generator=generator)
+    def generator(m: np.ndarray) -> np.ndarray:
+        return a + strength * (m @ b).trace().real * b
+
+    return HamiltonianFunction(value=value, label=label, generator=generator)
 
 
 def polynomial(terms: Sequence, label: str = "polynomial", dim: int | None = None) -> HamiltonianFunction:
@@ -132,8 +122,8 @@ def polynomial(terms: Sequence, label: str = "polynomial", dim: int | None = Non
             total += prod
         return total
 
-    def generator_of(pair) -> np.ndarray:
-        paired = {key: pair(f) for key, f in distinct.items()}
+    def generator(m: np.ndarray) -> np.ndarray:
+        paired = {key: (m @ f.matrix).trace().real for key, f in distinct.items()}
         out = None
         for coeff, factors in terms:
             if not factors:
@@ -152,9 +142,7 @@ def polynomial(terms: Sequence, label: str = "polynomial", dim: int | None = Non
             out = np.zeros((dim, dim), dtype=complex)
         return out
 
-    differential, generator = _over_pairings(generator_of)
-    return HamiltonianFunction(value=value, differential=differential, label=label,
-                               generator=generator)
+    return HamiltonianFunction(value=value, label=label, generator=generator)
 
 
 def traceless_hermitian_basis(dim: int) -> list[np.ndarray]:
@@ -208,9 +196,7 @@ def from_value(
             raise ValueError(f"value map {label!r} gave a non-finite slope")
         return out
 
-    return HamiltonianFunction(value=value,
-                               differential=lambda rho: HermitianOperator(generator(rho.matrix)),
-                               label=label, generator=generator)
+    return HamiltonianFunction(value=value, label=label, generator=generator)
 
 
 def poisson_bracket(f: HamiltonianFunction, h: HamiltonianFunction, rho: DensityMatrix) -> float:
@@ -260,12 +246,9 @@ def shift_differential(h: HamiltonianFunction, c: float) -> HamiltonianFunction:
     def value(rho: DensityMatrix) -> float:
         return h.value(rho) + c
 
-    def shifted(base: np.ndarray) -> np.ndarray:
+    def generator(m: np.ndarray) -> np.ndarray:
+        base = h.generator(m)
         return base + c * np.eye(base.shape[0])
 
-    return HamiltonianFunction(
-        value=value,
-        differential=lambda rho: HermitianOperator(shifted(h.differential(rho).matrix)),
-        label=f"{h.label}+{c:g}*tr",
-        generator=lambda m: shifted(h.generator(m)),
-        state_independent=h.state_independent)
+    return HamiltonianFunction(value=value, label=f"{h.label}+{c:g}*tr", generator=generator,
+                               state_independent=h.state_independent)

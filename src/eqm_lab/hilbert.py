@@ -214,10 +214,15 @@ def matrix_from_pairs(doc) -> np.ndarray:
     return as_complex_matrix(arr[..., 0] + 1j * arr[..., 1])
 
 
+def re_im_view(mat: np.ndarray) -> np.ndarray:
+    """The float64 view of a complex matrix: each row holds re, im of its entries in turn."""
+    return np.ascontiguousarray(mat, dtype=complex).view(np.float64)
+
+
 def matrix_to_pairs(mat: np.ndarray) -> list:
     """Inverse of matrix_from_pairs."""
-    mat = np.asarray(mat, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+    rows, cols = np.shape(mat)
+    return re_im_view(mat).reshape(rows, cols, 2).tolist()
 
 
 def vector_from_pairs(doc) -> np.ndarray:

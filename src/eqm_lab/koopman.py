@@ -19,6 +19,8 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .flow import split_steps
+
 PENDULUM_STEP = 1e-4      # internal leapfrog step
 SPATIAL_FD_STEP = 1e-5    # central-difference step for partial derivatives
 GEN_DT_MIN = 1e-6
@@ -54,11 +56,7 @@ def _leapfrog(g: float, q, p, t: float):
     update runs in place with the arithmetic of p - (0.5 h g) sin(q) and
     q + h p, so every node is bit-identical to the plain three-line loop.
     """
-    span = abs(t)
-    n = int(math.floor(span / PENDULUM_STEP + 1e-9))
-    rem = span - n * PENDULUM_STEP
-    if rem < 1e-15:
-        rem = 0.0
+    n, rem = split_steps(abs(t), PENDULUM_STEP)
     sign = 1.0 if t > 0 else -1.0
     steps = [sign * PENDULUM_STEP] * n
     if rem > 0.0:

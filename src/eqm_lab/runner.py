@@ -28,6 +28,7 @@ from .hilbert import (
     HermitianOperator,
     matrix_from_pairs,
     max_abs,
+    re_im_view,
     trace_pairing,
     unitary_exponential,
 )
@@ -73,7 +74,7 @@ def _flatten(name: str, matrices) -> tuple[list[str], Iterator[list[float]]]:
     dim = matrices[0].shape[0]
     header = [f"{name}_{i}_{j}_{part}"
               for i in range(dim) for j in range(dim) for part in ("re", "im")]
-    rows = ([x for entry in m.ravel() for x in (entry.real, entry.imag)] for m in matrices)
+    rows = (re_im_view(m).ravel().tolist() for m in matrices)
     return header, rows
 
 
@@ -237,17 +238,22 @@ def four_level_ops() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _suite_cross_checks(dt: float | None, thresholds: dict) -> list[ReportRow]:
-    """Suite-level comparisons across runs: linear oracle and gauge shift."""
+    """Suite-level comparisons across runs: linear oracle and gauge shift.
+
+    The oracle starts from |+>, which sigma_z rotates, so a phase error of
+    the integrator shows in the state.
+    """
     cfg = IntegratorConfig(dt=1e-3 if dt is None else dt, t_final=1.0, record_stride=10)
     sx = HermitianOperator(SIGMA_X)
     sz = HermitianOperator(SIGMA_Z)
     up = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+    plus = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
 
-    traj = flow_mod.evolve(linear(sz), up, cfg)
+    traj = flow_mod.evolve(linear(sz), plus, cfg)
     oracle_defect = 0.0
     for t, state in zip(traj.times, traj.states):
         u = unitary_exponential(sz, t)
-        exact = u.matrix @ up.matrix @ u.matrix.conj().T
+        exact = u.matrix @ plus.matrix @ u.matrix.conj().T
         oracle_defect = max(oracle_defect, max_abs(state.matrix - exact))
 
     shift = 10.0

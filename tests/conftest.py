@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from eqm_lab.hilbert import (
     SIGMA_X,
@@ -12,6 +13,11 @@ from eqm_lab.hilbert import (
     StateVector,
     projector,
 )
+
+# Property tests draw the same examples on every run; each example of a
+# flow property integrates at up to MAX_DIM, so few are drawn by default.
+settings.register_profile("eqm-lab", derandomize=True, deadline=None, max_examples=10)
+settings.load_profile("eqm-lab")
 
 
 def random_hermitian(rng, dim, scale=1.0):

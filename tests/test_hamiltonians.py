@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from eqm_lab import hamiltonians
 from eqm_lab.flow import IntegratorConfig, propagate
 from eqm_lab.hamiltonians import (
     HamiltonianFunction,
@@ -254,6 +253,38 @@ class TestArrayGenerator:
         with pytest.raises(ValueError, match="unit trace"):
             h.generator(2.0 * m)
 
+    @pytest.mark.parametrize("dim", [2, 4, 16, MAX_DIM])
+    def test_differential_is_the_validated_generator(self, rng, dim):
+        rho = random_density(rng, dim)
+        for name, h in _families(rng, dim).items():
+            op = h.differential(rho)
+            assert isinstance(op, HermitianOperator), name
+            assert not op.matrix.flags.writeable, name
+            assert np.array_equal(op.matrix, h.generator(rho.matrix)), (name, dim)
+
+    def test_derived_differential_rejects_a_non_hermitian_generator(self, qubit_up):
+        h = HamiltonianFunction(value=lambda rho: 0.0,
+                                generator=lambda m: np.array([[0, 1], [0, 0]], dtype=complex))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            h.differential(qubit_up)
+
+    def test_needs_a_differential_or_a_generator(self):
+        with pytest.raises(ValueError, match="'empty' needs a differential or a generator"):
+            HamiltonianFunction(value=lambda rho: 0.0, label="empty")
+
+    @pytest.mark.parametrize("family", ["linear", "mean_field", "polynomial"])
+    def test_built_from_a_differential_integrates_bit_identically(self, rng, family):
+        # The form a wrapper that sees only the public fields builds: value,
+        # differential and label, so the generator is the adapter.
+        h = _families(rng, 4)[family]
+        rebuilt = HamiltonianFunction(value=h.value, differential=h.differential, label=h.label)
+        rho = random_density(rng, 4)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.05)
+        for t in (0.05, -0.037):
+            (rho_a, u_a), (rho_b, u_b) = (propagate(g, rho, t, cfg) for g in (h, rebuilt))
+            assert np.array_equal(rho_a.matrix, rho_b.matrix), (family, t)
+            assert np.array_equal(u_a.matrix, u_b.matrix), (family, t)
+
     def test_non_finite_closure_fails_inside_propagate(self, qubit_up):
         h = from_value(lambda m: float("nan"), dim=2, label="broken")
         cfg = IntegratorConfig(dt=0.01, t_final=0.1)
@@ -267,18 +298,21 @@ class TestPolynomialPairing:
         a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
         return [(1.0, (a,)), (0.5, (b, b)), (0.25, (a, b))]
 
-    def test_each_distinct_factor_is_paired_once(self, rng, monkeypatch):
+    def test_each_distinct_factor_is_paired_once(self, rng):
+        # A pairing is the trace of m @ F.  Products with a state matrix of
+        # this subclass are of the subclass too, so their traces count the
+        # pairings one generator call takes.
+        traces = []
+
+        class CountedTrace(np.ndarray):
+            def trace(self, *args, **kwargs):
+                traces.append(self.shape)
+                return np.asarray(self).trace(*args, **kwargs)
+
         h = polynomial(self._terms(rng, 4))
-        pairings = []
-        exact = hamiltonians.trace_pairing
-
-        def counted(rho, a):
-            pairings.append(a)
-            return exact(rho, a)
-
-        monkeypatch.setattr(hamiltonians, "trace_pairing", counted)
-        h.differential(random_density(rng, 4))
-        assert len(pairings) == 2
+        for calls in (1, 2):
+            h.generator(random_density(rng, 4).matrix.view(CountedTrace))
+            assert len(traces) == 2 * calls
 
     def test_endpoints_match_pairing_every_factor(self, rng):
         # The reference pairs a factor again in every term it appears in,

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqm_lab.hilbert import (
@@ -137,6 +137,7 @@ class TestUnitaryExponential:
         np.testing.assert_allclose(u.matrix, np.exp(-0.7j) * np.eye(3), atol=1e-15)
 
     @given(s=st.floats(-3, 3), t=st.floats(-3, 3))
+    @settings(max_examples=100)
     def test_one_parameter_group(self, s, t):
         a = HermitianOperator(SIGMA_X + 0.3 * SIGMA_Z)
         lhs = unitary_exponential(a, s).matrix @ unitary_exponential(a, t).matrix
@@ -154,6 +155,7 @@ class TestProjector:
         np.testing.assert_allclose(p.matrix, 0.5 * np.ones((2, 2)), atol=1e-15)
 
     @given(theta=st.floats(-np.pi, np.pi))
+    @settings(max_examples=100)
     def test_global_phase_invariance(self, theta):
         vec = np.array([0.6, 0.8j])
         base = projector(StateVector(vec))

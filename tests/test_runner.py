@@ -9,10 +9,11 @@ import pytest
 
 import eqm_lab
 from eqm_lab import flow
-from eqm_lab.config import build_config, with_dt
+from eqm_lab.config import DEFAULT_THRESHOLDS, build_config, with_dt
 from eqm_lab.runner import (
     ReportRow,
     ScenarioError,
+    _suite_cross_checks,
     corpus_documents,
     four_level_ops,
     koopman_only,
@@ -159,6 +160,18 @@ class TestOneForwardRun:
         (row,) = [r for r in rows if r.check == "wigner_deviation"]
         assert row.value == flow.wigner_deviation(cfg.hamiltonian, cfg.initial_state,
                                                   cfg.wigner_pair, cfg.integrator)[0]
+
+
+class TestSuiteCrossChecks:
+    def test_linear_oracle_sees_a_phase_error(self, monkeypatch):
+        # The oracle's state must move: a relative angle error of 1e-6 in
+        # every step exponential turns the phase by ~2e-6 over t = 1.
+        exact = flow.expm_hermitian
+        monkeypatch.setattr(flow, "expm_hermitian", lambda mat, s: exact(mat, s * (1 + 1e-6)))
+        (row,) = [row for row in _suite_cross_checks(0.01, dict(DEFAULT_THRESHOLDS))
+                  if row.check == "linear_oracle"]
+        assert row.value > 1e-7
+        assert not row.passed
 
 
 class TestReportRendering:
