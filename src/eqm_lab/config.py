@@ -1,9 +1,11 @@
 """Scenario configuration: parsing, validation, defaults.
 
 Configs are JSON documents with explicit [re, im] matrix literals (see
-:func:`eqm_lab.hilbert.matrix_from_pairs`).  Every matrix invariant is
-checked at parse time, before any integration starts, and violations are
-reported with the offending field path.
+:func:`eqm_lab.hilbert.matrix_from_pairs`).  Every object of a document is
+read through one reader, ``_Fields``, which checks each field's JSON type,
+numbers, counts and arrays, and reports a failure as a ConfigError at the
+field's path.  Every matrix invariant is checked at parse time, before any
+integration starts.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import hilbert, koopman
-from .flow import IntegratorConfig
+from .flow import DEFAULT_MIDPOINT_MAX_ITER, DEFAULT_MIDPOINT_TOL, IntegratorConfig
 from .hamiltonians import HamiltonianFunction, linear, mean_field, polynomial
 from .hilbert import DensityMatrix, HermitianOperator, StateVector, projector
 from .koopman import ClassicalObservable, Quadrature, SymplecticFlow
@@ -121,24 +123,7 @@ def with_dt(cfg: ScenarioConfig, dt: float) -> ScenarioConfig:
     return replace(cfg, integrator=integrator)
 
 
-def _expect_object(value, path):
-    if not isinstance(value, dict):
-        raise ConfigError(path, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _expect_list(value, path):
-    if not isinstance(value, list):
-        raise ConfigError(path, f"expected an array, got {type(value).__name__}")
-    return value
-
-
-def _get(doc: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in doc:
-        if required:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
-        return default
-    return doc[key]
+_REQUIRED = object()
 
 
 def _number(value, path, minimum=None) -> float:
@@ -150,177 +135,178 @@ def _number(value, path, minimum=None) -> float:
     return out
 
 
-def _matrix(value, path, dim=None) -> np.ndarray:
+def _entries(value, path, need=None) -> list:
+    """The (entry, path) pairs of a JSON array; need names what an empty array lacks."""
+    if not isinstance(value, list):
+        raise ConfigError(path, f"expected an array, got {type(value).__name__}")
+    if need and not value:
+        raise ConfigError(path, f"need at least one {need}")
+    return [(entry, f"{path}[{i}]") for i, entry in enumerate(value)]
+
+
+def _operator(cls, value, path, dim):
+    """A matrix literal of dimension dim, built as cls (HermitianOperator or DensityMatrix)."""
     with _at(path):
         mat = hilbert.matrix_from_pairs(value)
-    if dim is not None and mat.shape[0] != dim:
-        raise ConfigError(path, f"expected dimension {dim}, got {mat.shape[0]}")
-    return mat
+        if mat.shape[0] != dim:
+            raise ValueError(f"expected dimension {dim}, got {mat.shape[0]}")
+        return cls(mat)
 
 
-def _hermitian(value, path, dim=None) -> HermitianOperator:
-    mat = _matrix(value, path, dim)
-    with _at(path):
-        return HermitianOperator(mat)
+class _Fields:
+    """A JSON object at a document path, read field by field.
+
+    Every read reports a failure as a ConfigError at the field's full path;
+    the document itself sits at the empty path and is called "<document>".
+    """
+
+    def __init__(self, value, path: str):
+        if not isinstance(value, dict):
+            raise ConfigError(path or "<document>", f"expected an object, got {type(value).__name__}")
+        self.obj = value
+        self.path = path
+
+    def __contains__(self, key) -> bool:
+        return key in self.obj
+
+    def path_of(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def get(self, key: str, default=_REQUIRED):
+        if key in self.obj:
+            return self.obj[key]
+        if default is _REQUIRED:
+            raise ConfigError(self.path_of(key), "missing required field")
+        return default
+
+    def number(self, key: str, default=_REQUIRED, minimum=None) -> float:
+        return _number(self.get(key, default), self.path_of(key), minimum)
+
+    def integer(self, key: str, default=_REQUIRED, minimum=1) -> int:
+        """A count: a finite number at least minimum with no fractional part (50.0 reads as 50)."""
+        value = self.number(key, default, minimum)
+        if not value.is_integer():
+            raise ConfigError(self.path_of(key), f"expected an integer, got {value!r}")
+        return int(value)
+
+    def items(self, key: str, default=_REQUIRED, need=None) -> list:
+        return _entries(self.get(key, default), self.path_of(key), need)
+
+    def fields(self, key: str, default=_REQUIRED) -> "_Fields":
+        return _Fields(self.get(key, default), self.path_of(key))
+
+    def hermitian(self, key: str, dim: int) -> HermitianOperator:
+        return _operator(HermitianOperator, self.get(key), self.path_of(key), dim)
 
 
-def _density(value, path, dim=None) -> DensityMatrix:
-    mat = _matrix(value, path, dim)
-    with _at(path):
-        return DensityMatrix(mat)
-
-
-def _state(value, path, dim) -> DensityMatrix:
+def _state(f: _Fields, dim) -> DensityMatrix:
     """A single state given either as a state vector or as a density matrix."""
-    obj = _expect_object(value, path)
-    if "state_vector" in obj:
-        with _at(f"{path}.state_vector"):
-            vec = hilbert.vector_from_pairs(obj["state_vector"])
+    if "state_vector" in f:
+        with _at(f.path_of("state_vector")):
+            vec = hilbert.vector_from_pairs(f.get("state_vector"))
             if vec.shape[0] != dim:
                 raise ValueError(f"expected dimension {dim}, got {vec.shape[0]}")
             return projector(StateVector(vec))
-    if "density_matrix" in obj:
-        return _density(obj["density_matrix"], f"{path}.density_matrix", dim)
-    raise ConfigError(path, "expected a state_vector or density_matrix field")
+    if "density_matrix" in f:
+        return _operator(DensityMatrix, f.get("density_matrix"), f.path_of("density_matrix"), dim)
+    raise ConfigError(f.path, "expected a state_vector or density_matrix field")
 
 
-def _parse_hamiltonian(value, path, dim) -> HamiltonianFunction:
-    obj = _expect_object(value, path)
-    kind = _get(obj, "type", path)
+def _parse_hamiltonian(f: _Fields, dim) -> HamiltonianFunction:
+    kind = f.get("type")
     if kind == "linear":
-        return linear(_hermitian(_get(obj, "A", path), f"{path}.A", dim))
+        return linear(f.hermitian("A", dim))
     if kind == "mean_field":
-        a = _hermitian(_get(obj, "A", path), f"{path}.A", dim)
-        b = _hermitian(_get(obj, "B", path), f"{path}.B", dim)
-        lam = _number(_get(obj, "lambda", path), f"{path}.lambda")
-        return mean_field(a, b, lam)
+        return mean_field(f.hermitian("A", dim), f.hermitian("B", dim), f.number("lambda"))
     if kind == "polynomial":
         terms = []
-        for i, term in enumerate(_expect_list(_get(obj, "terms", path), f"{path}.terms")):
-            term_path = f"{path}.terms[{i}]"
-            term_obj = _expect_object(term, term_path)
-            coeff = _number(_get(term_obj, "coefficient", term_path), f"{term_path}.coefficient")
-            factors = [
-                _hermitian(f, f"{term_path}.factors[{j}]", dim)
-                for j, f in enumerate(_expect_list(_get(term_obj, "factors", term_path),
-                                                   f"{term_path}.factors"))
-            ]
-            terms.append((coeff, tuple(factors)))
+        for entry in f.items("terms"):
+            term = _Fields(*entry)
+            terms.append((term.number("coefficient"),
+                          tuple(_operator(HermitianOperator, *factor, dim)
+                                for factor in term.items("factors"))))
         return polynomial(terms, dim=dim)
-    raise ConfigError(f"{path}.type",
+    raise ConfigError(f.path_of("type"),
                       f"unknown Hamiltonian type {kind!r}; expected linear, mean_field, or polynomial")
 
 
-def _parse_initial(value, path, dim):
-    obj = _expect_object(value, path)
-    if "measure" in obj:
-        measure_path = f"{path}.measure"
-        measure = _expect_object(obj["measure"], measure_path)
-        support = [
-            _density(m, f"{measure_path}.support[{i}]", dim)
-            for i, m in enumerate(_expect_list(_get(measure, "support", measure_path),
-                                               f"{measure_path}.support"))
-        ]
-        weights = [
-            _number(w, f"{measure_path}.weights[{i}]")
-            for i, w in enumerate(_expect_list(_get(measure, "weights", measure_path),
-                                               f"{measure_path}.weights"))
-        ]
-        with _at(measure_path):
-            return StateMeasure(support=tuple(support), weights=np.array(weights))
-    return _state(value, path, dim)
+def _parse_initial(f: _Fields, dim):
+    if "measure" not in f:
+        return _state(f, dim)
+    measure = f.fields("measure")
+    support = [_operator(DensityMatrix, *entry, dim) for entry in measure.items("support")]
+    weights = [_number(*entry) for entry in measure.items("weights")]
+    with _at(measure.path):
+        return StateMeasure(support=tuple(support), weights=np.array(weights))
 
 
-def _parse_observable(value, path, dim, index) -> ObservableFunction:
-    obj = _expect_object(value, path)
-    kind = _get(obj, "type", path)
+def _parse_observable(f: _Fields, dim, index) -> ObservableFunction:
+    kind = f.get("type")
     label = f"{kind}[{index}]"
     if kind == "constant":
-        return constant_observable(_hermitian(_get(obj, "A", path), f"{path}.A", dim), label=label)
+        return constant_observable(f.hermitian("A", dim), label=label)
     if kind == "trace_scaled":
-        b = _hermitian(_get(obj, "B", path), f"{path}.B", dim)
-        a = _hermitian(_get(obj, "A", path), f"{path}.A", dim)
-        return trace_scaled_observable(b, a, label=label)
-    raise ConfigError(f"{path}.type",
+        b = f.hermitian("B", dim)
+        return trace_scaled_observable(b, f.hermitian("A", dim), label=label)
+    raise ConfigError(f.path_of("type"),
                       f"unknown observable type {kind!r}; expected constant or trace_scaled")
 
 
-def _parse_integrator(value, path) -> IntegratorConfig:
-    obj = _expect_object(value, path)
-    kwargs = dict(
-        dt=_number(_get(obj, "dt", path), f"{path}.dt"),
-        t_final=_number(_get(obj, "t_final", path), f"{path}.t_final"),
-    )
-    if "midpoint_tol" in obj:
-        kwargs["midpoint_tol"] = _number(obj["midpoint_tol"], f"{path}.midpoint_tol")
-    if "midpoint_max_iter" in obj:
-        kwargs["midpoint_max_iter"] = int(_number(obj["midpoint_max_iter"], f"{path}.midpoint_max_iter", 1))
-    if "record_stride" in obj:
-        kwargs["record_stride"] = int(_number(obj["record_stride"], f"{path}.record_stride", 1))
-    with _at(path):
+def _parse_integrator(f: _Fields) -> IntegratorConfig:
+    kwargs = dict(dt=f.number("dt"), t_final=f.number("t_final"),
+                  midpoint_tol=f.number("midpoint_tol", DEFAULT_MIDPOINT_TOL),
+                  midpoint_max_iter=f.integer("midpoint_max_iter", DEFAULT_MIDPOINT_MAX_ITER),
+                  record_stride=f.integer("record_stride", 1))
+    with _at(f.path):
         return IntegratorConfig(**kwargs)
 
 
 def _phase_point(value, path) -> tuple[float, float]:
     """A phase-space point written as [q, p]."""
-    pair = _expect_list(value, path)
+    pair = _entries(value, path)
     if len(pair) != 2:
         raise ConfigError(path, "expected [q, p]")
-    return _number(pair[0], f"{path}[0]"), _number(pair[1], f"{path}[1]")
+    return _number(*pair[0]), _number(*pair[1])
 
 
-def _parse_classical_observable(value, path) -> ClassicalObservable:
-    obj = _expect_object(value, path)
-    name = _get(obj, "name", path)
+def _parse_classical_observable(f: _Fields) -> ClassicalObservable:
+    name = f.get("name")
     params = {}
-    if "center" in obj:
-        params["center"] = _phase_point(obj["center"], f"{path}.center")
-    if "width" in obj:
-        params["width"] = _number(obj["width"], f"{path}.width")
-    with _at(path):
+    if "center" in f:
+        params["center"] = _phase_point(f.get("center"), f.path_of("center"))
+    if "width" in f:
+        params["width"] = f.number("width")
+    with _at(f.path):
         return koopman.builtin_observable(name, **params)
 
 
-def _parse_koopman(value, path) -> KoopmanSetup:
-    obj = _expect_object(value, path)
-    flow_obj = _expect_object(_get(obj, "flow", path), f"{path}.flow")
-    flow_kind = _get(flow_obj, "type", f"{path}.flow")
+def _parse_koopman(f: _Fields) -> KoopmanSetup:
+    flow_f = f.fields("flow")
+    flow_kind = flow_f.get("type")
     if flow_kind == "harmonic":
-        flow = koopman.HarmonicOscillator(omega=_number(flow_obj.get("omega", 1.0), f"{path}.flow.omega"))
+        flow = koopman.HarmonicOscillator(omega=flow_f.number("omega", 1.0))
     elif flow_kind == "pendulum":
-        flow = koopman.Pendulum(g=_number(flow_obj.get("g", 1.0), f"{path}.flow.g"))
+        flow = koopman.Pendulum(g=flow_f.number("g", 1.0))
     else:
-        raise ConfigError(f"{path}.flow.type",
+        raise ConfigError(flow_f.path_of("type"),
                           f"unknown flow type {flow_kind!r}; expected harmonic or pendulum")
 
-    observables = tuple(
-        _parse_classical_observable(o, f"{path}.observables[{i}]")
-        for i, o in enumerate(_expect_list(_get(obj, "observables", path), f"{path}.observables"))
-    )
-    if not observables:
-        raise ConfigError(f"{path}.observables", "need at least one observable")
+    observables = tuple(_parse_classical_observable(_Fields(*entry))
+                        for entry in f.items("observables", need="observable"))
+    times = tuple(_number(*entry) for entry in f.items("times", need="time"))
 
-    times = tuple(
-        _number(t, f"{path}.times[{i}]")
-        for i, t in enumerate(_expect_list(_get(obj, "times", path), f"{path}.times"))
-    )
-    if not times:
-        raise ConfigError(f"{path}.times", "need at least one time")
-
-    quad_obj = obj.get("quadrature", {})
-    _expect_object(quad_obj, f"{path}.quadrature")
-    extent = _number(quad_obj.get("extent", koopman.DEFAULT_EXTENT), f"{path}.quadrature.extent")
-    order = int(_number(quad_obj.get("order", koopman.DEFAULT_ORDER), f"{path}.quadrature.order", 2))
-    with _at(f"{path}.quadrature"):
+    quad = f.fields("quadrature", {})
+    extent = quad.number("extent", koopman.DEFAULT_EXTENT)
+    order = quad.integer("order", koopman.DEFAULT_ORDER, minimum=2)
+    with _at(quad.path):
         quadrature = Quadrature.gauss_legendre(extent=extent, order=order)
 
     points = DEFAULT_GENERATOR_POINTS
-    if "points" in obj:
-        points = tuple(_phase_point(pt, f"{path}.points[{i}]")
-                       for i, pt in enumerate(_expect_list(obj["points"], f"{path}.points")))
-    generator_dt = _number(obj.get("generator_dt", DEFAULT_GENERATOR_DT), f"{path}.generator_dt")
+    if "points" in f:
+        points = tuple(_phase_point(*entry) for entry in f.items("points"))
+    generator_dt = f.number("generator_dt", DEFAULT_GENERATOR_DT)
     if not koopman.GEN_DT_MIN <= generator_dt <= koopman.GEN_DT_MAX:
-        raise ConfigError(f"{path}.generator_dt",
+        raise ConfigError(f.path_of("generator_dt"),
                           f"must lie in [{koopman.GEN_DT_MIN:g}, {koopman.GEN_DT_MAX:g}], "
                           f"got {generator_dt:g}")
     return KoopmanSetup(flow=flow, observables=observables, times=times,
@@ -328,64 +314,25 @@ def _parse_koopman(value, path) -> KoopmanSetup:
                         generator_dt=generator_dt)
 
 
-def build_config(doc: dict) -> ScenarioConfig:
-    """Validate a decoded scenario document and build all domain objects."""
-    _expect_object(doc, "<document>")
+def _parse_flow(top: _Fields, outputs: tuple) -> dict:
+    """The ScenarioConfig fields of a document that asks for a density-matrix flow."""
+    dimension = top.get("dimension")
+    if not isinstance(dimension, int) or isinstance(dimension, bool):
+        raise ConfigError("dimension", f"expected an integer, got {dimension!r}")
+    if not hilbert.MIN_DIM <= dimension <= hilbert.MAX_DIM:
+        raise ConfigError("dimension",
+                          f"must lie in [{hilbert.MIN_DIM}, {hilbert.MAX_DIM}], got {dimension}")
+    hamiltonian = _parse_hamiltonian(top.fields("hamiltonian"), dimension)
+    initial = _parse_initial(top.fields("initial"), dimension)
+    integrator = _parse_integrator(top.fields("integrator"))
+    observables = tuple(_parse_observable(_Fields(*entry), dimension, i)
+                        for i, entry in enumerate(top.items("observables", [])))
+    conservation_times = tuple(_number(*entry)
+                               for entry in top.items("conservation_times", [integrator.t_final]))
+    wigner_pair = _state(top.fields("wigner_pair"), dimension) if "wigner_pair" in top else None
 
-    scenario_id = doc.get("id", "scenario")
-    if not isinstance(scenario_id, str) or not scenario_id:
-        raise ConfigError("id", "expected a nonempty string")
-
-    outputs = tuple(_expect_list(_get(doc, "outputs", ""), "outputs"))
-    if not outputs:
-        raise ConfigError("outputs", "need at least one requested output")
-    for out in outputs:
-        if out not in OUTPUT_KINDS:
-            raise ConfigError("outputs", f"unknown output {out!r}; expected one of {OUTPUT_KINDS}")
-
-    thresholds = dict(DEFAULT_THRESHOLDS)
-    if "thresholds" in doc:
-        for key, val in _expect_object(doc["thresholds"], "thresholds").items():
-            if key not in DEFAULT_THRESHOLDS:
-                raise ConfigError(f"thresholds.{key}", "unknown check name")
-            thresholds[key] = _number(val, f"thresholds.{key}", minimum=0.0)
-
-    needs_flow = any(out in FLOW_OUTPUTS for out in outputs)
-    dimension = None
-    hamiltonian = None
-    initial = None
-    observables: tuple = ()
-    integrator = None
-    wigner_pair = None
-    conservation_times: tuple = ()
-
-    if needs_flow:
-        dimension = _get(doc, "dimension", "")
-        if not isinstance(dimension, int) or isinstance(dimension, bool):
-            raise ConfigError("dimension", f"expected an integer, got {dimension!r}")
-        if not hilbert.MIN_DIM <= dimension <= hilbert.MAX_DIM:
-            raise ConfigError("dimension",
-                              f"must lie in [{hilbert.MIN_DIM}, {hilbert.MAX_DIM}], got {dimension}")
-        hamiltonian = _parse_hamiltonian(_get(doc, "hamiltonian", ""), "hamiltonian", dimension)
-        initial = _parse_initial(_get(doc, "initial", ""), "initial", dimension)
-        integrator = _parse_integrator(_get(doc, "integrator", ""), "integrator")
-        observables = tuple(
-            _parse_observable(o, f"observables[{i}]", dimension, i)
-            for i, o in enumerate(doc.get("observables", []))
-        )
-        if "conservation_times" in doc:
-            conservation_times = tuple(
-                _number(t, f"conservation_times[{i}]")
-                for i, t in enumerate(_expect_list(doc["conservation_times"], "conservation_times"))
-            )
-        else:
-            conservation_times = (integrator.t_final,)
-        if "wigner_pair" in doc:
-            wigner_pair = _state(doc["wigner_pair"], "wigner_pair", dimension)
-
-    single_state = isinstance(initial, DensityMatrix)
     for out in ("trajectory", "invariants", "wigner"):
-        if out in outputs and not single_state:
+        if out in outputs and not isinstance(initial, DensityMatrix):
             raise ConfigError("initial",
                               f"{out} requires a single initial state, not a measure")
     if "wigner" in outputs:
@@ -394,30 +341,48 @@ def build_config(doc: dict) -> ScenarioConfig:
         if initial.purity() < 1.0 - hilbert.PURITY_TOL:
             raise ConfigError("initial",
                               f"wigner requires a pure initial state, got purity {initial.purity():.12g}")
-    if "conservation" in outputs and not observables:
-        raise ConfigError("observables", "conservation requires at least one observable")
+    if "conservation" in outputs:
+        if not observables:
+            raise ConfigError("observables", "conservation requires at least one observable")
+        if not conservation_times:
+            raise ConfigError("conservation_times", "need at least one time")
+    return dict(dimension=dimension, hamiltonian=hamiltonian, initial=initial,
+                observables=observables, integrator=integrator, wigner_pair=wigner_pair,
+                conservation_times=conservation_times)
 
-    koopman_setup = None
-    if "koopman" in doc:
-        koopman_setup = _parse_koopman(doc["koopman"], "koopman")
+
+def build_config(doc: dict) -> ScenarioConfig:
+    """Validate a decoded scenario document and build all domain objects."""
+    top = _Fields(doc, "")
+
+    scenario_id = top.get("id", "scenario")
+    if not isinstance(scenario_id, str) or not scenario_id:
+        raise ConfigError("id", "expected a nonempty string")
+    # The id names the scenario's output directory under --out-dir.
+    if scenario_id in (".", "..") or any(c in scenario_id for c in "/\\\0"):
+        raise ConfigError("id", f"must name one directory, got {scenario_id!r}")
+
+    outputs = tuple(out for out, _ in top.items("outputs", need="requested output"))
+    for out in outputs:
+        if out not in OUTPUT_KINDS:
+            raise ConfigError("outputs", f"unknown output {out!r}; expected one of {OUTPUT_KINDS}")
+
+    thresholds = dict(DEFAULT_THRESHOLDS)
+    given = top.fields("thresholds", {})
+    for key in given.obj:
+        if key not in DEFAULT_THRESHOLDS:
+            raise ConfigError(given.path_of(key), "unknown check name")
+        thresholds[key] = given.number(key, minimum=0.0)
+
+    flow = _parse_flow(top, outputs) if any(out in FLOW_OUTPUTS for out in outputs) else {}
+
+    koopman_setup = _parse_koopman(top.fields("koopman")) if "koopman" in top else None
     if "koopman" in outputs and koopman_setup is None:
         raise ConfigError("koopman", "koopman output requires a koopman section")
 
-    export_cocycle = doc.get("export_cocycle", False)
+    export_cocycle = top.get("export_cocycle", False)
     if not isinstance(export_cocycle, bool):
         raise ConfigError("export_cocycle", "expected true or false")
 
-    return ScenarioConfig(
-        scenario_id=scenario_id,
-        outputs=outputs,
-        thresholds=thresholds,
-        dimension=dimension,
-        hamiltonian=hamiltonian,
-        initial=initial,
-        observables=observables,
-        integrator=integrator,
-        wigner_pair=wigner_pair,
-        conservation_times=conservation_times,
-        export_cocycle=export_cocycle,
-        koopman=koopman_setup,
-    )
+    return ScenarioConfig(scenario_id=scenario_id, outputs=outputs, thresholds=thresholds,
+                          export_cocycle=export_cocycle, koopman=koopman_setup, **flow)

@@ -96,6 +96,23 @@ class TestRun:
         assert "hamiltonian.A" in err and "Hermitian" in err
         assert not (tmp_path / "out").exists()
 
+    def test_observables_must_be_an_array(self, rabi_config, tmp_path, capsys):
+        doc = json.loads(rabi_config.read_text())
+        doc["observables"] = 5
+        rabi_config.write_text(json.dumps(doc))
+        assert main(["run", str(rabi_config), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "config error: observables: expected an array, got int\n"
+
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_id_cannot_leave_the_out_dir(self, rabi_config, tmp_path, capsys, relative):
+        escaped = tmp_path / "escaped"
+        doc = json.loads(rabi_config.read_text())
+        doc["id"] = "../escaped" if relative else str(escaped)
+        rabi_config.write_text(json.dumps(doc))
+        assert main(["run", str(rabi_config), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error: id: must name one directory" in capsys.readouterr().err
+        assert not escaped.exists() and not (tmp_path / "out").exists()
+
     def test_runtime_failure_exits_one_with_scenario_id(self, tmp_path, capsys):
         doc = {
             "id": "too-coarse",

@@ -1,5 +1,6 @@
 """Tests for scenario document parsing and validation."""
 
+import copy
 import json
 from pathlib import Path
 
@@ -192,6 +193,88 @@ class TestValidation:
         doc = minimal_doc(dimension=1)
         with pytest.raises(ConfigError, match="dimension"):
             build_config(doc)
+
+    @pytest.mark.parametrize("section, key", [("integrator", "record_stride"),
+                                              ("integrator", "midpoint_max_iter"),
+                                              ("quadrature", "order")])
+    def test_integer_fields_reject_fractions(self, section, key):
+        doc = _with_integer(section, key, 2.5)
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: expected an integer, got 2\.5$"):
+            build_config(doc)
+        build_config(_with_integer(section, key, 50.0))
+
+    def test_conservation_needs_a_time(self):
+        doc = minimal_doc(outputs=["conservation"], observables=[{"type": "constant", "A": SX}],
+                          conservation_times=[])
+        with pytest.raises(ConfigError, match="^conservation_times: need at least one time$"):
+            build_config(doc)
+
+    @pytest.mark.parametrize("scenario_id", ["/tmp/escaped", "../x", "a/b", "a\\b", ".", "..",
+                                             "a\0b"])
+    def test_id_names_one_directory(self, scenario_id):
+        with pytest.raises(ConfigError, match="^id: must name one directory") as err:
+            build_config(minimal_doc(id=scenario_id))
+        assert err.value.path == "id"
+
+
+def _with_integer(section, key, value):
+    """A document whose integrator or koopman quadrature section sets one integer field."""
+    if section == "integrator":
+        return minimal_doc(integrator={"dt": 1e-3, "t_final": 0.1, key: value})
+    return {
+        "id": "koopman-test",
+        "outputs": ["koopman"],
+        "koopman": {"flow": {"type": "harmonic"}, "observables": [{"name": "q"}],
+                    "times": [0.5], "quadrature": {key: value}},
+    }
+
+
+CORPUS = sorted((Path(eqm_lab.__file__).resolve().parent / "corpus").glob("*.json"))
+FUZZ_VALUES = (None, True, "x", [], {}, 5, 2.5, -1, 0)
+
+
+def _fuzz_paths(node, prefix=()):
+    """Every path below node; a matrix or vector literal (a list of lists) is one leaf."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list) and not (node and isinstance(node[0], list)):
+        children = enumerate(node)
+    else:
+        return []
+    paths = []
+    for key, child in children:
+        paths.append(prefix + (key,))
+        paths.extend(_fuzz_paths(child, prefix + (key,)))
+    return paths
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestTypeFuzz:
+    @pytest.mark.parametrize("corpus_path", CORPUS, ids=lambda p: p.stem)
+    def test_any_wrong_type_is_a_config_error(self, corpus_path):
+        # Every node of a shipped document, the document itself included, is
+        # replaced by each JSON type in turn; parsing either succeeds or
+        # raises ConfigError, which the CLI reports with exit code 2.
+        doc = json.loads(corpus_path.read_text())
+        for path in [()] + _fuzz_paths(doc):
+            for value in FUZZ_VALUES:
+                try:
+                    build_config(_replaced(doc, path, value))
+                except ConfigError:
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"{'.'.join(map(str, path)) or '<document>'} = {value!r}: "
+                                f"{type(exc).__name__}: {exc}")
 
 
 class TestShippedConfigs:

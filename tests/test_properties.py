@@ -1,19 +1,30 @@
-"""Hypothesis properties of every closed-form family at every accepted dimension."""
+"""Properties of every closed-form family at every accepted dimension.
+
+Hypothesis draws the families, dimensions and times of the flow identities;
+the symmetry covariance tests sweep the square dimensions 4 to 64.
+"""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from eqm_lab.config import DEFAULT_THRESHOLDS
 from eqm_lab.flow import IntegratorConfig, propagate
 from eqm_lab.hamiltonians import linear, mean_field, polynomial, shift_differential
-from eqm_lab.hilbert import MAX_DIM, MIN_DIM, max_abs
-from eqm_lab.observables import conservation_residual, trace_scaled_observable
+from eqm_lab.hilbert import MAX_DIM, MIN_DIM, DensityMatrix, HermitianOperator, max_abs
+from eqm_lab.observables import (
+    ObservableFunction,
+    conservation_residual,
+    heisenberg_transform,
+    trace_scaled_observable,
+)
 from conftest import random_density, random_hermitian
 
 CFG = IntegratorConfig(dt=0.01, t_final=0.1)
+SYMMETRY_CFG = IntegratorConfig(dt=0.01, t_final=0.2)
 
 dims = st.integers(MIN_DIM, MAX_DIM)
 seeds = st.integers(0, 2**32 - 1)
@@ -73,3 +84,51 @@ def test_shift_differential_moves_only_the_phase(family, dim, seed, t, c):
     assert max_abs(shifted_t.matrix - rho_t.matrix) <= DEFAULT_THRESHOLDS["gauge_shift"]
     assert (max_abs(shifted_u.matrix - np.exp(-1j * c * t) * u.matrix)
             <= DEFAULT_THRESHOLDS["gauge_phase"])
+
+
+def _swap_symmetric(n):
+    """A mean-field function on C^n (x) C^n, the swap V of its factors, and a state.
+
+    h(rho) = Tr(rho (K (x) 1 + 1 (x) K)) + 0.35 Tr(rho L (x) L)^2 satisfies
+    h(V rho V^dag) = h(rho), so conjugation by V is a symmetry of the flow.
+    """
+    rng = np.random.default_rng(1000 + n)
+    k, l = (random_hermitian(rng, n, scale=1 / math.sqrt(n)).matrix for _ in range(2))
+    one = np.eye(n)
+    h = mean_field(HermitianOperator(np.kron(k, one) + np.kron(one, k)),
+                   HermitianOperator(np.kron(l, l)), 0.7)
+    swap = np.eye(n * n)[[j * n + i for i in range(n) for j in range(n)]]
+    return h, swap, random_density(rng, n * n), rng
+
+
+def _conjugated(v, rho):
+    return DensityMatrix(v @ rho.matrix @ v.conj().T)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_flow_is_covariant_under_a_symmetry_only(n):
+    h, v, rho, rng = _swap_symmetric(n)
+    t = SYMMETRY_CFG.t_final
+    rho_t, u = propagate(h, rho, t, SYMMETRY_CFG)
+    moved_t, moved_u = propagate(h, _conjugated(v, rho), t, SYMMETRY_CFG)
+    assert max_abs(moved_t.matrix - v @ rho_t.matrix @ v.T) <= DEFAULT_THRESHOLDS["gauge_shift"]
+    assert max_abs(moved_u.matrix - v @ u.matrix @ v.T) <= DEFAULT_THRESHOLDS["gauge_phase"]
+    # A random unitary does not leave h unchanged, and breaks state covariance.
+    w = np.linalg.qr(rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n)))[0]
+    other_t, _ = propagate(h, _conjugated(w, rho), t, SYMMETRY_CFG)
+    assert max_abs(other_t.matrix - w @ rho_t.matrix @ w.conj().T) > 1e-4
+
+
+def test_symmetry_automorphism_commutes_with_transport():
+    # (alpha_V f)(rho) = V^dag f(V rho V^dag) V; alpha_V T_t = T_t alpha_V.
+    h, v, rho, rng = _swap_symmetric(2)
+    f = trace_scaled_observable(random_hermitian(rng, 4), random_hermitian(rng, 4))
+
+    def alpha(g):
+        return ObservableFunction(
+            eval=lambda r: HermitianOperator(v.T @ g.eval(_conjugated(v, r)).matrix @ v))
+
+    t = SYMMETRY_CFG.t_final
+    lhs = alpha(heisenberg_transform(f, h, t, SYMMETRY_CFG)).eval(rho)
+    rhs = heisenberg_transform(alpha(f), h, t, SYMMETRY_CFG).eval(rho)
+    assert max_abs(lhs.matrix - rhs.matrix) <= 1e-10
