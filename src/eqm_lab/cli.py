@@ -23,23 +23,18 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="eqm-lab",
         description="Nonlinear density-matrix flows, observable transport, and diagnostics.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out-dir", type=Path, default=Path("out"))
+    common.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run a single scenario config")
-    run_p.add_argument("config", type=Path, help="path to a JSON scenario document")
-    run_p.add_argument("--out-dir", type=Path, default=Path("out"))
-    run_p.add_argument("--dt", type=float, default=None, help="override the integrator step")
-    run_p.add_argument("--quiet", action="store_true")
-
-    suite_p = sub.add_parser("suite", help="run the bundled scenario corpus")
-    suite_p.add_argument("--out-dir", type=Path, default=Path("out"))
-    suite_p.add_argument("--dt", type=float, default=None, help="override the integrator step")
-    suite_p.add_argument("--quiet", action="store_true")
-
-    koop_p = sub.add_parser("koopman", help="run the classical diagnostics of a config")
-    koop_p.add_argument("config", type=Path, help="path to a JSON scenario document")
-    koop_p.add_argument("--out-dir", type=Path, default=Path("out"))
-    koop_p.add_argument("--quiet", action="store_true")
+    run_p = sub.add_parser("run", parents=[common], help="run a single scenario config")
+    suite_p = sub.add_parser("suite", parents=[common], help="run the bundled scenario corpus")
+    koop_p = sub.add_parser("koopman", parents=[common],
+                            help="run the classical diagnostics of a config")
+    for p in (run_p, koop_p):
+        p.add_argument("config", type=Path, help="path to a JSON scenario document")
+    for p in (run_p, suite_p):
+        p.add_argument("--dt", type=float, default=None, help="override the integrator step")
     return parser
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -47,6 +48,25 @@ DEFAULT_THRESHOLDS = {
     "gauge_phase": 1e-9,
     "koopman_unitarity": 1e-6,
     "koopman_generator": 1e-5,
+}
+
+# The keys each kind of object may hold, by its document path with array indices dropped.
+# Top-level keys are declared whatever the outputs are.
+_DOCUMENT_KEYS = {
+    "": ("id", "outputs", "thresholds", "dimension", "hamiltonian", "initial", "integrator",
+         "observables", "conservation_times", "wigner_pair", "export_cocycle", "koopman"),
+    "thresholds": tuple(DEFAULT_THRESHOLDS),
+    "hamiltonian": ("type", "A", "B", "lambda", "terms"),
+    "hamiltonian.terms": ("coefficient", "factors"),
+    "initial": ("state_vector", "density_matrix", "measure"),
+    "initial.measure": ("support", "weights"),
+    "integrator": ("dt", "t_final", "midpoint_tol", "midpoint_max_iter", "record_stride"),
+    "observables": ("type", "A", "B"),
+    "wigner_pair": ("state_vector", "density_matrix"),
+    "koopman": ("flow", "observables", "times", "quadrature", "points", "generator_dt"),
+    "koopman.flow": ("type", "omega", "g"),
+    "koopman.observables": ("name", "center", "width"),
+    "koopman.quadrature": ("extent", "order"),
 }
 
 DEFAULT_GENERATOR_POINTS = tuple(
@@ -144,13 +164,13 @@ def _entries(value, path, need=None) -> list:
     return [(entry, f"{path}[{i}]") for i, entry in enumerate(value)]
 
 
-def _operator(cls, value, path, dim):
-    """A matrix literal of dimension dim, built as cls (HermitianOperator or DensityMatrix)."""
+def _operator(cls, value, path, dim, parse=hilbert.matrix_from_pairs):
+    """A [re, im] literal of dimension dim, read by parse and built by cls."""
     with _at(path):
-        mat = hilbert.matrix_from_pairs(value)
-        if mat.shape[0] != dim:
-            raise ValueError(f"expected dimension {dim}, got {mat.shape[0]}")
-        return cls(mat)
+        arr = parse(value)
+        if arr.shape[0] != dim:
+            raise ValueError(f"expected dimension {dim}, got {arr.shape[0]}")
+        return cls(arr)
 
 
 class _Fields:
@@ -158,6 +178,7 @@ class _Fields:
 
     Every read reports a failure as a ConfigError at the field's full path;
     the document itself sits at the empty path and is called "<document>".
+    A key that _DOCUMENT_KEYS does not declare for the object is an error.
     """
 
     def __init__(self, value, path: str):
@@ -165,6 +186,11 @@ class _Fields:
             raise ConfigError(path or "<document>", f"expected an object, got {type(value).__name__}")
         self.obj = value
         self.path = path
+        kind = re.sub(r"\[\d+\]", "", path)
+        for key in value:
+            if key not in _DOCUMENT_KEYS[kind]:
+                raise ConfigError(self.path_of(key),
+                                  "unknown check name" if kind == "thresholds" else "unknown field")
 
     def __contains__(self, key) -> bool:
         return key in self.obj
@@ -202,11 +228,8 @@ class _Fields:
 def _state(f: _Fields, dim) -> DensityMatrix:
     """A single state given either as a state vector or as a density matrix."""
     if "state_vector" in f:
-        with _at(f.path_of("state_vector")):
-            vec = hilbert.vector_from_pairs(f.get("state_vector"))
-            if vec.shape[0] != dim:
-                raise ValueError(f"expected dimension {dim}, got {vec.shape[0]}")
-            return projector(StateVector(vec))
+        return _operator(lambda vec: projector(StateVector(vec)), f.get("state_vector"),
+                         f.path_of("state_vector"), dim, hilbert.vector_from_pairs)
     if "density_matrix" in f:
         return _operator(DensityMatrix, f.get("density_matrix"), f.path_of("density_matrix"), dim)
     raise ConfigError(f.path, "expected a state_vector or density_matrix field")
@@ -225,7 +248,7 @@ def _parse_hamiltonian(f: _Fields, dim) -> HamiltonianFunction:
             terms.append((term.number("coefficient"),
                           tuple(_operator(HermitianOperator, *factor, dim)
                                 for factor in term.items("factors"))))
-        return polynomial(terms, dim=dim)
+        return polynomial(terms)
     raise ConfigError(f.path_of("type"),
                       f"unknown Hamiltonian type {kind!r}; expected linear, mean_field, or polynomial")
 
@@ -370,8 +393,6 @@ def build_config(doc: dict) -> ScenarioConfig:
     thresholds = dict(DEFAULT_THRESHOLDS)
     given = top.fields("thresholds", {})
     for key in given.obj:
-        if key not in DEFAULT_THRESHOLDS:
-            raise ConfigError(given.path_of(key), "unknown check name")
         thresholds[key] = given.number(key, minimum=0.0)
 
     flow = _parse_flow(top, outputs) if any(out in FLOW_OUTPUTS for out in outputs) else {}

@@ -12,6 +12,7 @@ in the structural invariants is monitored, never repaired.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,12 @@ class StateError(ValueError):
         return self.at_step(self.step, origin + self.time, self.reason, f"{leg}: ")
 
 
+def require_count(name: str, value, minimum: int) -> None:
+    """Reject a count that is not an integer of at least minimum; numpy integers pass."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float
@@ -88,12 +95,10 @@ class IntegratorConfig:
             raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
         if self.t_final != 0 and self.dt > self.t_final * (1 + 1e-12):
             raise ValueError(f"dt = {self.dt:g} exceeds t_final = {self.t_final:g}")
-        if self.midpoint_tol <= 0:
-            raise ValueError("midpoint_tol must be positive")
-        if int(self.midpoint_max_iter) < 1:
-            raise ValueError("midpoint_max_iter must be at least 1")
-        if int(self.record_stride) < 1:
-            raise ValueError("record_stride must be at least 1")
+        if not (math.isfinite(self.midpoint_tol) and self.midpoint_tol > 0):
+            raise ValueError(f"midpoint_tol must be positive and finite, got {self.midpoint_tol}")
+        require_count("midpoint_max_iter", self.midpoint_max_iter, 1)
+        require_count("record_stride", self.record_stride, 1)
 
 
 @dataclass(frozen=True)
@@ -191,7 +196,7 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
             stepper = steppers[dt]
         else:
             gen = generator(rho)
-            for _ in range(int(cfg.midpoint_max_iter)):
+            for _ in range(cfg.midpoint_max_iter):
                 half = expm_hermitian(gen, 0.5 * dt)
                 rho_mid = half @ rho @ half.conj().T
                 refreshed = generator(rho_mid)
@@ -204,6 +209,10 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
         rho = stepper @ rho @ stepper.conj().T
         u = stepper @ u
         yield k, time, rho, u
+
+
+def _identity(dim: int) -> UnitaryOperator:
+    return UnitaryOperator(np.eye(dim, dtype=complex))
 
 
 def _validated(k: int, time: float, rho: np.ndarray,
@@ -221,13 +230,12 @@ def evolve(h: HamiltonianFunction, rho0: DensityMatrix, cfg: IntegratorConfig) -
     The final time is always recorded; a shorter last step is taken when
     t_final is not a multiple of dt.
     """
-    stride = int(cfg.record_stride)
-    records = [(0.0, rho0, UnitaryOperator(np.eye(rho0.dim, dtype=complex)))]
+    records = [(0.0, rho0, _identity(rho0.dim))]
     k = 0
     for k, time, rho, u in _steps(h, rho0.matrix, cfg.t_final, cfg):
-        if k % stride == 0:
+        if k % cfg.record_stride == 0:
             records.append((time, *_validated(k, time, rho, u)))
-    if k % stride:
+    if k % cfg.record_stride:
         records.append((time, *_validated(k, time, rho, u)))
     times, states, cocycle = zip(*records)
     return Trajectory(times, states, cocycle)
@@ -246,7 +254,7 @@ def propagate(h: HamiltonianFunction, rho0: DensityMatrix, t: float,
     for end in _steps(h, rho0.matrix, t, cfg):
         pass
     if end is None:
-        return rho0, UnitaryOperator(np.eye(rho0.dim, dtype=complex))
+        return rho0, _identity(rho0.dim)
     return _validated(*end)
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hilbert import DensityMatrix, HermitianOperator, trace_pairing
+from .hilbert import DensityMatrix, HermitianOperator, commutator, require_same_dim, trace_pairing
 
 FD_STEP_MIN = 1e-7
 FD_STEP_MAX = 1e-3
@@ -86,8 +86,7 @@ def mean_field(
     strength: float,
     label: str = "mean_field",
 ) -> HamiltonianFunction:
-    if linear_term.dim != coupling.dim:
-        raise ValueError(f"dimension mismatch: {linear_term.dim} vs {coupling.dim}")
+    require_same_dim(linear_term, coupling)
     if not math.isfinite(strength):
         raise ValueError("coupling strength must be finite")
 
@@ -103,7 +102,7 @@ def mean_field(
     return HamiltonianFunction(value=value, label=label, generator=generator)
 
 
-def polynomial(terms: Sequence, label: str = "polynomial", dim: int | None = None) -> HamiltonianFunction:
+def polynomial(terms: Sequence, label: str = "polynomial") -> HamiltonianFunction:
     terms = tuple((float(c), tuple(factors)) for c, factors in terms)
     dims = {f.dim for _, factors in terms for f in factors}
     if len(dims) > 1:
@@ -126,8 +125,6 @@ def polynomial(terms: Sequence, label: str = "polynomial", dim: int | None = Non
         paired = {key: (m @ f.matrix).trace().real for key, f in distinct.items()}
         out = None
         for coeff, factors in terms:
-            if not factors:
-                continue
             pairings = [paired[id(f)] for f in factors]
             for j, f in enumerate(factors):
                 partial = coeff
@@ -135,12 +132,7 @@ def polynomial(terms: Sequence, label: str = "polynomial", dim: int | None = Non
                     if i != j:
                         partial *= p
                 out = partial * f.matrix if out is None else out + partial * f.matrix
-        if out is None:
-            if dim is None:
-                raise ValueError("polynomial differential needs a known dimension; "
-                                 "give at least one term with factors or pass dim")
-            out = np.zeros((dim, dim), dtype=complex)
-        return out
+        return np.zeros_like(m) if out is None else out
 
     return HamiltonianFunction(value=value, label=label, generator=generator)
 
@@ -201,11 +193,7 @@ def from_value(
 
 def poisson_bracket(f: HamiltonianFunction, h: HamiltonianFunction, rho: DensityMatrix) -> float:
     """{f, h}(rho) = i Tr(rho [Df(rho), Dh(rho)]); antisymmetric in f, h."""
-    df = f.differential(rho).matrix
-    dh = h.differential(rho).matrix
-    if df.shape != dh.shape:
-        raise ValueError(f"dimension mismatch: {df.shape[0]} vs {dh.shape[0]}")
-    bracket = 1j * np.trace(rho.matrix @ (df @ dh - dh @ df))
+    bracket = 1j * np.trace(rho.matrix @ commutator(f.differential(rho), h.differential(rho)))
     return float(bracket.real)
 
 

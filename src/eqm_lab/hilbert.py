@@ -55,7 +55,8 @@ def _hermiticity_defect(mat: np.ndarray) -> float:
     return max_abs(mat - mat.conj().T)
 
 
-def _require_same_dim(a, b) -> None:
+def require_same_dim(a, b) -> None:
+    """Raise ValueError unless a and b have the same dimension."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
@@ -152,7 +153,7 @@ class StateVector:
 
 def commutator(a: HermitianOperator, b: HermitianOperator) -> np.ndarray:
     """AB - BA.  Anti-Hermitian for Hermitian inputs, so i*[A, B] is Hermitian."""
-    _require_same_dim(a, b)
+    require_same_dim(a, b)
     return a.matrix @ b.matrix - b.matrix @ a.matrix
 
 
@@ -162,7 +163,7 @@ def trace_pairing(rho: DensityMatrix, a: HermitianOperator) -> float:
     The imaginary part of the trace vanishes for valid inputs and is asserted
     to be below HERMITICITY_TOL; a larger value signals corrupted inputs.
     """
-    _require_same_dim(rho, a)
+    require_same_dim(rho, a)
     value = complex(np.trace(rho.matrix @ a.matrix))
     if abs(value.imag) > HERMITICITY_TOL:
         raise ValueError(f"trace pairing has a non-negligible imaginary part: {value.imag:.3e}")
@@ -171,7 +172,7 @@ def trace_pairing(rho: DensityMatrix, a: HermitianOperator) -> float:
 
 def transition_probability(p: DensityMatrix, q: DensityMatrix) -> float:
     """Tr(PQ) for two one-dimensional projections: |<psi|phi>|^2."""
-    _require_same_dim(p, q)
+    require_same_dim(p, q)
     for name, state in (("first", p), ("second", q)):
         pur = state.purity()
         if pur < 1.0 - PURITY_TOL:
@@ -203,15 +204,20 @@ def spectrum(rho: DensityMatrix) -> np.ndarray:
     return np.linalg.eigvalsh(rho.matrix)[::-1]
 
 
-def matrix_from_pairs(doc) -> np.ndarray:
-    """Parse the shared matrix literal: nested rows of [re, im] pairs, row-major."""
+def _from_pairs(doc, kind: str, ndim: int, layout: str) -> np.ndarray:
+    """The complex array of a literal of [re, im] pairs nested ndim lists deep, pairs included."""
     try:
         arr = np.array(doc, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"matrix literal entries must be numbers: {exc}") from None
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError(f"matrix literal must be rows of [re, im] pairs, got shape {arr.shape}")
-    return as_complex_matrix(arr[..., 0] + 1j * arr[..., 1])
+        raise ValueError(f"{kind} literal entries must be numbers: {exc}") from None
+    if arr.ndim != ndim or arr.shape[-1] != 2:
+        raise ValueError(f"{kind} literal must be {layout} of [re, im] pairs, got shape {arr.shape}")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def matrix_from_pairs(doc) -> np.ndarray:
+    """Parse the shared matrix literal: nested rows of [re, im] pairs, row-major."""
+    return as_complex_matrix(_from_pairs(doc, "matrix", 3, "rows"))
 
 
 def re_im_view(mat: np.ndarray) -> np.ndarray:
@@ -227,11 +233,5 @@ def matrix_to_pairs(mat: np.ndarray) -> list:
 
 def vector_from_pairs(doc) -> np.ndarray:
     """Parse a vector literal: a list of [re, im] pairs."""
-    try:
-        arr = np.array(doc, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"vector literal entries must be numbers: {exc}") from None
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"vector literal must be a list of [re, im] pairs, got shape {arr.shape}")
-    return arr[:, 0] + 1j * arr[:, 1]
+    return _from_pairs(doc, "vector", 2, "a list")
 

@@ -19,7 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .flow import split_steps
+from .flow import require_count, split_steps
 
 PENDULUM_STEP = 1e-4      # internal leapfrog step
 SPATIAL_FD_STEP = 1e-5    # central-difference step for partial derivatives
@@ -77,8 +77,6 @@ def _leapfrog(g: float, q, p, t: float):
 
 def flow_map(flow: SymplecticFlow, q, p, t: float):
     """Transport phase-space points by time t; vectorized over numpy arrays."""
-    if t == 0.0:
-        return np.array(q, dtype=float), np.array(p, dtype=float)
     if isinstance(flow, HarmonicOscillator):
         c = math.cos(flow.omega * t)
         s = math.sin(flow.omega * t)
@@ -169,9 +167,8 @@ class Quadrature:
     def gauss_legendre(cls, extent: float = DEFAULT_EXTENT, order: int = DEFAULT_ORDER) -> "Quadrature":
         if not (math.isfinite(extent) and extent > 0):
             raise ValueError("extent must be positive")
-        if int(order) < 2:
-            raise ValueError("order must be at least 2")
-        nodes, weights = np.polynomial.legendre.leggauss(int(order))
+        require_count("order", order, 2)
+        nodes, weights = np.polynomial.legendre.leggauss(order)
         nodes = nodes * extent
         weights = weights * extent
         qq, pp = np.meshgrid(nodes, nodes, indexing="ij")

@@ -26,7 +26,8 @@ import numpy as np
 from . import flow as flow_mod
 from .flow import ConvergenceError, IntegratorConfig, StateError, Trajectory
 from .hamiltonians import HamiltonianFunction
-from .hilbert import DensityMatrix, HermitianOperator, UnitaryOperator, trace_pairing
+from .hilbert import (DensityMatrix, HermitianOperator, UnitaryOperator, require_same_dim,
+                      trace_pairing)
 
 WEIGHT_TOL = 1e-12
 
@@ -84,8 +85,7 @@ def constant_observable(a: HermitianOperator, label: str = "constant") -> Observ
 def trace_scaled_observable(weight_op: HermitianOperator, a: HermitianOperator,
                             label: str = "trace_scaled") -> ObservableFunction:
     """The state-dependent observable rho -> Tr(rho B) * A."""
-    if weight_op.dim != a.dim:
-        raise ValueError(f"dimension mismatch: {weight_op.dim} vs {a.dim}")
+    require_same_dim(weight_op, a)
 
     def evaluate(rho: DensityMatrix) -> HermitianOperator:
         return HermitianOperator(trace_pairing(rho, weight_op) * a.matrix)

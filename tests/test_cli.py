@@ -6,13 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eqm_lab.cli import main
+import eqm_lab
+from eqm_lab.cli import _build_parser, main
 from eqm_lab.hilbert import SIGMA_X, SIGMA_Z, matrix_to_pairs
 
 SX = matrix_to_pairs(SIGMA_X)
 SZ = matrix_to_pairs(SIGMA_Z)
 PLUS_VEC = [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]
 GOLDEN = Path(__file__).resolve().parent.parent / "out"
+CORPUS = Path(eqm_lab.__file__).resolve().parent / "corpus"
 
 
 @pytest.fixture
@@ -113,6 +115,15 @@ class TestRun:
         assert "config error: id: must name one directory" in capsys.readouterr().err
         assert not escaped.exists() and not (tmp_path / "out").exists()
 
+    def test_misspelt_key_is_config_error(self, tmp_path, capsys):
+        doc = json.loads((CORPUS / "01-linear-qubit.json").read_text())
+        doc["integrator"]["recordstride"] = doc["integrator"].pop("record_stride")
+        path = tmp_path / "misspelt.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "config error: integrator.recordstride: unknown field\n"
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure_exits_one_with_scenario_id(self, tmp_path, capsys):
         doc = {
             "id": "too-coarse",
@@ -127,6 +138,28 @@ class TestRun:
         assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "too-coarse" in err and "did not settle" in err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [["run", "c.json"], ["suite"], ["koopman", "c.json"]])
+    def test_every_command_takes_out_dir_and_quiet(self, argv):
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        assert (args.out_dir, args.quiet) == (Path("out"), False)
+        args = parser.parse_args(argv + ["--out-dir", "elsewhere", "--quiet"])
+        assert (args.out_dir, args.quiet) == (Path("elsewhere"), True)
+
+    @pytest.mark.parametrize("argv, takes_dt", [(["run", "c.json"], True), (["suite"], True),
+                                                (["koopman", "c.json"], False)])
+    def test_only_flow_commands_take_dt(self, argv, takes_dt, capsys):
+        parser = _build_parser()
+        if takes_dt:
+            assert parser.parse_args(argv).dt is None
+            assert parser.parse_args(argv + ["--dt", "0.01"]).dt == 0.01
+        else:
+            with pytest.raises(SystemExit) as err:
+                parser.parse_args(argv + ["--dt", "0.01"])
+            assert err.value.code == 2
 
 
 class TestKoopmanCommand:

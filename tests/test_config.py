@@ -277,6 +277,47 @@ class TestTypeFuzz:
                                 f"{type(exc).__name__}: {exc}")
 
 
+def _object_keys(node, prefix=()):
+    """The (object path, key) of every key of every object below node, in document order."""
+    if isinstance(node, dict):
+        children = node.items()
+        found = [(prefix, key) for key in node]
+    elif isinstance(node, list):
+        children, found = enumerate(node), []
+    else:
+        return []
+    for key, child in children:
+        found.extend(_object_keys(child, prefix + (key,)))
+    return found
+
+
+def _path_text(path):
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}" if text else key
+    return text
+
+
+class TestKeyFuzz:
+    @pytest.mark.parametrize("corpus_path", CORPUS, ids=lambda p: p.stem)
+    def test_any_unknown_key_is_a_config_error(self, corpus_path):
+        # Every key of every object of a shipped document is misspelt in turn
+        # by appending "_x"; parsing fails at the misspelt key's path.
+        doc = json.loads(corpus_path.read_text())
+        build_config(doc)
+        keys = _object_keys(doc)
+        assert keys
+        for prefix, key in keys:
+            renamed = copy.deepcopy(doc)
+            node = renamed
+            for step in prefix:
+                node = node[step]
+            node[f"{key}_x"] = node.pop(key)
+            with pytest.raises(ConfigError) as err:
+                build_config(renamed)
+            assert err.value.path == _path_text(prefix + (f"{key}_x",)), err.value
+
+
 class TestShippedConfigs:
     def test_sample_documents_parse(self):
         # The shipped configs are the corpus files, one per suite scenario.

@@ -75,6 +75,23 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError, match="record_stride"):
             IntegratorConfig(dt=0.1, t_final=1.0, record_stride=0)
 
+    @pytest.mark.parametrize("field, value", [("record_stride", 2.5), ("record_stride", 2.0),
+                                              ("midpoint_max_iter", 3.0)])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer of at least 1, "
+                                             rf"got {value}$"):
+            IntegratorConfig(dt=0.1, t_final=1.0, **{field: value})
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_midpoint_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="^midpoint_tol must be positive and finite"):
+            IntegratorConfig(dt=0.1, t_final=1.0, midpoint_tol=tol)
+
+    def test_numpy_integer_counts_pass(self, sz, qubit_up):
+        cfg = IntegratorConfig(dt=0.1, t_final=1.0, midpoint_max_iter=np.int64(5),
+                               record_stride=np.int64(5))
+        assert evolve(linear(sz), qubit_up, cfg).times == (0.0, 0.5, 1.0)
+
 
 class TestStep:
     """Single steps, taken as propagate over one step of the configured size."""

@@ -77,6 +77,16 @@ class TestBuild:
         with pytest.raises(ValueError, match="dimension mismatch among factors"):
             polynomial([(1.0, (sx, HermitianOperator(np.eye(3))))])
 
+    @pytest.mark.parametrize("dim", [2, MAX_DIM])
+    def test_constant_polynomial_takes_its_dimension_from_the_state(self, rng, dim):
+        rho = random_density(rng, dim)
+        h = polynomial([(2.0, ())])
+        assert h.value(rho) == 2.0
+        generated = h.generator(rho.matrix)
+        assert generated.shape == (dim, dim) and generated.dtype == complex
+        assert not np.any(generated)
+        assert not np.any(h.differential(rho).matrix)
+
     def test_zero_hamiltonian(self, rng):
         h = linear(HermitianOperator(np.zeros((3, 3))))
         rho = random_density(rng, 3)

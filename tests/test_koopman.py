@@ -65,6 +65,11 @@ class TestFlows:
         assert q0 == pytest.approx(0.4, abs=1e-12)
         assert p0 == pytest.approx(-0.2, abs=1e-12)
 
+    @pytest.mark.parametrize("flow", [OSC, PEND])
+    def test_zero_time_returns_the_points(self, flow, quad):
+        q, p = flow_map(flow, quad.q, quad.p, 0.0)
+        assert np.array_equal(q, quad.q) and np.array_equal(p, quad.p)
+
     def test_small_angle_pendulum_matches_oscillator(self):
         q, p = flow_map(PEND, 0.01, 0.0, 1.0)
         assert q == pytest.approx(0.01 * math.cos(1.0), abs=1e-6)
@@ -260,6 +265,14 @@ class TestQuadrature:
     def test_rejects_bad_extent(self):
         with pytest.raises(ValueError, match="extent"):
             Quadrature.gauss_legendre(extent=-1.0)
+
+    @pytest.mark.parametrize("order", [64.0, 1, True])
+    def test_order_is_an_integer_of_at_least_two(self, order):
+        with pytest.raises(ValueError, match=f"^order must be an integer of at least 2, got {order}$"):
+            Quadrature.gauss_legendre(order=order)
+
+    def test_numpy_integer_order_is_the_same_rule(self, quad):
+        assert np.array_equal(Quadrature.gauss_legendre(order=np.int64(64)).q, quad.q)
 
     def test_builtin_dispatch(self):
         assert builtin_observable("p").label == "p"

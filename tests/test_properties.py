@@ -34,11 +34,11 @@ families = st.sampled_from(FAMILIES)
 times = st.floats(-0.1, 0.1, allow_nan=False)
 
 
-def at_max_dim(**args):
+def at_max_dim(t=-0.037, **args):
     """Also run the test for every family at MAX_DIM, which drawn examples may miss."""
     def decorate(test):
         for family in FAMILIES:
-            test = example(family=family, dim=MAX_DIM, seed=0, t=-0.037, **args)(test)
+            test = example(family=family, dim=MAX_DIM, seed=0, t=t, **args)(test)
         return test
     return decorate
 
@@ -84,6 +84,19 @@ def test_shift_differential_moves_only_the_phase(family, dim, seed, t, c):
     assert max_abs(shifted_t.matrix - rho_t.matrix) <= DEFAULT_THRESHOLDS["gauge_shift"]
     assert (max_abs(shifted_u.matrix - np.exp(-1j * c * t) * u.matrix)
             <= DEFAULT_THRESHOLDS["gauge_phase"])
+
+
+@at_max_dim(s=7, t=3)
+@given(family=families, dim=dims, seed=seeds, s=st.integers(0, 10), t=st.integers(0, 10))
+def test_cocycle_law(family, dim, seed, s, t):
+    # Whole steps: the flow to s, then on to s + t, retraces the flow to s + t.
+    h, _, _, rho = _setup(family, dim, seed)
+    rho_s, u_s = propagate(h, rho, s * CFG.dt, CFG)
+    rho_st, u_t = propagate(h, rho_s, t * CFG.dt, CFG)
+    whole, u_whole = propagate(h, rho, (s + t) * CFG.dt, CFG)
+    assert np.array_equal(rho_st.matrix, whole.matrix)
+    # u(t, rho_s) u(s, rho) = u(s + t, rho), to the rounding of the regrouped product.
+    assert max_abs(u_t.matrix @ u_s.matrix - u_whole.matrix) <= 1e-12
 
 
 def _swap_symmetric(n):

@@ -162,6 +162,42 @@ class TestOneForwardRun:
                                                   cfg.wigner_pair, cfg.integrator)[0]
 
 
+class TestWignerPairFailure:
+    @pytest.mark.parametrize("failure, message", [
+        (flow.StateError.at_step(3, 0.03, "state is not positive semidefinite"),
+         "state after step 3, t = 0.03: state is not positive semidefinite"),
+        (flow.ConvergenceError.at_step(50, 3, 0.02, 0.03),
+         "midpoint iteration did not settle within 50 iterations at step 3, t = 0.02 to 0.03"),
+    ], ids=["state", "convergence"])
+    def test_failure_names_the_pair(self, monkeypatch, failure, message):
+        doc = next(d for d in corpus_documents() if d["id"] == "wigner-contrast")
+        cfg = with_dt(build_config(doc), 0.01)
+        evolve = flow.evolve
+
+        def failing_for_the_pair(h, rho0, integrator):
+            if rho0 is cfg.wigner_pair:
+                raise failure
+            return evolve(h, rho0, integrator)
+
+        monkeypatch.setattr(flow, "evolve", failing_for_the_pair)
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(cfg)
+        assert str(err.value).startswith(f"scenario 'wigner-contrast': wigner pair: {message}")
+
+    def test_main_trajectory_failure_names_no_leg(self, monkeypatch):
+        doc = next(d for d in corpus_documents() if d["id"] == "wigner-contrast")
+        cfg = with_dt(build_config(doc), 0.01)
+
+        def failing(h, rho0, integrator):
+            raise flow.StateError.at_step(3, 0.03, "state is not positive semidefinite")
+
+        monkeypatch.setattr(flow, "evolve", failing)
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(cfg)
+        assert str(err.value) == ("scenario 'wigner-contrast': state after step 3, t = 0.03: "
+                                  "state is not positive semidefinite")
+
+
 class TestSuiteCrossChecks:
     def test_linear_oracle_sees_a_phase_error(self, monkeypatch):
         # The oracle's state must move: a relative angle error of 1e-6 in
