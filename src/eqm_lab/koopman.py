@@ -37,12 +37,20 @@ class HarmonicOscillator:
 
     omega: float = 1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
+
 
 @dataclass(frozen=True)
 class Pendulum:
     """Pendulum flow with energy p^2/2 - g cos q, advanced by leapfrog."""
 
     g: float = 1.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.g):
+            raise ValueError(f"g must be finite, got {self.g}")
 
 
 SymplecticFlow = Union[HarmonicOscillator, Pendulum]
@@ -75,8 +83,24 @@ def _leapfrog(g: float, q, p, t: float):
     return q[()], p[()]
 
 
+def _point_symmetric(q: np.ndarray, p: np.ndarray) -> bool:
+    """Whether the parity (q, p) -> (-q, -p) maps point k of a 1-D set onto point n - 1 - k."""
+    return (q.ndim == 1 and q.shape == p.shape
+            and np.array_equal(q[::-1], -q) and np.array_equal(p[::-1], -p))
+
+
 def flow_map(flow: SymplecticFlow, q, p, t: float):
-    """Transport phase-space points by time t; vectorized over numpy arrays."""
+    """Transport phase-space points by time t; vectorized over numpy arrays.
+
+    The pendulum energy p^2/2 - g cos q is even, so the parity commutes with
+    the flow and with each leapfrog update (np.sin is odd).  When a 1-D point
+    set is its own mirror image, point k being minus point n - 1 - k as in
+    every Quadrature.gauss_legendre rule, only the first ceil(n/2) points are
+    integrated and the rest are their negated reversal, bit-identical to
+    transporting every point.
+    """
+    if not math.isfinite(t):
+        raise ValueError("transport time must be finite")
     if isinstance(flow, HarmonicOscillator):
         c = math.cos(flow.omega * t)
         s = math.sin(flow.omega * t)
@@ -84,7 +108,15 @@ def flow_map(flow: SymplecticFlow, q, p, t: float):
         p = np.asarray(p, dtype=float)
         return q * c + p * s, -q * s + p * c
     if isinstance(flow, Pendulum):
-        return _leapfrog(flow.g, q, p, t)
+        q = np.asarray(q, dtype=float)
+        p = np.asarray(p, dtype=float)
+        if not _point_symmetric(q, p):
+            return _leapfrog(flow.g, q, p, t)
+        n = q.size
+        qt, pt = _leapfrog(flow.g, q[:(n + 1) // 2], p[:(n + 1) // 2], t)
+        # 0 - x is -x for x != 0 and +0 for a zero: the sign that an exact
+        # cancellation gives the mirrored point too.
+        return tuple(np.concatenate((x, 0.0 - x[:n // 2][::-1])) for x in (qt, pt))
     raise TypeError(f"unknown flow: {type(flow).__name__}")
 
 
@@ -160,7 +192,12 @@ class Quadrature:
     extent: float
 
     def __post_init__(self):
-        if np.any(self.weights <= 0):
+        shapes = {np.shape(a) for a in (self.q, self.p, self.weights, self.boundary)}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ValueError("quadrature q, p, weights and boundary must be 1-D arrays of one length")
+        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.p))):
+            raise ValueError("quadrature nodes must be finite")
+        if not np.all(self.weights > 0):
             raise ValueError("quadrature weights must be positive")
 
     @classmethod

@@ -105,6 +105,90 @@ class TestLeapfrog:
         assert np.ndim(q) == np.ndim(p) == 0
 
 
+PARITY_SETS = [(order, extent) for order in (2, 3, 63, 64) for extent in (1.0, 5.5, 6.0)]
+
+
+def _record_leapfrog_sizes(monkeypatch):
+    """Wrap _leapfrog so each call appends the number of points it integrates."""
+    sizes, leapfrog = [], koopman._leapfrog
+
+    def recording(g, q, p, t):
+        sizes.append(np.size(q))
+        return leapfrog(g, q, p, t)
+
+    monkeypatch.setattr(koopman, "_leapfrog", recording)
+    return sizes
+
+
+class TestParity:
+    """The pendulum flow commutes with (q, p) -> (-q, -p); a symmetric node set is halved."""
+
+    @pytest.mark.parametrize("order, extent", PARITY_SETS)
+    def test_gauss_legendre_nodes_are_point_symmetric(self, order, extent):
+        quad = Quadrature.gauss_legendre(extent=extent, order=order)
+        assert np.array_equal(quad.q[::-1], -quad.q) and np.array_equal(quad.p[::-1], -quad.p)
+
+    @pytest.mark.parametrize("order, extent", PARITY_SETS)
+    def test_halved_transport_is_the_plain_loop(self, order, extent):
+        # 0.12345 is 1234 steps and a remainder.  Equal bytes, stricter than
+        # np.array_equal, also pin the sign of every zero, such as q = 0 on
+        # the middle row of an odd order at t = 0.
+        quad = Quadrature.gauss_legendre(extent=extent, order=order)
+        for t in (0.12345, -0.12345, 0.0):
+            q, p = flow_map(Pendulum(g=1.3), quad.q, quad.p, t)
+            q_ref, p_ref = _kick_drift_kick(1.3, quad.q, quad.p, t)
+            assert q.tobytes() == q_ref.tobytes() and p.tobytes() == p_ref.tobytes(), t
+
+    def test_asymmetric_nodes_are_the_plain_loop(self):
+        quad = Quadrature.gauss_legendre(order=16)
+        q, p = flow_map(Pendulum(g=1.3), quad.q + 0.1, quad.p, 0.12345)
+        q_ref, p_ref = _kick_drift_kick(1.3, quad.q + 0.1, quad.p, 0.12345)
+        assert np.array_equal(q, q_ref) and np.array_equal(p, p_ref)
+
+    @pytest.mark.parametrize("order", [3, 64])
+    def test_symmetric_set_integrates_half_the_points(self, monkeypatch, order):
+        quad = Quadrature.gauss_legendre(order=order)
+        sizes = _record_leapfrog_sizes(monkeypatch)
+        flow_map(PEND, quad.q, quad.p, 0.001)
+        unitarity_residuals([gaussian_observable(width=0.5)], PEND, 0.001, quad)
+        assert sizes == [(order * order + 1) // 2] * 2
+
+    def test_other_inputs_integrate_every_point(self, monkeypatch):
+        quad = Quadrature.gauss_legendre(order=4)
+        q_nan, p_nan = quad.q.copy(), quad.p.copy()
+        q_nan[[0, -1]] = np.nan
+        sizes = _record_leapfrog_sizes(monkeypatch)
+        flow_map(PEND, quad.q + 0.1, quad.p, 0.001)       # shifted: not symmetric
+        q, _ = flow_map(PEND, q_nan, p_nan, 0.001)         # NaN != NaN
+        q_grid, _ = flow_map(PEND, quad.q.reshape(4, 4), quad.p.reshape(4, 4), 0.001)
+        flow_map(PEND, 0.0, 0.0, 0.001)                    # a scalar point
+        assert sizes == [16, 16, 16, 1]
+        assert np.isnan(q[[0, -1]]).all() and np.isfinite(q[1:-1]).all()
+        assert np.array_equal(q_grid.ravel(), flow_map(PEND, quad.q, quad.p, 0.001)[0])
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("flow", [OSC, PEND])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_flow_map_rejects_non_finite_time(self, flow, t):
+        with pytest.raises(ValueError, match="^transport time must be finite$"):
+            flow_map(flow, 0.4, -0.2, t)
+
+    @pytest.mark.parametrize("flow", [OSC, PEND])
+    def test_callers_inherit_the_time_check(self, flow, gauss_pair, quad):
+        with pytest.raises(ValueError, match="^transport time must be finite$"):
+            compose(gauss_pair[0], flow, math.nan).eval(0.4, -0.2)
+        with pytest.raises(ValueError, match="^transport time must be finite$"):
+            unitarity_residual(*gauss_pair, flow, math.inf, quad)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_flows_reject_non_finite_parameters(self, value):
+        with pytest.raises(ValueError, match="^g must be finite, got"):
+            Pendulum(g=value)
+        with pytest.raises(ValueError, match="^omega must be finite, got"):
+            HarmonicOscillator(omega=value)
+
+
 class TestCompose:
     def test_zero_time_is_identity(self):
         f = builtin_observable("q")
@@ -273,6 +357,29 @@ class TestQuadrature:
 
     def test_numpy_integer_order_is_the_same_rule(self, quad):
         assert np.array_equal(Quadrature.gauss_legendre(order=np.int64(64)).q, quad.q)
+
+    @pytest.mark.parametrize("field, value", [
+        ("weights", np.array([1.0])),                 # would broadcast against the nodes
+        ("p", np.zeros(15)),                          # one node short
+        ("boundary", np.zeros((4, 4), dtype=bool)),   # right size, not flattened
+    ])
+    def test_hand_built_arrays_must_be_flat_and_of_one_length(self, field, value):
+        rule = Quadrature.gauss_legendre(order=4)
+        fields = dict(q=rule.q, p=rule.p, weights=rule.weights, boundary=rule.boundary,
+                      extent=rule.extent)
+        fields[field] = value
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            Quadrature(**fields)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_hand_built_nodes_must_be_finite_and_weights_positive(self, bad):
+        rule = Quadrature.gauss_legendre(order=4)
+        q, weights = rule.q.copy(), rule.weights.copy()
+        q[5], weights[5] = bad, -bad     # -bad is NaN or -inf, neither positive
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            Quadrature(q=q, p=rule.p, weights=rule.weights, boundary=rule.boundary, extent=4.0)
+        with pytest.raises(ValueError, match="weights must be positive"):
+            Quadrature(q=rule.q, p=rule.p, weights=weights, boundary=rule.boundary, extent=4.0)
 
     def test_builtin_dispatch(self):
         assert builtin_observable("p").label == "p"
