@@ -8,6 +8,7 @@ it.  All tolerances used by the invariant checks live here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z):
 
 def max_abs(a: np.ndarray) -> float:
     """Largest entry magnitude; zero for empty input."""
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def as_complex_matrix(entries) -> np.ndarray:
@@ -181,7 +182,23 @@ def transition_probability(p: DensityMatrix, q: DensityMatrix) -> float:
 
 
 def expm_hermitian(mat: np.ndarray, s: float) -> np.ndarray:
-    """exp(-i s A) for Hermitian A, via eigendecomposition (unitary by construction)."""
+    """exp(-i s A) for Hermitian A, unitary by construction.
+
+    Like eigh, it reads only the real diagonal and the lower triangle of A.
+    A qubit generator A = a0 I + a.sigma takes the closed form
+    exp(-i s a0) (cos(s|a|) I - i sin(s|a|)/|a| (A - a0 I)), with
+    sin(s|a|)/|a| -> s at |a| = 0; larger ones go through eigh.
+    """
+    if mat.shape == (2, 2):
+        # a = (Re A10, Im A10, z) with z = (A00 - A11) / 2.
+        (a00, _), (a10, a11) = mat.tolist()
+        a0, z = 0.5 * a00.real + 0.5 * a11.real, 0.5 * a00.real - 0.5 * a11.real
+        norm = math.hypot(z, a10.real, a10.imag)
+        sinc = math.sin(s * norm) / norm if norm else s
+        phase = complex(math.cos(s * a0), -math.sin(s * a0))
+        diag, off = phase * math.cos(s * norm), -1j * sinc * phase
+        return np.array([[diag + off * z, off * a10.conjugate()], [off * a10, diag - off * z]],
+                        dtype=complex)
     eigvals, eigvecs = np.linalg.eigh(mat)
     phases = np.exp(-1j * s * eigvals)
     return (eigvecs * phases) @ eigvecs.conj().T

@@ -11,6 +11,7 @@ must decay fast enough that no mass crosses the boundary.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import warnings
@@ -66,9 +67,9 @@ def _leapfrog(g: float, q, p, t: float):
     """
     n, rem = split_steps(abs(t), PENDULUM_STEP)
     sign = 1.0 if t > 0 else -1.0
-    steps = [sign * PENDULUM_STEP] * n
+    steps = itertools.repeat(sign * PENDULUM_STEP, n)
     if rem > 0.0:
-        steps.append(sign * rem)
+        steps = itertools.chain(steps, (sign * rem,))
     q = np.array(q, dtype=float)
     p = np.array(p, dtype=float)
     # empty_like keeps 0-d inputs as arrays, which out= needs.
@@ -102,8 +103,10 @@ def flow_map(flow: SymplecticFlow, q, p, t: float):
     if not math.isfinite(t):
         raise ValueError("transport time must be finite")
     if isinstance(flow, HarmonicOscillator):
-        c = math.cos(flow.omega * t)
-        s = math.sin(flow.omega * t)
+        angle = flow.omega * t
+        if not math.isfinite(angle):
+            raise ValueError(f"omega * t overflows: omega = {flow.omega:g}, t = {t:g}")
+        c, s = math.cos(angle), math.sin(angle)
         q = np.asarray(q, dtype=float)
         p = np.asarray(p, dtype=float)
         return q * c + p * s, -q * s + p * c

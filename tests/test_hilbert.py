@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqm_lab.flow import IntegratorConfig, propagate
+from eqm_lab.hamiltonians import mean_field
 from eqm_lab.hilbert import (
     SIGMA_X,
     SIGMA_Y,
@@ -14,6 +16,7 @@ from eqm_lab.hilbert import (
     StateVector,
     UnitaryOperator,
     commutator,
+    expm_hermitian,
     matrix_from_pairs,
     matrix_to_pairs,
     max_abs,
@@ -24,7 +27,13 @@ from eqm_lab.hilbert import (
     unitary_exponential,
     vector_from_pairs,
 )
-from conftest import random_density, random_hermitian, random_pure
+from conftest import (
+    random_density,
+    random_hermitian,
+    random_interior_density,
+    random_pure,
+    random_traceless_hermitian,
+)
 
 
 class TestConstructors:
@@ -143,6 +152,106 @@ class TestUnitaryExponential:
         lhs = unitary_exponential(a, s).matrix @ unitary_exponential(a, t).matrix
         rhs = unitary_exponential(a, s + t).matrix
         assert max_abs(lhs - rhs) < 1e-10
+
+
+def _eigh_exponential(mat, s):
+    """exp(-i s A) from numpy's eigh, independent of expm_hermitian."""
+    eigvals, eigvecs = np.linalg.eigh(mat)
+    return (eigvecs * np.exp(-1j * s * eigvals)) @ eigvecs.conj().T
+
+
+def _assert_qubit_exponential(mat, s):
+    """expm_hermitian(mat, s) agrees with eigh to rounding and is unitary to rounding."""
+    u = expm_hermitian(mat, s)
+    scale = max(1.0, abs(s) * np.linalg.norm(mat, 2))
+    assert max_abs(u - _eigh_exponential(mat, s)) <= 1e-14 * scale, (mat, s)
+    assert max_abs(u.conj().T @ u - np.eye(2)) <= 1e-15, (mat, s)
+    return u
+
+
+def _qubit(a0, x, y, z):
+    return a0 * np.eye(2) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
+
+
+class TestQubitClosedForm:
+    """At d = 2, expm_hermitian is exp(-i s a0) (cos(s|a|) I - i sin(s|a|)/|a| a.sigma)."""
+
+    def test_random_generators(self, rng):
+        for _ in range(200):
+            a = random_hermitian(rng, 2, scale=rng.uniform(0.1, 10)).matrix
+            for s in (0.0, rng.uniform(-5, 5), rng.uniform(-1e-3, 1e-3)):
+                _assert_qubit_exponential(a, s)
+
+    @given(a0=st.floats(-1e3, 1e3), x=st.floats(-10, 10), y=st.floats(-10, 10),
+           z=st.floats(-10, 10), s=st.floats(-3, 3))
+    @settings(max_examples=200)
+    def test_bloch_components(self, a0, x, y, z, s):
+        _assert_qubit_exponential(_qubit(a0, x, y, z), s)
+
+    def test_zero_time_is_the_identity_exactly(self, rng):
+        for _ in range(10):
+            assert np.array_equal(expm_hermitian(random_hermitian(rng, 2).matrix, 0.0), np.eye(2))
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, -2.5, 1e3, -1e3])
+    def test_multiples_of_the_identity(self, c):
+        # |a| = 0: the limit sin(s|a|)/|a| -> s leaves a pure phase.
+        for s in (0.3, -1.7, 0.0):
+            u = _assert_qubit_exponential(c * np.eye(2, dtype=complex), s)
+            assert u[0, 1] == u[1, 0] == 0.0
+            assert abs(u[0, 0] - np.exp(-1j * s * c)) <= 1e-15 * max(1.0, abs(s * c))
+            assert u[1, 1] == u[0, 0]
+
+    def test_zero_matrix(self):
+        for s in (0.0, 0.7, -1e3):
+            assert np.array_equal(expm_hermitian(np.zeros((2, 2), dtype=complex), s), np.eye(2))
+
+    @pytest.mark.parametrize("shift", [1e3, -1e3])
+    def test_large_shift(self, rng, shift):
+        for _ in range(50):
+            a = random_traceless_hermitian(rng, 2).matrix + shift * np.eye(2)
+            for s in (1e-3, -1e-2, 0.5):
+                _assert_qubit_exponential(a, s)
+
+    def test_tiny_bloch_vector(self):
+        # |a| ~ 1e-300: the off-diagonal entry is -i s a_x e^(-i s a0) to
+        # relative rounding, neither zero nor NaN.
+        for a0 in (0.0, 0.4):
+            a = _qubit(a0, 1e-300, -2e-300, 0.5e-300)
+            for s in (0.7, -3.0):
+                u = _assert_qubit_exponential(a, s)
+                expected = -1j * s * a[1, 0] * np.exp(-1j * s * a0)
+                assert abs(u[1, 0] - expected) <= 1e-15 * abs(expected)
+
+    def test_reads_what_eigh_reads(self, rng):
+        # The real diagonal and the lower triangle, so a generator Hermitian
+        # only to rounding gets the same exponential as its lower part.
+        for _ in range(20):
+            lower = random_hermitian(rng, 2).matrix
+            skewed = lower + np.array([[1e-13j, 3e-13 - 1e-13j], [0.0, -2e-13j]])
+            for s in (0.2, -1.1):
+                assert np.array_equal(expm_hermitian(skewed, s), expm_hermitian(lower, s))
+                _assert_qubit_exponential(skewed, s)
+
+    @pytest.mark.parametrize("dim", [3, 4, 16])
+    def test_larger_dimensions_keep_the_eigendecomposition(self, rng, dim):
+        a = random_hermitian(rng, dim).matrix
+        assert np.array_equal(expm_hermitian(a, 0.37), _eigh_exponential(a, 0.37))
+
+    def test_qubit_flow_takes_no_eigendecomposition(self, rng, monkeypatch):
+        # A 20-step mean-field run at d = 2 must stay on the closed form; the
+        # same run at d = 4 shows that the counter sees eigh calls.
+        calls, eigh = [], np.linalg.eigh
+
+        def counted(mat, *args, **kwargs):
+            calls.append(mat.shape[0])
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.2)
+        for dim in (2, 4):
+            h = mean_field(random_hermitian(rng, dim), random_hermitian(rng, dim), 1.0)
+            propagate(h, random_interior_density(rng, dim), 0.2, cfg)
+        assert 2 not in calls and calls.count(4) >= 20
 
 
 class TestProjector:

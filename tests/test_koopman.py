@@ -1,6 +1,8 @@
 """Tests for the classical composition-operator construction."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +106,19 @@ class TestLeapfrog:
         assert (q, p) == (q_ref, p_ref)
         assert np.ndim(q) == np.ndim(p) == 0
 
+    def test_memory_does_not_grow_with_time(self):
+        # The steps are taken in a loop, not listed up front, so 30000 steps
+        # peak about as high as 1000 do.
+        peaks = []
+        for t in (0.1, -3.0):
+            tracemalloc.start()
+            try:
+                flow_map(PEND, 0.4, -0.2, t)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 8192 and peaks[1] <= peaks[0] + 1024
+
 
 PARITY_SETS = [(order, extent) for order in (2, 3, 63, 64) for extent in (1.0, 5.5, 6.0)]
 
@@ -180,6 +195,17 @@ class TestFiniteness:
             compose(gauss_pair[0], flow, math.nan).eval(0.4, -0.2)
         with pytest.raises(ValueError, match="^transport time must be finite$"):
             unitarity_residual(*gauss_pair, flow, math.inf, quad)
+
+    @pytest.mark.parametrize("omega", [1e300, -1e300])
+    def test_oscillator_angle_overflow_is_named(self, omega, gauss_pair, quad):
+        flow = HarmonicOscillator(omega=omega)
+        message = "^" + re.escape(f"omega * t overflows: omega = {omega:g}, t = 1e+10") + "$"
+        with pytest.raises(ValueError, match=message):
+            flow_map(flow, 1.0, 0.0, 1e10)
+        with pytest.raises(ValueError, match=message):
+            compose(gauss_pair[0], flow, 1e10).eval(0.4, -0.2)
+        with pytest.raises(ValueError, match=message):
+            unitarity_residuals(gauss_pair, flow, 1e10, quad)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_flows_reject_non_finite_parameters(self, value):

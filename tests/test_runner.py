@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import eqm_lab
-from eqm_lab import flow
+from eqm_lab import flow, hilbert
 from eqm_lab.config import DEFAULT_THRESHOLDS, build_config, with_dt
 from eqm_lab.runner import (
     ReportRow,
@@ -204,6 +204,21 @@ class TestSuiteCrossChecks:
         # every step exponential turns the phase by ~2e-6 over t = 1.
         exact = flow.expm_hermitian
         monkeypatch.setattr(flow, "expm_hermitian", lambda mat, s: exact(mat, s * (1 + 1e-6)))
+        (row,) = [row for row in _suite_cross_checks(0.01, dict(DEFAULT_THRESHOLDS))
+                  if row.check == "linear_oracle"]
+        assert row.value > 1e-7
+        assert not row.passed
+
+    def test_linear_oracle_reference_does_not_share_the_exponential(self, monkeypatch):
+        # With every binding of expm_hermitian off by the same angle, a
+        # reference built from it would move with the flow and hide the error.
+        exact = hilbert.expm_hermitian
+
+        def wrong(mat, s):
+            return exact(mat, s * (1 + 1e-6))
+
+        monkeypatch.setattr(flow, "expm_hermitian", wrong)
+        monkeypatch.setattr(hilbert, "expm_hermitian", wrong)
         (row,) = [row for row in _suite_cross_checks(0.01, dict(DEFAULT_THRESHOLDS))
                   if row.check == "linear_oracle"]
         assert row.value > 1e-7
