@@ -10,6 +10,7 @@ Koopman composition operator on phase-space observables.
 from .flow import (
     ConvergenceError,
     ConvergenceEstimate,
+    GeneratorError,
     IntegratorConfig,
     StateError,
     Trajectory,

@@ -30,6 +30,9 @@ from .hilbert import (
 
 DEFAULT_MIDPOINT_TOL = 1e-12
 DEFAULT_MIDPOINT_MAX_ITER = 50
+# kappa: the midpoint iteration also stops once its contraction estimate of
+# the remaining error falls below MIDPOINT_KAPPA * midpoint_tol.
+MIDPOINT_KAPPA = 1e-2
 EXACT_ERROR_FLOOR = 1e-12  # self-convergence errors below this count as exact
 
 
@@ -56,6 +59,26 @@ class ConvergenceError(RuntimeError):
                             f"{leg}: ")
 
 
+class GeneratorError(ValueError):
+    """Raised when a generator gives a non-finite matrix inside a step; names the step and time.
+
+    Built by ``at_step``, on the same clock as ``ConvergenceError``.
+    """
+
+    @classmethod
+    def at_step(cls, label: str, step: int, start: float, end: float,
+                leg: str = "") -> "GeneratorError":
+        exc = cls(f"{leg}generator of {label!r} gave a non-finite matrix "
+                  f"at step {step}, t = {start:g} to {end:g}")
+        exc.label, exc.step, exc.start, exc.end = label, step, start, end
+        return exc
+
+    def on_leg(self, leg: str, origin: float) -> "GeneratorError":
+        """The same failure named by leg, on a clock that reads origin at the run's start."""
+        return self.at_step(self.label, self.step, origin + self.start, origin + self.end,
+                            f"{leg}: ")
+
+
 class StateError(ValueError):
     """Raised when a state or cocycle fails validation where it leaves the step kernel.
 
@@ -72,6 +95,10 @@ class StateError(ValueError):
     def on_leg(self, leg: str, origin: float) -> "StateError":
         """The same failure named by leg, on a clock that reads origin at the run's start."""
         return self.at_step(self.step, origin + self.time, self.reason, f"{leg}: ")
+
+
+# The failures of a run that name its step; each re-raises on a leg by on_leg.
+STEP_FAILURES = (ConvergenceError, GeneratorError, StateError)
 
 
 def require_count(name: str, value, minimum: int) -> None:
@@ -180,6 +207,18 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
     same factor.  Only h.generator and expm_hermitian run here, on plain
     arrays; states are validated where they leave the kernel.
 
+    The midpoint iteration refreshes D_mid from the midpoint state it
+    gives.  Pass j measures its increment delta_j, the largest entry of the
+    change in D_mid, and the step takes the refreshed D_mid once delta_j <
+    midpoint_tol, or, from the second pass on, once the contraction
+    estimate of the error left, theta / (1 - theta) * delta_j with theta =
+    delta_j / delta_{j-1} < 1, falls below MIDPOINT_KAPPA * midpoint_tol
+    (Hairer, Lubich and Wanner, Geometric Numerical Integration, 2nd ed.,
+    VIII.6).  theta uses only increments of the current step.  A loop that
+    stalls or diverges raises ConvergenceError after midpoint_max_iter
+    passes; a generator that gives a non-finite matrix raises
+    GeneratorError.
+
     For a state-independent h the midpoint iteration settles on its first
     pass with an increment of exactly 0, and the step map is exp(-i dt D)
     of the one matrix D; it is computed once per signed step size (the full
@@ -188,21 +227,40 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
     generator = h.generator
     fixed = generator(rho) if h.state_independent else None
     steppers = {}  # signed step size -> exp(-i dt D) of the fixed generator
+    tol, estimate_tol = cfg.midpoint_tol, MIDPOINT_KAPPA * cfg.midpoint_tol
     u = np.eye(rho.shape[0], dtype=complex)
     for k, (dt, time) in enumerate(_schedule(span, cfg.dt), 1):
         if fixed is not None:
             if dt not in steppers:
+                if not np.isfinite(fixed).all():
+                    raise GeneratorError.at_step(h.label, k, time - dt, time)
                 steppers[dt] = expm_hermitian(fixed, dt)
             stepper = steppers[dt]
         else:
             gen = generator(rho)
+            previous = None  # the last increment of this step; the first pass has none
             for _ in range(cfg.midpoint_max_iter):
-                half = expm_hermitian(gen, 0.5 * dt)
+                try:
+                    half = expm_hermitian(gen, 0.5 * dt)
+                except ValueError:
+                    # eigh rejects a non-finite matrix, math.sin an infinite
+                    # angle.  Every later gen passed the finiteness check
+                    # below, so only the first call can be at fault here.
+                    if np.isfinite(gen).all():
+                        raise
+                    raise GeneratorError.at_step(h.label, k, time - dt, time) from None
                 rho_mid = half @ rho @ half.conj().T
                 refreshed = generator(rho_mid)
-                if max_abs(refreshed - gen) < cfg.midpoint_tol:
+                increment = max_abs(refreshed - gen)
+                if not math.isfinite(increment):
+                    raise GeneratorError.at_step(h.label, k, time - dt, time)
+                if increment < tol:
                     break
-                gen = refreshed
+                if previous is not None:
+                    ratio = increment / previous
+                    if ratio < 1.0 and ratio / (1.0 - ratio) * increment < estimate_tol:
+                        break
+                previous, gen = increment, refreshed
             else:
                 raise ConvergenceError.at_step(cfg.midpoint_max_iter, k, time - dt, time)
             stepper = expm_hermitian(refreshed, dt)

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import flow as flow_mod
-from .flow import ConvergenceError, IntegratorConfig, StateError, Trajectory
+from .flow import IntegratorConfig, Trajectory
 from .hamiltonians import HamiltonianFunction
 from .hilbert import (DensityMatrix, HermitianOperator, UnitaryOperator, require_same_dim,
                       trace_pairing)
@@ -144,7 +144,8 @@ def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times
     from 0.  A time off the step grid ends in a shorter step that a chained
     leg would take elsewhere, so its leg restarts from 0.  The backward run
     from rho_t depends only on t and is shared by all observables.  A
-    ConvergenceError or StateError names the leg and the absolute times.
+    ConvergenceError, GeneratorError or StateError names the leg and the
+    absolute times.
 
     trajectory, when given, is what evolve recorded from rho with the same
     dt and midpoint settings as cfg.  Its records at whole numbers of steps
@@ -174,13 +175,13 @@ def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times
             try:
                 if k != n or rem:
                     rho_t, _ = flow_mod.propagate(h, rho_t, t - start, cfg)
-            except (ConvergenceError, StateError) as exc:
+            except flow_mod.STEP_FAILURES as exc:
                 raise exc.on_leg(f"forward leg from t = {start:g}", start) from exc
             if rem == 0.0:
                 chain[n] = (t, rho_t)
             try:
                 back = flow_mod.propagate(h, rho_t, -t, cfg)
-            except (ConvergenceError, StateError) as exc:
+            except flow_mod.STEP_FAILURES as exc:
                 raise exc.on_leg(f"backward run from grid time t = {t:g}", t) from exc
             columns[t] = [abs(trace_pairing(rho_t, _pull_back(f, *back)) - ref)
                           for f, ref in zip(fs, rhs)]

@@ -19,7 +19,7 @@ import numpy as np
 from . import flow as flow_mod
 from . import koopman as koopman_mod
 from .config import DEFAULT_THRESHOLDS, ScenarioConfig, build_config, with_dt
-from .flow import ConvergenceError, IntegratorConfig, StateError, Trajectory
+from .flow import ConvergenceError, IntegratorConfig, Trajectory
 from .hamiltonians import linear, mean_field
 from .hilbert import (
     SIGMA_X,
@@ -164,7 +164,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[list[tuple[str, str]], list[Repor
         if "wigner" in cfg.outputs:
             try:
                 pair = flow_mod.evolve(cfg.hamiltonian, cfg.wigner_pair, cfg.integrator)
-            except (ConvergenceError, StateError) as exc:
+            except flow_mod.STEP_FAILURES as exc:
                 raise exc.on_leg("wigner pair", 0.0) from exc
             deviation, _ = flow_mod.overlap_deviation(traj, pair)
             rows.append(ReportRow(cfg.scenario_id, "wigner_deviation", deviation,

@@ -9,6 +9,7 @@ import pytest
 from eqm_lab import flow, hilbert
 from eqm_lab.flow import (
     ConvergenceError,
+    GeneratorError,
     IntegratorConfig,
     convergence_order,
     StateError,
@@ -35,6 +36,7 @@ from eqm_lab.hilbert import (
     projector,
     unitary_exponential,
 )
+from eqm_lab.runner import four_level_ops
 from conftest import random_density, random_hermitian
 
 STEP_DIMS = (2, 4, 16, MAX_DIM)
@@ -146,6 +148,150 @@ class TestStep:
         assert k > 1
         assert start == pytest.approx((k - 1) * cfg.dt)
         assert end == pytest.approx(k * cfg.dt)
+
+
+def scripted(offset):
+    """A qubit generator that returns offset(n) times the identity on its n-th call (from 0).
+
+    The state never enters, so each increment is the change of offset
+    between two calls; the returned list holds the number of calls so far.
+    """
+    count = [0]
+
+    def generator(m):
+        count[0] += 1
+        return offset(count[0] - 1) * np.eye(2, dtype=complex)
+
+    return HamiltonianFunction(value=lambda rho: 0.0, generator=generator), count
+
+
+class TestMidpointStop:
+    """The midpoint iteration stops on its increment or on its contraction estimate."""
+
+    CFG = IntegratorConfig(dt=0.01, t_final=0.02)
+
+    def test_contraction_estimate_skips_the_confirming_pass(self, qubit_up):
+        # Increments 1e-3, then 1e-9 > midpoint_tol: theta = 1e-6 puts the
+        # estimate near 1e-15, below MIDPOINT_KAPPA * midpoint_tol, so the
+        # step ends after two passes; the plain increment rule takes a third.
+        values = (0.0, 1e-3, 1e-3 + 1e-9)
+        h, count = scripted(lambda n: values[min(n, 2)])
+        propagate(h, qubit_up, 0.01, self.CFG)
+        assert count[0] == 3
+
+    def test_first_pass_has_no_estimate(self, qubit_up):
+        # One increment of 1e-11 > midpoint_tol and no theta yet: a second pass.
+        h, count = scripted(lambda n: 0.0 if n == 0 else 1e-11)
+        propagate(h, qubit_up, 0.01, self.CFG)
+        assert count[0] == 3
+
+    def test_theta_comes_from_the_current_step_only(self, qubit_up):
+        # Step 1: increments 1e-3 then 0.  Step 2 starts at call 3 with an
+        # increment of 1e-9; a theta built on step 1's 1e-3 would stop it
+        # after one pass, five calls in all instead of six.
+        values = (0.0, 1e-3, 1e-3, 1e-3, 1e-3 + 1e-9)
+        h, count = scripted(lambda n: values[min(n, 4)])
+        propagate(h, qubit_up, 0.02, self.CFG)
+        assert count[0] == 6
+
+    @pytest.mark.parametrize("offset", [lambda n: 1e-10 * (n % 2), lambda n: 1e-10 * 2.0 ** n],
+                             ids=["stalled", "diverging"])
+    def test_theta_of_one_or_more_never_stops(self, qubit_up, offset):
+        h, count = scripted(offset)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.01, midpoint_max_iter=7)
+        with pytest.raises(ConvergenceError, match="within 7 iterations at step 1, t = 0 to 0.01 "):
+            propagate(h, qubit_up, 0.01, cfg)
+        assert count[0] == 8
+
+    @pytest.mark.parametrize("dt", [1e-3, 1e-2])
+    @pytest.mark.parametrize("family, dim", [("mean_field", 2), ("mean_field", 4),
+                                             ("polynomial", 4)])
+    def test_accepted_generator_solves_the_midpoint_equation(self, family, dim, dt, rng,
+                                                             monkeypatch):
+        # Each full-step generator D the kernel exponentiates (s = +-dt) meets
+        # max |D(mid(D)) - D| <= midpoint_tol, with the midpoint state built
+        # from numpy's eigh rather than the kernel's exponential.
+        if dim == 2:
+            a, b = HermitianOperator(SIGMA_X), HermitianOperator(np.diag([1.0, -1.0]))
+        else:
+            a, b = (HermitianOperator(m) for m in four_level_ops())
+        h = (mean_field(a, b, 1.0) if family == "mean_field"
+             else polynomial([(1.0, (a,)), (0.5, (b, b)), (0.25, (a, b))]))
+        rho = random_density(rng, dim)
+        exact, full = flow.expm_hermitian, []
+
+        def recording(mat, s):
+            if abs(s) == dt:
+                full.append(mat)
+            return exact(mat, s)
+
+        monkeypatch.setattr(flow, "expm_hermitian", recording)
+        cfg = IntegratorConfig(dt=dt, t_final=dt)
+        worst = 0.0
+        for s in (dt,) * 10 + (-dt,) * 10:
+            full.clear()
+            after, _ = propagate(h, rho, s, cfg)
+            (d,) = full
+            w, v = np.linalg.eigh(d)
+            half = (v * np.exp(-0.5j * s * w)) @ v.conj().T
+            worst = max(worst, max_abs(h.generator(half @ rho.matrix @ half.conj().T) - d))
+            rho = after
+        assert worst <= cfg.midpoint_tol
+
+
+class TestNonFiniteGenerator:
+    """A generator that gives NaN or inf fails at its step, with the time and the label."""
+
+    CFG = IntegratorConfig(dt=0.01, t_final=0.1)
+
+    @staticmethod
+    def _turns_bad(dim, calls, bad, rng):
+        """mean_field at dim whose generator gives bad times its value from call `calls` on."""
+        base = mean_field(random_hermitian(rng, dim), random_hermitian(rng, dim), 0.7)
+        count = [0]
+
+        def generator(m):
+            count[0] += 1
+            return base.generator(m) * (bad if count[0] >= calls else 1.0)
+
+        return HamiltonianFunction(value=base.value, generator=generator, label="turns bad")
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_later_step_names_the_step_time_and_label(self, dim, rng):
+        # Every step takes at least two calls, so call 7 falls at step 2 or later.
+        h = self._turns_bad(dim, 7, np.nan, rng)
+        with pytest.raises(GeneratorError) as failure:
+            propagate(h, random_density(rng, dim), 0.1, self.CFG)
+        assert isinstance(failure.value, ValueError)
+        found = re.fullmatch(r"generator of 'turns bad' gave a non-finite matrix "
+                             r"at step (\d+), t = (\S+) to (\S+)", str(failure.value))
+        k = int(found[1])
+        assert 1 < k < 4
+        assert float(found[2]) == pytest.approx((k - 1) * 0.01)
+        assert float(found[3]) == pytest.approx(k * 0.01)
+
+    @pytest.mark.parametrize("dim, bad", [(2, np.nan), (2, np.inf), (4, np.nan), (4, np.inf),
+                                          (16, np.nan)])
+    def test_first_call_fails_at_step_one(self, dim, bad, rng):
+        # At d >= 3 the first call reaches eigh before any increment exists;
+        # at d = 2 an infinite angle reaches math.sin.
+        h = self._turns_bad(dim, 1, bad, rng)
+        with pytest.raises(GeneratorError, match=r"^generator of 'turns bad' gave a non-finite "
+                                                 r"matrix at step 1, t = 0 to 0\.01$"):
+            with np.errstate(invalid="ignore"):
+                propagate(h, random_density(rng, dim), 0.1, self.CFG)
+
+    def test_backward_run_names_its_signed_time(self, rng):
+        h = self._turns_bad(4, 1, np.nan, rng)
+        with pytest.raises(GeneratorError, match=r"at step 1, t = 0 to -0\.01$"):
+            propagate(h, random_density(rng, 4), -0.1, self.CFG)
+
+    def test_state_independent_mark(self, qubit_up):
+        h = HamiltonianFunction(value=lambda rho: 0.0, label="constant nan",
+                                generator=lambda m: np.full((2, 2), np.nan + 0j),
+                                state_independent=True)
+        with pytest.raises(GeneratorError, match=r"^generator of 'constant nan' .* at step 1, "):
+            propagate(h, qubit_up, 0.1, self.CFG)
 
 
 class TestEvolve:

@@ -7,7 +7,8 @@ import pytest
 
 from eqm_lab.config import DEFAULT_THRESHOLDS
 from eqm_lab import flow
-from eqm_lab.flow import ConvergenceError, IntegratorConfig, StateError, evolve, propagate
+from eqm_lab.flow import (ConvergenceError, GeneratorError, IntegratorConfig, StateError, evolve,
+                          propagate)
 from eqm_lab.hamiltonians import HamiltonianFunction, linear, mean_field
 from eqm_lab.hilbert import (
     SIGMA_X,
@@ -301,6 +302,25 @@ class TestConservationResiduals:
         assert str(failure.value).startswith(
             "backward run from grid time t = 0.1: state after step 10, t = 0: "
             "state must have unit trace")
+
+    def test_generator_failure_names_the_leg_and_absolute_time(self, sx, sz, qubit_up):
+        # The generator turns NaN after the calls of grid time 0.05 (its
+        # forward leg and backward run), on the first step of the leg from 0.05.
+        h0, calls, budget = mean_field(sx, sz, 1.0), [0], [math.inf]
+
+        def generator(m):
+            calls[0] += 1
+            return h0.generator(m) * (np.nan if calls[0] > budget[0] else 1.0)
+
+        h = HamiltonianFunction(value=h0.value, generator=generator, label="turns nan")
+        cfg = IntegratorConfig(dt=0.01, t_final=0.1)
+        fs = (constant_observable(sx),)
+        conservation_residuals(fs, h, qubit_up, (0.05,), cfg)
+        calls[0], budget[0] = 0, calls[0]
+        with pytest.raises(GeneratorError, match=r"^forward leg from t = 0\.05: generator of "
+                                                 r"'turns nan' gave a non-finite matrix at "
+                                                 r"step 1, t = 0\.05 to 0\.06$"):
+            conservation_residuals(fs, h, qubit_up, (0.05, 0.1), cfg)
 
 
 class TestRecordedForwardStates:

@@ -8,12 +8,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqm_lab.config import DEFAULT_THRESHOLDS
+from eqm_lab import flow
 from eqm_lab.flow import IntegratorConfig, propagate
-from eqm_lab.hamiltonians import linear, mean_field, polynomial, shift_differential
+from eqm_lab.hamiltonians import (HamiltonianFunction, linear, mean_field, polynomial,
+                                  shift_differential)
 from eqm_lab.hilbert import MAX_DIM, MIN_DIM, DensityMatrix, HermitianOperator, max_abs
 from eqm_lab.observables import (
     ObservableFunction,
@@ -97,6 +99,41 @@ def test_cocycle_law(family, dim, seed, s, t):
     assert np.array_equal(rho_st.matrix, whole.matrix)
     # u(t, rho_s) u(s, rho) = u(s + t, rho), to the rounding of the regrouped product.
     assert max_abs(u_t.matrix @ u_s.matrix - u_whole.matrix) <= 1e-12
+
+
+def _increment_rule_calls(generator, rho, dt, cfg):
+    """Generator calls of one step that stops only once an increment is below midpoint_tol."""
+    gen, calls = generator(rho), 1
+    for _ in range(cfg.midpoint_max_iter):
+        half = flow.expm_hermitian(gen, 0.5 * dt)
+        refreshed = generator(half @ rho @ half.conj().T)
+        calls += 1
+        if max_abs(refreshed - gen) < cfg.midpoint_tol:
+            return calls
+        gen = refreshed
+    raise AssertionError("the increment rule did not settle")
+
+
+@settings(max_examples=50)
+@given(family=st.sampled_from(("mean_field", "polynomial")), dim=st.integers(2, 8), seed=seeds,
+       dt=st.sampled_from((1e-3, 1e-2, 0.1)))
+def test_no_step_takes_more_passes_than_the_increment_rule(family, dim, seed, dt):
+    # The contraction estimate is an extra way to stop, so on the same state
+    # the kernel never calls the generator more often than the plain rule.
+    h, _, _, rho = _setup(family, dim, seed)
+    calls = [0]
+
+    def counted(m):
+        calls[0] += 1
+        return h.generator(m)
+
+    counting = HamiltonianFunction(value=h.value, generator=counted)
+    cfg = IntegratorConfig(dt=dt, t_final=dt)
+    for _ in range(5):
+        calls[0] = 0
+        after, _ = propagate(counting, rho, dt, cfg)
+        assert calls[0] <= _increment_rule_calls(h.generator, rho.matrix, dt, cfg)
+        rho = after
 
 
 def _swap_symmetric(n):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import eqm_lab
 from eqm_lab import flow, hilbert
 from eqm_lab.config import DEFAULT_THRESHOLDS, build_config, with_dt
+from eqm_lab.hamiltonians import HamiltonianFunction
 from eqm_lab.runner import (
     ReportRow,
     ScenarioError,
@@ -196,6 +198,44 @@ class TestWignerPairFailure:
             run_scenario(cfg)
         assert str(err.value) == ("scenario 'wigner-contrast': state after step 3, t = 0.03: "
                                   "state is not positive semidefinite")
+
+
+class TestMidpointPasses:
+    def test_conservation_mean_field_n4_exponentials_per_step(self, monkeypatch):
+        # Each step takes one full-step exponential (|s| = dt) and one half-step
+        # exponential per midpoint pass.  The plain increment rule takes 3.99
+        # per step here; the contraction estimate 3.13.
+        doc = next(d for d in corpus_documents() if d["id"] == "conservation-mean-field-n4")
+        cfg = with_dt(build_config(doc), 0.01)
+        exact, sizes = flow.expm_hermitian, []
+
+        def counted(mat, s):
+            sizes.append(s)
+            return exact(mat, s)
+
+        monkeypatch.setattr(flow, "expm_hermitian", counted)
+        run_scenario(cfg)
+        steps = sum(abs(s) == 0.01 for s in sizes)
+        assert steps == 1350
+        assert len(sizes) / steps <= 3.15
+
+
+class TestNonFiniteGenerator:
+    def test_scenario_names_the_step(self):
+        doc = next(d for d in corpus_documents() if d["id"] == "mean-field-qubit")
+        cfg = with_dt(build_config(doc), 0.01)
+        generator, calls = cfg.hamiltonian.generator, [0]
+
+        def turns_nan(m):
+            calls[0] += 1
+            return generator(m) * (np.nan if calls[0] > 30 else 1.0)
+
+        h = HamiltonianFunction(value=cfg.hamiltonian.value, generator=turns_nan,
+                                label="turns nan")
+        with pytest.raises(ScenarioError, match=r"^scenario 'mean-field-qubit': generator of "
+                                                r"'turns nan' gave a non-finite matrix at step "
+                                                r"\d+, t = "):
+            run_scenario(replace(cfg, hamiltonian=h))
 
 
 class TestSuiteCrossChecks:
