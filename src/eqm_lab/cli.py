@@ -5,7 +5,7 @@ Subcommands:
     suite             execute the bundled scenario corpus
     koopman <config>  execute only the classical diagnostics of a config
 
-Exit codes: 0 all checks passed, 1 check or runtime failure, 2 config error.
+Exit codes: 0 all checks passed, 1 check, runtime or write failure, 2 config error.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not args.quiet:

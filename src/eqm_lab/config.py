@@ -98,7 +98,6 @@ class ScenarioConfig:
     scenario_id: str
     outputs: tuple
     thresholds: dict
-    dimension: Optional[int] = None
     hamiltonian: Optional[HamiltonianFunction] = None
     initial: object = None  # DensityMatrix or StateMeasure
     observables: tuple = ()
@@ -339,9 +338,7 @@ def _parse_koopman(f: _Fields) -> KoopmanSetup:
 
 def _parse_flow(top: _Fields, outputs: tuple) -> dict:
     """The ScenarioConfig fields of a document that asks for a density-matrix flow."""
-    dimension = top.get("dimension")
-    if not isinstance(dimension, int) or isinstance(dimension, bool):
-        raise ConfigError("dimension", f"expected an integer, got {dimension!r}")
+    dimension = top.integer("dimension", minimum=None)
     if not hilbert.MIN_DIM <= dimension <= hilbert.MAX_DIM:
         raise ConfigError("dimension",
                           f"must lie in [{hilbert.MIN_DIM}, {hilbert.MAX_DIM}], got {dimension}")
@@ -361,15 +358,16 @@ def _parse_flow(top: _Fields, outputs: tuple) -> dict:
     if "wigner" in outputs:
         if wigner_pair is None:
             raise ConfigError("wigner_pair", "wigner requires wigner_pair")
-        if initial.purity() < 1.0 - hilbert.PURITY_TOL:
-            raise ConfigError("initial",
-                              f"wigner requires a pure initial state, got purity {initial.purity():.12g}")
+        for key, state in (("initial", initial), ("wigner_pair", wigner_pair)):
+            if state.purity() < 1.0 - hilbert.PURITY_TOL:
+                raise ConfigError(key, f"wigner requires a pure {key} state, "
+                                       f"got purity {state.purity():.12g}")
     if "conservation" in outputs:
         if not observables:
             raise ConfigError("observables", "conservation requires at least one observable")
         if not conservation_times:
             raise ConfigError("conservation_times", "need at least one time")
-    return dict(dimension=dimension, hamiltonian=hamiltonian, initial=initial,
+    return dict(hamiltonian=hamiltonian, initial=initial,
                 observables=observables, integrator=integrator, wigner_pair=wigner_pair,
                 conservation_times=conservation_times)
 

@@ -20,7 +20,6 @@ import numpy as np
 from .hamiltonians import HamiltonianFunction
 from .hilbert import (
     DensityMatrix,
-    PURITY_TOL,
     UnitaryOperator,
     expm_hermitian,
     max_abs,
@@ -316,12 +315,6 @@ def propagate(h: HamiltonianFunction, rho0: DensityMatrix, t: float,
     return _validated(*end)
 
 
-def _require_pure(p: DensityMatrix, q: DensityMatrix) -> None:
-    for name, state in (("p", p), ("q", q)):
-        if state.purity() < 1.0 - PURITY_TOL:
-            raise ValueError(f"{name} must be pure, got purity = {state.purity():.17g}")
-
-
 def wigner_deviation(h: HamiltonianFunction, p: DensityMatrix, q: DensityMatrix,
                      cfg: IntegratorConfig) -> tuple[float, float]:
     """Worst drift of Tr(P_t Q_t) from Tr(P_0 Q_0) over the recorded grid.
@@ -331,7 +324,7 @@ def wigner_deviation(h: HamiltonianFunction, p: DensityMatrix, q: DensityMatrix,
     genuinely state-dependent one generically does not.
     Returns (max deviation, time at which it occurs).
     """
-    _require_pure(p, q)
+    transition_probability(p, q)  # rejects a mixed p or q before either run
     return overlap_deviation(evolve(h, p, cfg), evolve(h, q, cfg))
 
 
@@ -341,7 +334,6 @@ def overlap_deviation(traj_p: Trajectory, traj_q: Trajectory) -> tuple[float, fl
     The first records are P_0 and Q_0, which must be pure.
     Returns (max deviation of Tr(P_t Q_t) from Tr(P_0 Q_0), time at which it occurs).
     """
-    _require_pure(traj_p.states[0], traj_q.states[0])
     if traj_p.times != traj_q.times:
         raise ValueError("the two trajectories must be recorded at the same times")
     baseline = transition_probability(traj_p.states[0], traj_q.states[0])
@@ -364,8 +356,7 @@ class ConvergenceEstimate:
 
 
 def convergence_order(h: HamiltonianFunction, rho0: DensityMatrix, t_final: float,
-                      dt: float = 0.01,
-                      midpoint_tol: float = DEFAULT_MIDPOINT_TOL) -> ConvergenceEstimate:
+                      dt: float = 0.01) -> ConvergenceEstimate:
     """Estimate the integrator order from runs at dt, dt/2, dt/4.
 
     Both coarser runs are compared against the dt/4 run in Frobenius norm at
@@ -377,7 +368,7 @@ def convergence_order(h: HamiltonianFunction, rho0: DensityMatrix, t_final: floa
     """
     endpoints = []
     for divisor in (1, 2, 4):
-        cfg = IntegratorConfig(dt=dt / divisor, t_final=t_final, midpoint_tol=midpoint_tol)
+        cfg = IntegratorConfig(dt=dt / divisor, t_final=t_final)
         endpoint, _ = propagate(h, rho0, t_final, cfg)
         endpoints.append(endpoint.matrix)
     coarse = float(np.linalg.norm(endpoints[0] - endpoints[2]))

@@ -63,48 +63,47 @@ def require_same_dim(a, b) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """A self-adjoint operator; hermiticity is checked within HERMITICITY_TOL."""
+class _SquareMatrix:
+    """A square matrix; each subclass's __post_init__ checks it, then calls _freeze."""
 
     matrix: np.ndarray
+
+    def _freeze(self, mat: np.ndarray) -> None:
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class HermitianOperator(_SquareMatrix):
+    """A self-adjoint operator; hermiticity is checked within HERMITICITY_TOL."""
 
     def __post_init__(self):
         mat = as_complex_matrix(self.matrix)
         defect = _hermiticity_defect(mat)
         if defect > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max |A - A†| = {defect:.3e}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+        self._freeze(mat)
 
 
 @dataclass(frozen=True, eq=False)
-class UnitaryOperator:
+class UnitaryOperator(_SquareMatrix):
     """A unitary operator; U_dagger U = identity within UNITARITY_TOL."""
-
-    matrix: np.ndarray
 
     def __post_init__(self):
         mat = as_complex_matrix(self.matrix)
         defect = max_abs(mat.conj().T @ mat - np.eye(mat.shape[0]))
         if defect > UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary: max |U†U - 1| = {defect:.3e}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+        self._freeze(mat)
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_SquareMatrix):
     """A state: Hermitian, unit trace, positive semidefinite (within PSD_SLACK)."""
-
-    matrix: np.ndarray
 
     def __post_init__(self):
         mat = as_complex_matrix(self.matrix)
@@ -117,12 +116,7 @@ class DensityMatrix:
         lowest = float(np.linalg.eigvalsh(mat)[0])
         if lowest < -PSD_SLACK:
             raise ValueError(f"state is not positive semidefinite: lowest eigenvalue {lowest:.3e}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+        self._freeze(mat)
 
     def purity(self) -> float:
         """Tr(rho^2), equal to 1 exactly for one-dimensional projections."""

@@ -51,9 +51,8 @@ class StateMeasure:
         support = tuple(self.support)
         if not support:
             raise ValueError("measure support must be nonempty")
-        dims = {rho.dim for rho in support}
-        if len(dims) > 1:
-            raise ValueError(f"dimension mismatch in support: {sorted(dims)}")
+        for rho in support[1:]:
+            require_same_dim(support[0], rho)
         weights = np.array(self.weights, dtype=float)
         if weights.shape != (len(support),):
             raise ValueError(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import eqm_lab
+from eqm_lab import flow
 from eqm_lab.cli import _build_parser, main
 from eqm_lab.hilbert import SIGMA_X, SIGMA_Z, matrix_to_pairs
 
@@ -124,6 +125,34 @@ class TestRun:
         assert capsys.readouterr().err == "config error: integrator.recordstride: unknown field\n"
         assert not (tmp_path / "out").exists()
 
+    def test_fractionless_dimension_runs(self, rabi_config, tmp_path):
+        doc = json.loads(rabi_config.read_text())
+        doc["dimension"] = 2.0
+        rabi_config.write_text(json.dumps(doc))
+        assert main(["run", str(rabi_config), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 0
+        assert (tmp_path / "out" / "rabi-cli" / "trajectory.csv").exists()
+
+    def test_mixed_wigner_pair_is_config_error_before_any_step(self, rabi_config, tmp_path,
+                                                               capsys, monkeypatch):
+        def no_steps(*args):
+            raise AssertionError("a flow was integrated")
+
+        monkeypatch.setattr(flow, "_steps", no_steps)
+        doc = json.loads(rabi_config.read_text())
+        doc.update(outputs=["wigner"],
+                   wigner_pair={"density_matrix": matrix_to_pairs(np.eye(2) / 2)})
+        rabi_config.write_text(json.dumps(doc))
+        assert main(["run", str(rabi_config), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: wigner_pair: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_out_dir_exits_one(self, rabi_config, tmp_path, capsys):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        assert main(["run", str(rabi_config), "--out-dir", str(blocker)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
+
     def test_runtime_failure_exits_one_with_scenario_id(self, tmp_path, capsys):
         doc = {
             "id": "too-coarse",
@@ -209,6 +238,13 @@ class TestSuite:
         assert len(golden) == 11 and written == golden
         for name in golden:
             assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_unwritable_out_dir_exits_one(self, tmp_path, capsys):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        assert main(["suite", "--out-dir", str(blocker), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
 
     def test_dt_override_skips_scenarios_without_integrator(self, tmp_path, capsys):
         # The Koopman scenarios have no integrator section; --dt applies to the rest.

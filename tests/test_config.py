@@ -41,7 +41,7 @@ def minimal_doc(**overrides):
 class TestParsing:
     def test_minimal_linear_qubit(self):
         cfg = parse_config(json.dumps(minimal_doc()))
-        assert cfg.dimension == 2
+        assert cfg.initial.dim == 2
         assert cfg.scenario_id == "linear-qubit-test"
         assert cfg.integrator.dt == 1e-3
         assert cfg.thresholds == DEFAULT_THRESHOLDS
@@ -84,7 +84,7 @@ class TestParsing:
             },
         }
         cfg = build_config(doc)
-        assert cfg.dimension is None
+        assert cfg.initial is None
         assert cfg.koopman.flow == HarmonicOscillator(omega=2.0)
         assert len(cfg.koopman.generator_points) == 10
 
@@ -112,6 +112,21 @@ class TestValidation:
                           wigner_pair={"state_vector": PLUS_VEC})
         with pytest.raises(ConfigError, match="pure initial state"):
             build_config(doc)
+
+    def test_wigner_requires_pure_pair(self):
+        doc = minimal_doc(outputs=["wigner"],
+                          wigner_pair={"density_matrix": matrix_to_pairs(np.eye(2) / 2)})
+        with pytest.raises(ConfigError, match=r"^wigner_pair: wigner requires a pure wigner_pair "
+                                              r"state, got purity 0\.5$") as err:
+            build_config(doc)
+        assert err.value.path == "wigner_pair"
+
+    def test_dimension_is_read_as_a_count(self):
+        assert build_config(minimal_doc(dimension=2.0)).initial.dim == 2
+        with pytest.raises(ConfigError, match=r"^dimension: expected an integer, got 2\.5$"):
+            build_config(minimal_doc(dimension=2.5))
+        with pytest.raises(ConfigError, match=r"^dimension: expected a finite number, got True$"):
+            build_config(minimal_doc(dimension=True))
 
     def test_non_hermitian_literal_rejected_at_parse_time(self):
         skew = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]

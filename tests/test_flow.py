@@ -493,8 +493,19 @@ class TestWignerDeviation:
         with pytest.raises(ValueError, match="same times"):
             overlap_deviation(traj_p, coarse)
         mixed = evolve(h, DensityMatrix(np.eye(2) / 2), cfg)
-        with pytest.raises(ValueError, match="q must be pure"):
+        with pytest.raises(ValueError, match="second argument is not pure"):
             overlap_deviation(traj_p, mixed)
+
+    @pytest.mark.parametrize("position", ["first", "second"])
+    def test_mixed_input_fails_before_the_first_generator_call(self, qubit_up, position):
+        calls = []
+        h = HamiltonianFunction(value=lambda rho: 0.0,
+                                generator=lambda m: calls.append(m) or np.zeros_like(m))
+        mixed = DensityMatrix(np.eye(2) / 2)
+        p, q = (mixed, qubit_up) if position == "first" else (qubit_up, mixed)
+        with pytest.raises(ValueError, match=rf"^{position} argument is not pure: purity = 0\.5$"):
+            wigner_deviation(h, p, q, IntegratorConfig(dt=1e-3, t_final=1.0))
+        assert calls == []
 
 
 class TestGaugeInvariance:

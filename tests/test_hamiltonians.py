@@ -1,9 +1,11 @@
 """Tests for Hamiltonian function families, brackets, and differentials."""
 
+import re
+
 import numpy as np
 import pytest
 
-from eqm_lab.flow import IntegratorConfig, propagate
+from eqm_lab.flow import GeneratorError, IntegratorConfig, propagate
 from eqm_lab.hamiltonians import (
     HamiltonianFunction,
     fd_differential_residual,
@@ -74,7 +76,7 @@ class TestBuild:
             polynomial([(1.0, (sx,)), (float("inf"), (sx, sx))])
 
     def test_polynomial_factor_dimension_mismatch(self, sx):
-        with pytest.raises(ValueError, match="dimension mismatch among factors"):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
             polynomial([(1.0, (sx, HermitianOperator(np.eye(3))))])
 
     @pytest.mark.parametrize("dim", [2, MAX_DIM])
@@ -298,7 +300,8 @@ class TestArrayGenerator:
     def test_non_finite_closure_fails_inside_propagate(self, qubit_up):
         h = from_value(lambda m: float("nan"), dim=2, label="broken")
         cfg = IntegratorConfig(dt=0.01, t_final=0.1)
-        with pytest.raises(ValueError, match="'broken' gave a non-finite slope"):
+        message = "generator of 'broken' gave a non-finite matrix at step 1, t = 0 to 0.01"
+        with pytest.raises(GeneratorError, match=f"^{re.escape(message)}$"):
             propagate(h, qubit_up, 0.1, cfg)
 
 

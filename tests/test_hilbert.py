@@ -1,5 +1,7 @@
 """Tests for the validated matrix types and primitive operations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,16 @@ from conftest import (
 
 
 class TestConstructors:
+    @pytest.mark.parametrize("cls", [HermitianOperator, UnitaryOperator, DensityMatrix])
+    def test_matrix_types_copy_and_freeze_their_input(self, cls):
+        source = np.diag([1.0, 0.0] if cls is DensityMatrix else [1.0, -1.0]).astype(complex)
+        wrapped = cls(source)
+        source[0, 0] = 5.0
+        assert wrapped.dim == 2 and wrapped.matrix[0, 0] == 1.0
+        assert not wrapped.matrix.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            wrapped.matrix = np.eye(2)
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             HermitianOperator(np.ones((2, 3)))

@@ -86,6 +86,11 @@ class TestStateMeasure:
         with pytest.raises(ValueError, match="dimension mismatch"):
             StateMeasure(support=(qubit_up, other), weights=np.array([0.5, 0.5]))
 
+    def test_mixed_dimensions_fail_with_the_shared_dimension_check(self, qubit_up, qubit_plus):
+        other = DensityMatrix(np.eye(3) / 3)
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
+            StateMeasure(support=(qubit_up, qubit_plus, other), weights=np.full(3, 1 / 3))
+
     def test_two_point_sigma_z_expectation(self, sz, qubit_up):
         down = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
         omega = StateMeasure(support=(qubit_up, down), weights=np.array([0.5, 0.5]))
