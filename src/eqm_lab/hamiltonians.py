@@ -22,12 +22,14 @@ validates the operator it returns.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .hilbert import DensityMatrix, HermitianOperator, commutator, require_same_dim, trace_pairing
+from .hilbert import (MAX_DIM, MIN_DIM, DensityMatrix, HermitianOperator, commutator,
+                      require_same_dim, trace_pairing)
 
 FD_STEP_MIN = 1e-7
 FD_STEP_MAX = 1e-3
@@ -95,9 +97,10 @@ def mean_field(
         return trace_pairing(rho, linear_term) + 0.5 * strength * m * m
 
     a, b = linear_term.matrix, coupling.matrix
+    b_t = b.T.ravel()  # m.ravel() . b_t = Tr(m b): one dot product, no d x d product
 
     def generator(m: np.ndarray) -> np.ndarray:
-        return a + strength * (m @ b).trace().real * b
+        return a + strength * np.dot(m.ravel(), b_t).real * b
 
     return HamiltonianFunction(value=value, label=label, generator=generator)
 
@@ -109,8 +112,13 @@ def polynomial(terms: Sequence, label: str = "polynomial") -> HamiltonianFunctio
         require_same_dim(every_factor[0], factor)
     if not all(math.isfinite(c) for c, _ in terms):
         raise ValueError("coefficients must be finite")
-    # Each distinct factor, by identity, is paired once per evaluation.
+    # Each distinct factor, by identity, is one row: paired once per evaluation
+    # (row k of stack_t @ m.ravel() is Tr(m F_k)) and weighted once in D.
     distinct = {id(f): f for _, factors in terms for f in factors}
+    row = {key: k for k, key in enumerate(distinct)}
+    indexed = [(coeff, [row[id(f)] for f in factors]) for coeff, factors in terms]
+    stack = np.array([f.matrix.ravel() for f in distinct.values()])
+    stack_t = np.array([f.matrix.T.ravel() for f in distinct.values()])
 
     def value(rho: DensityMatrix) -> float:
         total = 0.0
@@ -122,17 +130,18 @@ def polynomial(terms: Sequence, label: str = "polynomial") -> HamiltonianFunctio
         return total
 
     def generator(m: np.ndarray) -> np.ndarray:
-        paired = {key: (m @ f.matrix).trace().real for key, f in distinct.items()}
-        out = None
-        for coeff, factors in terms:
-            pairings = [paired[id(f)] for f in factors]
-            for j, f in enumerate(factors):
+        if not distinct:
+            return np.zeros_like(m)
+        paired = (stack_t @ m.ravel()).real.tolist()
+        weights = [0.0] * len(paired)
+        for coeff, rows in indexed:
+            for j, k in enumerate(rows):
                 partial = coeff
-                for i, p in enumerate(pairings):
+                for i, r in enumerate(rows):
                     if i != j:
-                        partial *= p
-                out = partial * f.matrix if out is None else out + partial * f.matrix
-        return np.zeros_like(m) if out is None else out
+                        partial *= paired[r]
+                weights[k] += partial
+        return (np.array(weights) @ stack).reshape(m.shape)
 
     return HamiltonianFunction(value=value, label=label, generator=generator)
 
@@ -172,6 +181,8 @@ def from_value(
     differential is the traceless part; the identity component is pure gauge
     and does not affect the generated flow.
     """
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or not MIN_DIM <= dim <= MAX_DIM:
+        raise ValueError(f"dim must be an integer in [{MIN_DIM}, {MAX_DIM}], got {dim!r}")
     basis = traceless_hermitian_basis(dim)
     step = GENERIC_FD_STEP
 

@@ -89,6 +89,11 @@ class TestBuild:
         assert not np.any(generated)
         assert not np.any(h.differential(rho).matrix)
 
+    @pytest.mark.parametrize("dim", [0, 1, MAX_DIM + 1, True, 2.0])
+    def test_from_value_rejects_a_dimension_outside_the_lab(self, dim):
+        with pytest.raises(ValueError, match=rf"^dim must be an integer in \[2, {MAX_DIM}\], got "):
+            from_value(lambda m: 0.0, dim)
+
     def test_zero_hamiltonian(self, rng):
         h = linear(HermitianOperator(np.zeros((3, 3))))
         rho = random_density(rng, 3)
@@ -312,38 +317,48 @@ class TestPolynomialPairing:
         return [(1.0, (a,)), (0.5, (b, b)), (0.25, (a, b))]
 
     def test_each_distinct_factor_is_paired_once(self, rng):
-        # A pairing is the trace of m @ F.  Products with a state matrix of
-        # this subclass are of the subclass too, so their traces count the
-        # pairings one generator call takes.
-        traces = []
+        # The pairings are the entries of one product with the flattened state
+        # matrix.  Every ufunc a state matrix of this subclass enters is
+        # recorded with the shape of its result, so a second product, or a
+        # product with one row per factor appearance, fails the count.
+        seen = []
 
-        class CountedTrace(np.ndarray):
-            def trace(self, *args, **kwargs):
-                traces.append(self.shape)
-                return np.asarray(self).trace(*args, **kwargs)
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+                seen.append((ufunc.__name__, out.shape))
+                return out
 
         h = polynomial(self._terms(rng, 4))
         for calls in (1, 2):
-            h.generator(random_density(rng, 4).matrix.view(CountedTrace))
-            assert len(traces) == 2 * calls
+            h.generator(random_density(rng, 4).matrix.view(Counted))
+            assert seen == [("matmul", (2,))] * calls
 
     def test_endpoints_match_pairing_every_factor(self, rng):
-        # The reference pairs a factor again in every term it appears in,
-        # with the same per-term product and sum order.
+        # The reference pairs a factor again in every term it appears in, and
+        # keeps the order of the arithmetic: pairings are rows of the product
+        # of the stacked transposed factors with the flattened state (a lone
+        # one-row product can round differently), partials follow the product
+        # rule term by term into one weight per distinct factor, and D is the
+        # weighted sum of the stacked factors.
         for dim in (2, 4, 16):
             terms = self._terms(rng, dim)
+            a, b = terms[0][1][0], terms[1][1][0]
+            row = {id(a): 0, id(b): 1}
+            stack = np.array([a.matrix.ravel(), b.matrix.ravel()])
+            stack_t = np.array([a.matrix.T.ravel(), b.matrix.T.ravel()])
 
             def generator(m):
-                out = None
+                weights = [0.0, 0.0]
                 for coeff, factors in terms:
-                    pairings = [(m @ f.matrix).trace().real for f in factors]
+                    pairings = [(stack_t @ m.ravel()).real[row[id(f)]] for f in factors]
                     for j, f in enumerate(factors):
                         partial = coeff
                         for i, p in enumerate(pairings):
                             if i != j:
                                 partial *= p
-                        out = partial * f.matrix if out is None else out + partial * f.matrix
-                return out
+                        weights[row[id(f)]] += partial
+                return (np.array(weights) @ stack).reshape(m.shape)
 
             h = polynomial(terms)
             reference = HamiltonianFunction(h.value, h.differential, generator=generator)
@@ -352,3 +367,57 @@ class TestPolynomialPairing:
             (rho_a, u_a), (rho_b, u_b) = (propagate(g, rho, 0.05, cfg) for g in (h, reference))
             assert np.array_equal(rho_a.matrix, rho_b.matrix), dim
             assert np.array_equal(u_a.matrix, u_b.matrix), dim
+
+
+def _pairing_by_traces(terms):
+    """D by the product rule, with every pairing read as (m @ F).trace().real."""
+    def generator(m):
+        out = np.zeros_like(m)
+        for coeff, factors in terms:
+            pairings = [(m @ f.matrix).trace().real for f in factors]
+            for j, f in enumerate(factors):
+                partial = coeff
+                for i, p in enumerate(pairings):
+                    if i != j:
+                        partial *= p
+                out = out + partial * f.matrix
+        return out
+    return generator
+
+
+class TestPairingAgainstTraces:
+    DIMS = [2, 3, 4, 16, MAX_DIM]
+
+    @staticmethod
+    def _cases(rng, dim):
+        """(function, reference generator) per family.  In the polynomial, b
+        repeats within a term and a and b across terms, between constants."""
+        a, b, c = (random_hermitian(rng, dim) for _ in range(3))
+        terms = [(0.8, (a, b)), (1.5, ()), (-0.3, (b, b, a)), (0.6, (c,)), (-2.0, ())]
+        return {
+            "mean_field": (mean_field(a, b, 0.7),
+                           lambda m: a.matrix + 0.7 * (m @ b.matrix).trace().real * b.matrix),
+            "polynomial": (polynomial(terms), _pairing_by_traces(terms)),
+        }
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_generators_match_trace_pairings_to_rounding(self, rng, dim):
+        m = random_density(rng, dim).matrix
+        for name, (h, reference) in self._cases(rng, dim).items():
+            expected = reference(m)
+            assert max_abs(h.generator(m) - expected) <= 1e-14 * max_abs(expected), (name, dim)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_non_contiguous_states_give_the_bits_of_their_copies(self, rng, dim):
+        m = random_density(rng, dim).matrix
+        for name, (h, _) in self._cases(rng, dim).items():
+            for state in (np.asfortranarray(m), m.T):
+                assert not state.flags.c_contiguous
+                copy = np.ascontiguousarray(state)
+                assert np.array_equal(h.generator(state), h.generator(copy)), (name, dim)
+
+    @pytest.mark.parametrize("family", ["mean_field", "polynomial"])
+    def test_factors_of_another_dimension_fail_inside_propagate(self, rng, family):
+        h, _ = self._cases(rng, 2)[family]
+        with pytest.raises(ValueError):
+            propagate(h, random_density(rng, 4), 0.05, IntegratorConfig(dt=0.01, t_final=0.05))
