@@ -101,8 +101,11 @@ STEP_FAILURES = (ConvergenceError, GeneratorError, StateError)
 
 
 def require_count(name: str, value, minimum: int) -> None:
-    """Reject a count that is not an integer of at least minimum; numpy integers pass."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
+    """Reject a count that is not an integer of at least minimum.
+
+    numpy integers pass; a bool, which Python counts as an integer, does not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
@@ -204,7 +207,9 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
     Each step conjugates by exp(-i dt D_mid), with D_mid the differential at
     the self-consistent midpoint state, and extends the cocycle u by the
     same factor.  Only h.generator and expm_hermitian run here, on plain
-    arrays; states are validated where they leave the kernel.
+    arrays; states are validated where they leave the kernel.  A function
+    that carries a dimension other than the state's raises ValueError
+    before the first step.
 
     The midpoint iteration refreshes D_mid from the midpoint state it
     gives.  Pass j measures its increment delta_j, the largest entry of the
@@ -223,6 +228,9 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
     of the one matrix D; it is computed once per signed step size (the full
     step and the remainder), which gives the same bits every step.
     """
+    if h.dim is not None and h.dim != rho.shape[0]:
+        raise ValueError(f"Hamiltonian function {h.label!r} acts on dimension {h.dim}, "
+                         f"the state has dimension {rho.shape[0]}")
     generator = h.generator
     fixed = generator(rho) if h.state_independent else None
     steppers = {}  # signed step size -> exp(-i dt D) of the fixed generator
@@ -242,9 +250,10 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
                 try:
                     half = expm_hermitian(gen, 0.5 * dt)
                 except ValueError:
-                    # eigh rejects a non-finite matrix, math.sin an infinite
-                    # angle.  Every later gen passed the finiteness check
-                    # below, so only the first call can be at fault here.
+                    # The Padé path rejects every non-finite matrix, eigh
+                    # many, math.sin an infinite angle.  Every later gen
+                    # passed the finiteness check below, so only the first
+                    # call can be at fault here.
                     if np.isfinite(gen).all():
                         raise
                     raise GeneratorError.at_step(h.label, k, time - dt, time) from None

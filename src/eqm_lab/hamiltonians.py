@@ -52,6 +52,10 @@ class HamiltonianFunction:
     ``state_independent`` marks a generator that returns the same matrix at
     every state; the integrator then exponentiates it once per step size.
     The factories set it; a function built by hand is not marked.
+
+    ``dim`` is the dimension the function acts on, or None when it fits any
+    state; the integrator rejects a state of another dimension before its
+    first step.  The factories set it from their operators.
     """
 
     value: Callable[[DensityMatrix], float]
@@ -59,8 +63,13 @@ class HamiltonianFunction:
     label: str = "h"
     generator: Callable[[np.ndarray], np.ndarray] | None = None
     state_independent: bool = False
+    dim: int | None = None
 
     def __post_init__(self):
+        dim = self.dim
+        if dim is not None and (isinstance(dim, bool) or not isinstance(dim, numbers.Integral)
+                                or dim < 1):
+            raise ValueError(f"dim must be a positive integer or None, got {dim!r}")
         generator, differential = self.generator, self.differential
         if generator is None:
             if differential is None:
@@ -79,6 +88,7 @@ def linear(a: HermitianOperator, label: str = "linear") -> HamiltonianFunction:
         label=label,
         generator=lambda m: a.matrix,
         state_independent=True,
+        dim=a.dim,
     )
 
 
@@ -102,7 +112,8 @@ def mean_field(
     def generator(m: np.ndarray) -> np.ndarray:
         return a + strength * np.dot(m.ravel(), b_t).real * b
 
-    return HamiltonianFunction(value=value, label=label, generator=generator)
+    return HamiltonianFunction(value=value, label=label, generator=generator,
+                               dim=linear_term.dim)
 
 
 def polynomial(terms: Sequence, label: str = "polynomial") -> HamiltonianFunction:
@@ -143,7 +154,8 @@ def polynomial(terms: Sequence, label: str = "polynomial") -> HamiltonianFunctio
                 weights[k] += partial
         return (np.array(weights) @ stack).reshape(m.shape)
 
-    return HamiltonianFunction(value=value, label=label, generator=generator)
+    return HamiltonianFunction(value=value, label=label, generator=generator,
+                               dim=every_factor[0].dim if every_factor else None)
 
 
 def traceless_hermitian_basis(dim: int) -> list[np.ndarray]:
@@ -196,7 +208,7 @@ def from_value(
             out += slope * direction
         return out
 
-    return HamiltonianFunction(value=value, label=label, generator=generator)
+    return HamiltonianFunction(value=value, label=label, generator=generator, dim=dim)
 
 
 def poisson_bracket(f: HamiltonianFunction, h: HamiltonianFunction, rho: DensityMatrix) -> float:
@@ -247,4 +259,4 @@ def shift_differential(h: HamiltonianFunction, c: float) -> HamiltonianFunction:
         return base + c * np.eye(base.shape[0])
 
     return HamiltonianFunction(value=value, label=f"{h.label}+{c:g}*tr", generator=generator,
-                               state_independent=h.state_independent)
+                               state_independent=h.state_independent, dim=h.dim)

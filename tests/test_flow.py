@@ -78,7 +78,9 @@ class TestIntegratorConfig:
             IntegratorConfig(dt=0.1, t_final=1.0, record_stride=0)
 
     @pytest.mark.parametrize("field, value", [("record_stride", 2.5), ("record_stride", 2.0),
-                                              ("midpoint_max_iter", 3.0)])
+                                              ("midpoint_max_iter", 3.0),
+                                              ("record_stride", True),
+                                              ("midpoint_max_iter", True)])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be an integer of at least 1, "
                                              rf"got {value}$"):
@@ -271,10 +273,12 @@ class TestNonFiniteGenerator:
         assert float(found[3]) == pytest.approx(k * 0.01)
 
     @pytest.mark.parametrize("dim, bad", [(2, np.nan), (2, np.inf), (4, np.nan), (4, np.inf),
-                                          (16, np.nan)])
+                                          (16, np.nan), (16, np.inf), (MAX_DIM, np.nan),
+                                          (MAX_DIM, np.inf)])
     def test_first_call_fails_at_step_one(self, dim, bad, rng):
-        # At d >= 3 the first call reaches eigh before any increment exists;
-        # at d = 2 an infinite angle reaches math.sin.
+        # The first call reaches the exponential before any increment exists:
+        # eigh at d = 4, the Padé path at d = 16 and 64, and at d = 2 an
+        # infinite angle reaches math.sin.
         h = self._turns_bad(dim, 1, bad, rng)
         with pytest.raises(GeneratorError, match=r"^generator of 'turns bad' gave a non-finite "
                                                  r"matrix at step 1, t = 0 to 0\.01$"):

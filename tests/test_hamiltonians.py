@@ -1,11 +1,12 @@
 """Tests for Hamiltonian function families, brackets, and differentials."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from eqm_lab.flow import GeneratorError, IntegratorConfig, propagate
+from eqm_lab.flow import GeneratorError, IntegratorConfig, evolve, propagate
 from eqm_lab.hamiltonians import (
     HamiltonianFunction,
     fd_differential_residual,
@@ -416,8 +417,34 @@ class TestPairingAgainstTraces:
                 copy = np.ascontiguousarray(state)
                 assert np.array_equal(h.generator(state), h.generator(copy)), (name, dim)
 
+    def test_factories_carry_the_dimension_of_their_operators(self, rng):
+        a, b = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        carried = {
+            "linear": linear(a), "mean_field": mean_field(a, b, 0.5),
+            "polynomial": polynomial([(1.0, (a, b)), (2.0, ())]),
+            "from_value": from_value(lambda m: 0.0, 3),
+            "shift": shift_differential(mean_field(a, b, 0.5), 1.0),
+        }
+        assert {name: h.dim for name, h in carried.items()} == dict.fromkeys(carried, 3)
+        assert polynomial([(1.0, ())]).dim is None
+
+    @pytest.mark.parametrize("dim", [0, True, 2.0])
+    def test_a_hand_built_dimension_is_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match=rf"^dim must be a positive integer or None, got {dim}$"):
+            HamiltonianFunction(value=lambda rho: 0.0, generator=lambda m: m, dim=dim)
+
     @pytest.mark.parametrize("family", ["mean_field", "polynomial"])
     def test_factors_of_another_dimension_fail_inside_propagate(self, rng, family):
+        # Rejected before the first step, so the generator never runs.
         h, _ = self._cases(rng, 2)[family]
-        with pytest.raises(ValueError):
-            propagate(h, random_density(rng, 4), 0.05, IntegratorConfig(dt=0.01, t_final=0.05))
+        calls = []
+        counted = dataclasses.replace(h, generator=lambda m: calls.append(m) or h.generator(m))
+        rho, cfg = random_density(rng, 4), IntegratorConfig(dt=0.01, t_final=0.05)
+        message = (rf"^Hamiltonian function '{family}' acts on dimension 2, "
+                   r"the state has dimension 4$")
+        for run in (lambda: propagate(counted, rho, 0.05, cfg),
+                    lambda: propagate(counted, rho, -0.05, cfg),
+                    lambda: evolve(counted, rho, cfg)):
+            with pytest.raises(ValueError, match=message):
+                run()
+        assert calls == []

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from eqm_lab.flow import IntegratorConfig, propagate
 from eqm_lab.hamiltonians import mean_field
 from eqm_lab.hilbert import (
+    MAX_DIM,
+    PADE_MIN_DIM,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -29,6 +31,7 @@ from eqm_lab.hilbert import (
     unitary_exponential,
     vector_from_pairs,
 )
+from eqm_lab.runner import corpus_documents
 from conftest import (
     random_density,
     random_hermitian,
@@ -181,6 +184,19 @@ def _assert_qubit_exponential(mat, s):
     return u
 
 
+def _assert_pade_exponential(mat, s):
+    """expm_hermitian(mat, s) agrees with eigh and is unitary within 1e-14 max(1, |s| ||A||_2).
+
+    Each squaring doubles the rounding of the one before, and the number of
+    squarings grows as log2 |s| ||A||, so both bounds scale with |s| ||A||_2.
+    """
+    u = expm_hermitian(mat, s)
+    bound = 1e-14 * max(1.0, abs(s) * np.linalg.norm(mat, 2))
+    assert max_abs(u - _eigh_exponential(mat, s)) <= bound, (mat.shape, s)
+    assert max_abs(u.conj().T @ u - np.eye(mat.shape[0])) <= bound, (mat.shape, s)
+    return u
+
+
 def _qubit(a0, x, y, z):
     return a0 * np.eye(2) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
 
@@ -234,18 +250,23 @@ class TestQubitClosedForm:
                 expected = -1j * s * a[1, 0] * np.exp(-1j * s * a0)
                 assert abs(u[1, 0] - expected) <= 1e-15 * abs(expected)
 
-    def test_reads_what_eigh_reads(self, rng):
+    @pytest.mark.parametrize("dim", [2, 16, MAX_DIM])
+    def test_reads_what_eigh_reads(self, rng, dim):
         # The real diagonal and the lower triangle, so a generator Hermitian
-        # only to rounding gets the same exponential as its lower part.
-        for _ in range(20):
-            lower = random_hermitian(rng, 2).matrix
-            skewed = lower + np.array([[1e-13j, 3e-13 - 1e-13j], [0.0, -2e-13j]])
+        # only to rounding gets the same exponential as its lower part; at
+        # d = 16 and 64 this is the Padé path.
+        check = _assert_qubit_exponential if dim == 2 else _assert_pade_exponential
+        for _ in range(20 if dim == 2 else 3):
+            lower = random_hermitian(rng, dim).matrix
+            noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            skewed = lower + 1e-13 * (np.triu(noise, 1) + 1j * np.diag(noise.real.diagonal()))
             for s in (0.2, -1.1):
                 assert np.array_equal(expm_hermitian(skewed, s), expm_hermitian(lower, s))
-                _assert_qubit_exponential(skewed, s)
+                check(skewed, s)
 
-    @pytest.mark.parametrize("dim", [3, 4, 16])
+    @pytest.mark.parametrize("dim", [3, 4, PADE_MIN_DIM - 1])
     def test_larger_dimensions_keep_the_eigendecomposition(self, rng, dim):
+        # Below PADE_MIN_DIM, eigh's bits.
         a = random_hermitian(rng, dim).matrix
         assert np.array_equal(expm_hermitian(a, 0.37), _eigh_exponential(a, 0.37))
 
@@ -264,6 +285,57 @@ class TestQubitClosedForm:
             h = mean_field(random_hermitian(rng, dim), random_hermitian(rng, dim), 1.0)
             propagate(h, random_interior_density(rng, dim), 0.2, cfg)
         assert 2 not in calls and calls.count(4) >= 20
+
+
+class TestPadePath:
+    """From PADE_MIN_DIM on, expm_hermitian is a scaled and squared diagonal Padé approximant."""
+
+    DIMS = sorted({PADE_MIN_DIM, 16, MAX_DIM})
+
+    def test_the_corpus_stays_below_the_switch(self):
+        # So the bundled scenarios and their outputs keep eigh's bits.
+        dims = [doc["dimension"] for doc in corpus_documents() if "dimension" in doc]
+        assert dims and max(dims) < PADE_MIN_DIM <= MAX_DIM
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_random_generators(self, rng, dim):
+        # |s| ||A||_2 from 1e-4, where ||s A||_1 <= sqrt(d) 1e-4 < theta_3 and
+        # m = 3, to 1e2, past theta_9 = 2.1, where the result is squared.
+        for _ in range(4):
+            a = random_hermitian(rng, dim, scale=rng.uniform(0.1, 10)).matrix
+            norm = np.linalg.norm(a, 2)
+            for target in np.logspace(-4, 2, 13):
+                _assert_pade_exponential(a, rng.choice([-1.0, 1.0]) * target / norm)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_zero_time_is_the_identity_exactly(self, rng, dim):
+        a = random_hermitian(rng, dim, scale=10.0).matrix
+        assert np.array_equal(expm_hermitian(a, 0.0), np.eye(dim))
+        assert np.array_equal(expm_hermitian(np.zeros((dim, dim), dtype=complex), 0.7),
+                              np.eye(dim))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_raises_value_error(self, rng, bad):
+        a = random_hermitian(rng, MAX_DIM).matrix.copy()
+        a[5, 3] = bad
+        with pytest.raises(ValueError, match="^exponent must be finite"):
+            expm_hermitian(a, 0.1)
+
+    def test_large_flow_takes_no_eigendecomposition(self, rng, monkeypatch):
+        # A 20-step mean-field run at d = 64 must stay on the Padé path; the
+        # same run at d = 4 shows that the counter sees eigh calls.
+        calls, eigh = [], np.linalg.eigh
+
+        def counted(mat, *args, **kwargs):
+            calls.append(mat.shape[0])
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.2)
+        for dim in (MAX_DIM, 4):
+            h = mean_field(random_hermitian(rng, dim), random_hermitian(rng, dim), 1.0)
+            propagate(h, random_interior_density(rng, dim), 0.2, cfg)
+        assert MAX_DIM not in calls and calls.count(4) >= 20
 
 
 class TestProjector:
