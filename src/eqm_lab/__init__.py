@@ -13,6 +13,7 @@ from .flow import (
     GeneratorError,
     IntegratorConfig,
     StateError,
+    StepError,
     Trajectory,
     convergence_order,
     evolve,

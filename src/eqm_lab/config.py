@@ -339,9 +339,8 @@ def _parse_koopman(f: _Fields) -> KoopmanSetup:
 def _parse_flow(top: _Fields, outputs: tuple) -> dict:
     """The ScenarioConfig fields of a document that asks for a density-matrix flow."""
     dimension = top.integer("dimension", minimum=None)
-    if not hilbert.MIN_DIM <= dimension <= hilbert.MAX_DIM:
-        raise ConfigError("dimension",
-                          f"must lie in [{hilbert.MIN_DIM}, {hilbert.MAX_DIM}], got {dimension}")
+    with _at("dimension"):
+        hilbert.require_dim("dimension", dimension)
     hamiltonian = _parse_hamiltonian(top.fields("hamiltonian"), dimension)
     initial = _parse_initial(top.fields("initial"), dimension)
     integrator = _parse_integrator(top.fields("integrator"))

@@ -12,7 +12,6 @@ in the structural invariants is monitored, never repaired.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .hilbert import (
     UnitaryOperator,
     expm_hermitian,
     max_abs,
+    require_count,
     spectrum,
     transition_probability,
 )
@@ -35,78 +35,55 @@ MIDPOINT_KAPPA = 1e-2
 EXACT_ERROR_FLOOR = 1e-12  # self-convergence errors below this count as exact
 
 
-class ConvergenceError(RuntimeError):
-    """Raised when the midpoint fixed-point iteration fails to settle; names the step and time.
+class StepError(Exception):
+    """A failure inside a run of the step kernel, named by its step and time.
 
-    Built by ``at_step``: ``step`` counts from the start of the failing run,
-    and ``start`` and ``end`` bound the failing step on that run's clock,
-    which reads 0 at its start.
+    ``step`` counts from the start of the failing run; ``start`` and ``end``
+    bound the step on that run's clock, which reads 0 at its start.
+    ``detail`` is the subclass's own datum, which its ``_text`` names, and
+    ``leg`` prefixes the message when the run is one leg of a larger one.
     """
 
-    @classmethod
-    def at_step(cls, max_iter: int, step: int, start: float, end: float,
-                leg: str = "") -> "ConvergenceError":
-        exc = cls(f"{leg}midpoint iteration did not settle within {max_iter} iterations "
-                  f"at step {step}, t = {start:g} to {end:g} "
-                  f"(dt = {end - start:g} is too large for this nonlinearity)")
-        exc.max_iter, exc.step, exc.start, exc.end = max_iter, step, start, end
-        return exc
+    def __init__(self, detail, step: int, start: float, end: float, leg: str = ""):
+        self.detail, self.step, self.start, self.end, self.leg = detail, step, start, end, leg
+        super().__init__(f"{leg}{self._text()}")
 
-    def on_leg(self, leg: str, origin: float) -> "ConvergenceError":
+    def _text(self) -> str:
+        raise NotImplementedError
+
+    def _span(self) -> str:
+        return f"step {self.step}, t = {self.start:g} to {self.end:g}"
+
+    def on_leg(self, leg: str, origin: float) -> "StepError":
         """The same failure named by leg, on a clock that reads origin at the run's start."""
-        return self.at_step(self.max_iter, self.step, origin + self.start, origin + self.end,
-                            f"{leg}: ")
+        return type(self)(self.detail, self.step, origin + self.start, origin + self.end,
+                          f"{leg}: ")
 
 
-class GeneratorError(ValueError):
-    """Raised when a generator gives a non-finite matrix inside a step; names the step and time.
+class ConvergenceError(StepError, RuntimeError):
+    """The midpoint fixed-point iteration did not settle within ``detail`` passes."""
 
-    Built by ``at_step``, on the same clock as ``ConvergenceError``.
+    def _text(self) -> str:
+        dt = self.end - self.start
+        return (f"midpoint iteration did not settle within {self.detail} iterations at "
+                f"{self._span()} (dt = {dt:g} is too large for this nonlinearity)")
+
+
+class GeneratorError(StepError, ValueError):
+    """The generator of the function labelled ``detail`` gave a non-finite matrix."""
+
+    def _text(self) -> str:
+        return f"generator of {self.detail!r} gave a non-finite matrix at {self._span()}"
+
+
+class StateError(StepError, ValueError):
+    """A state or cocycle failed validation where it left the kernel; ``detail`` is the reason.
+
+    It names the time after the step, which ``start`` and ``end`` both hold.
     """
 
-    @classmethod
-    def at_step(cls, label: str, step: int, start: float, end: float,
-                leg: str = "") -> "GeneratorError":
-        exc = cls(f"{leg}generator of {label!r} gave a non-finite matrix "
-                  f"at step {step}, t = {start:g} to {end:g}")
-        exc.label, exc.step, exc.start, exc.end = label, step, start, end
-        return exc
-
-    def on_leg(self, leg: str, origin: float) -> "GeneratorError":
-        """The same failure named by leg, on a clock that reads origin at the run's start."""
-        return self.at_step(self.label, self.step, origin + self.start, origin + self.end,
-                            f"{leg}: ")
-
-
-class StateError(ValueError):
-    """Raised when a state or cocycle fails validation where it leaves the step kernel.
-
-    Built by ``at_step``, on the same clock as ``ConvergenceError``: ``step``
-    counts from the start of the run and ``time`` is the signed time after it.
-    """
-
-    @classmethod
-    def at_step(cls, step: int, time: float, reason: str, leg: str = "") -> "StateError":
-        exc = cls(f"{leg}state after step {step}, t = {time:g}: {reason}")
-        exc.step, exc.time, exc.reason = step, time, reason
-        return exc
-
-    def on_leg(self, leg: str, origin: float) -> "StateError":
-        """The same failure named by leg, on a clock that reads origin at the run's start."""
-        return self.at_step(self.step, origin + self.time, self.reason, f"{leg}: ")
-
-
-# The failures of a run that name its step; each re-raises on a leg by on_leg.
-STEP_FAILURES = (ConvergenceError, GeneratorError, StateError)
-
-
-def require_count(name: str, value, minimum: int) -> None:
-    """Reject a count that is not an integer of at least minimum.
-
-    numpy integers pass; a bool, which Python counts as an integer, does not.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    def _text(self) -> str:
+        return f"state after step {self.step}, t = {self.end:g}: {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -240,7 +217,7 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
         if fixed is not None:
             if dt not in steppers:
                 if not np.isfinite(fixed).all():
-                    raise GeneratorError.at_step(h.label, k, time - dt, time)
+                    raise GeneratorError(h.label, k, time - dt, time)
                 steppers[dt] = expm_hermitian(fixed, dt)
             stepper = steppers[dt]
         else:
@@ -256,12 +233,12 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
                     # call can be at fault here.
                     if np.isfinite(gen).all():
                         raise
-                    raise GeneratorError.at_step(h.label, k, time - dt, time) from None
+                    raise GeneratorError(h.label, k, time - dt, time) from None
                 rho_mid = half @ rho @ half.conj().T
                 refreshed = generator(rho_mid)
                 increment = max_abs(refreshed - gen)
                 if not math.isfinite(increment):
-                    raise GeneratorError.at_step(h.label, k, time - dt, time)
+                    raise GeneratorError(h.label, k, time - dt, time)
                 if increment < tol:
                     break
                 if previous is not None:
@@ -270,7 +247,7 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
                         break
                 previous, gen = increment, refreshed
             else:
-                raise ConvergenceError.at_step(cfg.midpoint_max_iter, k, time - dt, time)
+                raise ConvergenceError(cfg.midpoint_max_iter, k, time - dt, time)
             stepper = expm_hermitian(refreshed, dt)
         rho = stepper @ rho @ stepper.conj().T
         u = stepper @ u
@@ -287,7 +264,7 @@ def _validated(k: int, time: float, rho: np.ndarray,
     try:
         return DensityMatrix(rho), UnitaryOperator(u)
     except ValueError as exc:
-        raise StateError.at_step(k, time, str(exc)) from exc
+        raise StateError(str(exc), k, time, time) from exc
 
 
 def evolve(h: HamiltonianFunction, rho0: DensityMatrix, cfg: IntegratorConfig) -> Trajectory:

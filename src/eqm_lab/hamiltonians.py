@@ -22,13 +22,12 @@ validates the operator it returns.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .hilbert import (MAX_DIM, MIN_DIM, DensityMatrix, HermitianOperator, commutator,
+from .hilbert import (DensityMatrix, HermitianOperator, commutator, require_count, require_dim,
                       require_same_dim, trace_pairing)
 
 FD_STEP_MIN = 1e-7
@@ -66,10 +65,8 @@ class HamiltonianFunction:
     dim: int | None = None
 
     def __post_init__(self):
-        dim = self.dim
-        if dim is not None and (isinstance(dim, bool) or not isinstance(dim, numbers.Integral)
-                                or dim < 1):
-            raise ValueError(f"dim must be a positive integer or None, got {dim!r}")
+        if self.dim is not None:
+            require_count("dim", self.dim, 1)
         generator, differential = self.generator, self.differential
         if generator is None:
             if differential is None:
@@ -193,8 +190,7 @@ def from_value(
     differential is the traceless part; the identity component is pure gauge
     and does not affect the generated flow.
     """
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or not MIN_DIM <= dim <= MAX_DIM:
-        raise ValueError(f"dim must be an integer in [{MIN_DIM}, {MAX_DIM}], got {dim!r}")
+    require_dim("dim", dim)
     basis = traceless_hermitian_basis(dim)
     step = GENERIC_FD_STEP
 

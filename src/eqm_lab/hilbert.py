@@ -9,6 +9,7 @@ it.  All tolerances used by the invariant checks live here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,22 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z):
     _m.setflags(write=False)
+
+
+def require_count(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """Reject a count that is not an integer of at least minimum (and at most maximum).
+
+    numpy integers pass; a bool, which Python counts as an integer, does not.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum
+            or (maximum is not None and value > maximum)):
+        bounds = f"of at least {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def require_dim(name: str, value) -> None:
+    """Reject a dimension that is not an integer in [MIN_DIM, MAX_DIM]."""
+    require_count(name, value, MIN_DIM, MAX_DIM)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -269,6 +286,11 @@ def expm_hermitian(mat: np.ndarray, s: float) -> np.ndarray:
     - 3 <= d < PADE_MIN_DIM: eigh, exp(-i s A) = V exp(-i s Lambda) V^dagger;
     - d >= PADE_MIN_DIM: the diagonal Padé approximant of degree 3 to 9, with
       scaling and squaring past ||s A||_1 = 2.1 (Higham 2005).
+
+    Non-finite entries are not checked for.  The closed form returns NaN for a
+    NaN and raises ValueError (math.sin) for an infinity; eigh returns NaN or
+    raises LinAlgError, a ValueError; the Padé path raises ValueError for both.
+    flow._steps turns each of these into GeneratorError.
     """
     if mat.shape == (2, 2):
         # a = (Re A10, Im A10, z) with z = (A00 - A11) / 2.

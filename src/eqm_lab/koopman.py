@@ -20,7 +20,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .flow import require_count, split_steps
+from .flow import split_steps
+from .hilbert import require_count
 
 PENDULUM_STEP = 1e-4      # internal leapfrog step
 SPATIAL_FD_STEP = 1e-5    # central-difference step for partial derivatives

@@ -143,8 +143,7 @@ def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times
     from 0.  A time off the step grid ends in a shorter step that a chained
     leg would take elsewhere, so its leg restarts from 0.  The backward run
     from rho_t depends only on t and is shared by all observables.  A
-    ConvergenceError, GeneratorError or StateError names the leg and the
-    absolute times.
+    StepError names the leg and the absolute times.
 
     trajectory, when given, is what evolve recorded from rho with the same
     dt and midpoint settings as cfg.  Its records at whole numbers of steps
@@ -174,13 +173,13 @@ def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times
             try:
                 if k != n or rem:
                     rho_t, _ = flow_mod.propagate(h, rho_t, t - start, cfg)
-            except flow_mod.STEP_FAILURES as exc:
+            except flow_mod.StepError as exc:
                 raise exc.on_leg(f"forward leg from t = {start:g}", start) from exc
             if rem == 0.0:
                 chain[n] = (t, rho_t)
             try:
                 back = flow_mod.propagate(h, rho_t, -t, cfg)
-            except flow_mod.STEP_FAILURES as exc:
+            except flow_mod.StepError as exc:
                 raise exc.on_leg(f"backward run from grid time t = {t:g}", t) from exc
             columns[t] = [abs(trace_pairing(rho_t, _pull_back(f, *back)) - ref)
                           for f, ref in zip(fs, rhs)]
@@ -192,7 +191,9 @@ def conservation_residual(f: ObservableFunction, h: HamiltonianFunction,
     """|Tr(rho_t (T_{-t} f)(rho_t)) - Tr(rho f(rho))|.
 
     Transporting the observable backward while the state moves forward
-    cancels exactly in the continuum, for linear and nonlinear flows alike;
-    the numerical residual measures integrator error only.
+    cancels exactly in the continuum, for linear and nonlinear flows alike.
+    By trace cyclicity the residual equals |Tr(rho_b f(rho_b)) - Tr(rho f(rho))|,
+    rho_b the end of the backward run from rho_t, so it reads 0 whenever
+    rho_b = rho, whatever f is: it tests whether the symmetric step retraces itself.
     """
     return float(conservation_residuals((f,), h, rho, (t,), cfg)[0, 0])

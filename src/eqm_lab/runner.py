@@ -164,7 +164,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[list[tuple[str, str]], list[Repor
         if "wigner" in cfg.outputs:
             try:
                 pair = flow_mod.evolve(cfg.hamiltonian, cfg.wigner_pair, cfg.integrator)
-            except flow_mod.STEP_FAILURES as exc:
+            except flow_mod.StepError as exc:
                 raise exc.on_leg("wigner pair", 0.0) from exc
             deviation, _ = flow_mod.overlap_deviation(traj, pair)
             rows.append(ReportRow(cfg.scenario_id, "wigner_deviation", deviation,

@@ -128,6 +128,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"^dimension: expected a finite number, got True$"):
             build_config(minimal_doc(dimension=True))
 
+    @pytest.mark.parametrize("dimension", [1, 65])
+    def test_dimension_outside_the_lab_fails_at_its_path(self, dimension):
+        with pytest.raises(ConfigError, match=rf"^dimension: dimension must be an integer in "
+                                              rf"\[2, 64\], got {dimension}$") as err:
+            build_config(minimal_doc(dimension=dimension))
+        assert err.value.path == "dimension"
+
     def test_non_hermitian_literal_rejected_at_parse_time(self):
         skew = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         doc = minimal_doc(hamiltonian={"type": "linear", "A": skew})

@@ -13,6 +13,7 @@ from eqm_lab.flow import (
     IntegratorConfig,
     convergence_order,
     StateError,
+    StepError,
     evolve,
     overlap_deviation,
     propagate,
@@ -239,6 +240,36 @@ class TestMidpointStop:
             worst = max(worst, max_abs(h.generator(half @ rho.matrix @ half.conj().T) - d))
             rho = after
         assert worst <= cfg.midpoint_tol
+
+
+class TestStepError:
+    """The three step failures share one base, one message layout and one on_leg."""
+
+    LEG = "backward run from grid time t = 2"
+
+    @pytest.mark.parametrize("failure, base, message, on_leg", [
+        (ConvergenceError(50, 3, -0.02, -0.03), RuntimeError,
+         "midpoint iteration did not settle within 50 iterations at step 3, t = -0.02 to -0.03 "
+         "(dt = -0.01 is too large for this nonlinearity)",
+         "backward run from grid time t = 2: midpoint iteration did not settle within 50 "
+         "iterations at step 3, t = 1.98 to 1.97 (dt = -0.01 is too large for this nonlinearity)"),
+        (GeneratorError("turns nan", 3, -0.02, -0.03), ValueError,
+         "generator of 'turns nan' gave a non-finite matrix at step 3, t = -0.02 to -0.03",
+         "backward run from grid time t = 2: generator of 'turns nan' gave a non-finite matrix "
+         "at step 3, t = 1.98 to 1.97"),
+        (StateError("state must have unit trace", 3, -0.03, -0.03), ValueError,
+         "state after step 3, t = -0.03: state must have unit trace",
+         "backward run from grid time t = 2: state after step 3, t = 1.97: "
+         "state must have unit trace"),
+    ], ids=["convergence", "generator", "state"])
+    def test_family(self, failure, base, message, on_leg):
+        assert isinstance(failure, StepError) and isinstance(failure, base)
+        assert isinstance(failure, ValueError) == (base is ValueError)
+        assert str(failure) == message
+        moved = failure.on_leg(self.LEG, 2.0)
+        assert type(moved) is type(failure)
+        assert (moved.step, moved.start, moved.end) == (3, 2.0 + failure.start, 2.0 + failure.end)
+        assert str(moved) == on_leg
 
 
 class TestNonFiniteGenerator:

@@ -430,8 +430,16 @@ class TestPairingAgainstTraces:
 
     @pytest.mark.parametrize("dim", [0, True, 2.0])
     def test_a_hand_built_dimension_is_a_positive_integer(self, dim):
-        with pytest.raises(ValueError, match=rf"^dim must be a positive integer or None, got {dim}$"):
+        with pytest.raises(ValueError, match=rf"^dim must be an integer of at least 1, got {dim}$"):
             HamiltonianFunction(value=lambda rho: 0.0, generator=lambda m: m, dim=dim)
+
+    def test_numpy_integer_dimensions_pass_and_a_float_does_not(self):
+        assert HamiltonianFunction(value=lambda rho: 0.0, generator=lambda m: m,
+                                   dim=np.int64(4)).dim == 4
+        assert from_value(lambda m: 0.0, np.int64(4)).dim == 4
+        with pytest.raises(ValueError, match=rf"^dim must be an integer in \[2, {MAX_DIM}\], "
+                                             r"got 4\.0$"):
+            from_value(lambda m: 0.0, 4.0)
 
     @pytest.mark.parametrize("family", ["mean_field", "polynomial"])
     def test_factors_of_another_dimension_fail_inside_propagate(self, rng, family):

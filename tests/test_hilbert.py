@@ -1,6 +1,7 @@
 """Tests for the validated matrix types and primitive operations."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from eqm_lab.hilbert import (
     matrix_to_pairs,
     max_abs,
     projector,
+    require_count,
+    require_dim,
     spectrum,
     trace_pairing,
     transition_probability,
@@ -83,6 +86,21 @@ class TestConstructors:
     def test_matrices_are_frozen(self, sz):
         with pytest.raises(ValueError):
             sz.matrix[0, 0] = 5.0
+
+
+class TestCounts:
+    """require_count is the one count check, and require_dim the one [2, 64] check on it."""
+
+    @pytest.mark.parametrize("value", [True, 0, 2.0, "2", None])
+    def test_rejects_what_is_not_a_count(self, value):
+        with pytest.raises(ValueError, match=rf"^order must be an integer of at least 1, "
+                                             rf"got {re.escape(repr(value))}$"):
+            require_count("order", value, 1)
+
+    @pytest.mark.parametrize("value", [2, MAX_DIM, np.int64(4), np.int32(4)])
+    def test_integers_pass(self, value):
+        require_count("order", value, 1)
+        require_dim("dim", value)
 
 
 class TestCommutator:

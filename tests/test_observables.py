@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eqm_lab.config import DEFAULT_THRESHOLDS
+from eqm_lab.config import DEFAULT_THRESHOLDS, build_config, with_dt
 from eqm_lab import flow
 from eqm_lab.flow import (ConvergenceError, GeneratorError, IntegratorConfig, StateError, evolve,
                           propagate)
@@ -32,6 +32,7 @@ from eqm_lab.observables import (
     pushforward_state,
     trace_scaled_observable,
 )
+from eqm_lab.runner import corpus_documents
 from conftest import random_density, random_hermitian
 
 
@@ -326,6 +327,56 @@ class TestConservationResiduals:
                                                  r"'turns nan' gave a non-finite matrix at "
                                                  r"step 1, t = 0\.05 to 0\.06$"):
             conservation_residuals(fs, h, qubit_up, (0.05, 0.1), cfg)
+
+    @pytest.mark.parametrize("call, failure, message", [
+        (3, StateError("state must have unit trace", 2, 0.02, 0.02),
+         "forward leg from t = 0.05: state after step 2, t = 0.07: state must have unit trace"),
+        (3, ConvergenceError(50, 2, 0.01, 0.02),
+         "forward leg from t = 0.05: midpoint iteration did not settle within 50 iterations "
+         "at step 2, t = 0.06 to 0.07 (dt = 0.01 is too large for this nonlinearity)"),
+        (4, StateError("state must have unit trace", 10, -0.1, -0.1),
+         "backward run from grid time t = 0.1: state after step 10, t = 0: "
+         "state must have unit trace"),
+        (4, ConvergenceError(50, 2, -0.01, -0.02),
+         "backward run from grid time t = 0.1: midpoint iteration did not settle within 50 "
+         "iterations at step 2, t = 0.09 to 0.08 (dt = -0.01 is too large for this nonlinearity)"),
+    ], ids=["state-forward", "convergence-forward", "state-backward", "convergence-backward"])
+    def test_each_failure_names_the_leg_and_absolute_time(self, h_mf, sx, qubit_up, monkeypatch,
+                                                          call, failure, message):
+        # The grid (0.05, 0.1) propagates 0 -> 0.05, back from 0.05, 0.05 -> 0.1
+        # and back from 0.1; the failure is raised by the given call.
+        exact, calls = flow.propagate, [0]
+
+        def failing(*args):
+            calls[0] += 1
+            if calls[0] == call:
+                raise failure
+            return exact(*args)
+
+        monkeypatch.setattr(flow, "propagate", failing)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.1)
+        with pytest.raises(type(failure)) as err:
+            conservation_residuals((constant_observable(sx),), h_mf, qubit_up, (0.05, 0.1), cfg)
+        assert str(err.value) == message
+        assert err.value.__cause__ is failure
+
+
+class TestCyclicityReduction:
+    """Each conservation cell is |Tr(rho_b f(rho_b)) - Tr(rho f(rho))|, rho_b the backward run's end."""
+
+    @pytest.mark.parametrize("doc", [d for d in corpus_documents() if "conservation" in d["outputs"]],
+                             ids=lambda d: d["id"])
+    def test_corpus_cells(self, doc):
+        cfg = with_dt(build_config(doc), 1e-2)
+        h, integrator, times = cfg.hamiltonian, cfg.integrator, cfg.conservation_times
+        points = cfg.initial.support if isinstance(cfg.initial, StateMeasure) else (cfg.initial,)
+        for rho in points:
+            grid = conservation_residuals(cfg.observables, h, rho, times, integrator)
+            for j, t in enumerate(times):
+                rho_b, _ = propagate(h, propagate(h, rho, t, integrator)[0], -t, integrator)
+                for i, f in enumerate(cfg.observables):
+                    reduced = abs(trace_pairing(rho_b, f.eval(rho_b)) - trace_pairing(rho, f.eval(rho)))
+                    assert abs(grid[i, j] - reduced) <= 1e-14, (f.label, t)
 
 
 class TestRecordedForwardStates:

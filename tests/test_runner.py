@@ -166,9 +166,9 @@ class TestOneForwardRun:
 
 class TestWignerPairFailure:
     @pytest.mark.parametrize("failure, message", [
-        (flow.StateError.at_step(3, 0.03, "state is not positive semidefinite"),
+        (flow.StateError("state is not positive semidefinite", 3, 0.03, 0.03),
          "state after step 3, t = 0.03: state is not positive semidefinite"),
-        (flow.ConvergenceError.at_step(50, 3, 0.02, 0.03),
+        (flow.ConvergenceError(50, 3, 0.02, 0.03),
          "midpoint iteration did not settle within 50 iterations at step 3, t = 0.02 to 0.03"),
     ], ids=["state", "convergence"])
     def test_failure_names_the_pair(self, monkeypatch, failure, message):
@@ -191,7 +191,7 @@ class TestWignerPairFailure:
         cfg = with_dt(build_config(doc), 0.01)
 
         def failing(h, rho0, integrator):
-            raise flow.StateError.at_step(3, 0.03, "state is not positive semidefinite")
+            raise flow.StateError("state is not positive semidefinite", 3, 0.03, 0.03)
 
         monkeypatch.setattr(flow, "evolve", failing)
         with pytest.raises(ScenarioError) as err:
