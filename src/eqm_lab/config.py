@@ -32,7 +32,8 @@ from .observables import (
 )
 
 OUTPUT_KINDS = ("trajectory", "invariants", "wigner", "conservation", "koopman")
-FLOW_OUTPUTS = ("trajectory", "invariants", "wigner", "conservation")
+SINGLE_STATE_OUTPUTS = ("trajectory", "invariants", "wigner")  # read off one evolved state
+FLOW_OUTPUTS = SINGLE_STATE_OUTPUTS + ("conservation",)
 
 # Check thresholds; config values override these module defaults.
 DEFAULT_THRESHOLDS = {
@@ -145,13 +146,10 @@ def with_dt(cfg: ScenarioConfig, dt: float) -> ScenarioConfig:
 _REQUIRED = object()
 
 
-def _number(value, path, minimum=None) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise ConfigError(path, f"expected a finite number, got {value!r}")
-    out = float(value)
-    if minimum is not None and out < minimum:
-        raise ConfigError(path, f"must be >= {minimum:g}, got {out:g}")
-    return out
+def _number(value, path, minimum=-math.inf, maximum=math.inf) -> float:
+    with _at(path):
+        hilbert.require_real(path.rsplit(".", 1)[-1], value, minimum, maximum)
+    return float(value)
 
 
 def _entries(value, path, need=None) -> list:
@@ -204,8 +202,8 @@ class _Fields:
             raise ConfigError(self.path_of(key), "missing required field")
         return default
 
-    def number(self, key: str, default=_REQUIRED, minimum=None) -> float:
-        return _number(self.get(key, default), self.path_of(key), minimum)
+    def number(self, key: str, default=_REQUIRED, minimum=-math.inf, maximum=math.inf) -> float:
+        return _number(self.get(key, default), self.path_of(key), minimum, maximum)
 
     def integer(self, key: str, default=_REQUIRED, minimum=1) -> int:
         """A count: a finite number at least minimum with no fractional part (50.0 reads as 50)."""
@@ -326,11 +324,8 @@ def _parse_koopman(f: _Fields) -> KoopmanSetup:
     points = DEFAULT_GENERATOR_POINTS
     if "points" in f:
         points = tuple(_phase_point(*entry) for entry in f.items("points"))
-    generator_dt = f.number("generator_dt", DEFAULT_GENERATOR_DT)
-    if not koopman.GEN_DT_MIN <= generator_dt <= koopman.GEN_DT_MAX:
-        raise ConfigError(f.path_of("generator_dt"),
-                          f"must lie in [{koopman.GEN_DT_MIN:g}, {koopman.GEN_DT_MAX:g}], "
-                          f"got {generator_dt:g}")
+    generator_dt = f.number("generator_dt", DEFAULT_GENERATOR_DT,
+                            koopman.GEN_DT_MIN, koopman.GEN_DT_MAX)
     return KoopmanSetup(flow=flow, observables=observables, times=times,
                         quadrature=quadrature, generator_points=points,
                         generator_dt=generator_dt)
@@ -338,7 +333,7 @@ def _parse_koopman(f: _Fields) -> KoopmanSetup:
 
 def _parse_flow(top: _Fields, outputs: tuple) -> dict:
     """The ScenarioConfig fields of a document that asks for a density-matrix flow."""
-    dimension = top.integer("dimension", minimum=None)
+    dimension = top.integer("dimension", minimum=-math.inf)
     with _at("dimension"):
         hilbert.require_dim("dimension", dimension)
     hamiltonian = _parse_hamiltonian(top.fields("hamiltonian"), dimension)
@@ -350,17 +345,15 @@ def _parse_flow(top: _Fields, outputs: tuple) -> dict:
                                for entry in top.items("conservation_times", [integrator.t_final]))
     wigner_pair = _state(top.fields("wigner_pair"), dimension) if "wigner_pair" in top else None
 
-    for out in ("trajectory", "invariants", "wigner"):
+    for out in SINGLE_STATE_OUTPUTS:
         if out in outputs and not isinstance(initial, DensityMatrix):
-            raise ConfigError("initial",
-                              f"{out} requires a single initial state, not a measure")
+            raise ConfigError("initial", f"{out} requires a single initial state, not a measure")
     if "wigner" in outputs:
         if wigner_pair is None:
             raise ConfigError("wigner_pair", "wigner requires wigner_pair")
         for key, state in (("initial", initial), ("wigner_pair", wigner_pair)):
-            if state.purity() < 1.0 - hilbert.PURITY_TOL:
-                raise ConfigError(key, f"wigner requires a pure {key} state, "
-                                       f"got purity {state.purity():.12g}")
+            with _at(key):
+                hilbert.require_pure(f"wigner's {key} state", state)
     if "conservation" in outputs:
         if not observables:
             raise ConfigError("observables", "conservation requires at least one observable")

@@ -23,6 +23,7 @@ from .hilbert import (
     expm_hermitian,
     max_abs,
     require_count,
+    require_real,
     spectrum,
     transition_probability,
 )
@@ -95,14 +96,11 @@ class IntegratorConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (math.isfinite(self.t_final) and self.t_final >= 0):
-            raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
+        require_real("dt", self.dt, positive=True)
+        require_real("t_final", self.t_final, 0)
         if self.t_final != 0 and self.dt > self.t_final * (1 + 1e-12):
             raise ValueError(f"dt = {self.dt:g} exceeds t_final = {self.t_final:g}")
-        if not (math.isfinite(self.midpoint_tol) and self.midpoint_tol > 0):
-            raise ValueError(f"midpoint_tol must be positive and finite, got {self.midpoint_tol}")
+        require_real("midpoint_tol", self.midpoint_tol, positive=True)
         require_count("midpoint_max_iter", self.midpoint_max_iter, 1)
         require_count("record_stride", self.record_stride, 1)
 
@@ -291,8 +289,7 @@ def propagate(h: HamiltonianFunction, rho0: DensityMatrix, t: float,
     A backward run takes its shorter step first, so propagating rho_t by -t
     retraces the forward run from rho to rho_t.
     """
-    if not math.isfinite(t):
-        raise ValueError("propagation time must be finite")
+    require_real("t", t)
     end = None
     for end in _steps(h, rho0.matrix, t, cfg):
         pass

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hilbert import (DensityMatrix, HermitianOperator, commutator, require_count, require_dim,
-                      require_same_dim, trace_pairing)
+                      require_real, require_same_dim, trace_pairing)
 
 FD_STEP_MIN = 1e-7
 FD_STEP_MAX = 1e-3
@@ -96,8 +96,7 @@ def mean_field(
     label: str = "mean_field",
 ) -> HamiltonianFunction:
     require_same_dim(linear_term, coupling)
-    if not math.isfinite(strength):
-        raise ValueError("coupling strength must be finite")
+    require_real("strength", strength)
 
     def value(rho: DensityMatrix) -> float:
         m = trace_pairing(rho, coupling)
@@ -114,12 +113,13 @@ def mean_field(
 
 
 def polynomial(terms: Sequence, label: str = "polynomial") -> HamiltonianFunction:
+    terms = tuple(terms)
+    for i, (c, _) in enumerate(terms):
+        require_real(f"terms[{i}] coefficient", c)
     terms = tuple((float(c), tuple(factors)) for c, factors in terms)
     every_factor = [f for _, factors in terms for f in factors]
     for factor in every_factor[1:]:
         require_same_dim(every_factor[0], factor)
-    if not all(math.isfinite(c) for c, _ in terms):
-        raise ValueError("coefficients must be finite")
     # Each distinct factor, by identity, is one row: paired once per evaluation
     # (row k of stack_t @ m.ravel() is Tr(m F_k)) and weighted once in D.
     distinct = {id(f): f for _, factors in terms for f in factors}
@@ -224,8 +224,7 @@ def fd_differential_residual(
     delta must be traceless so that rho +/- eps*delta stays on the unit-trace
     plane; the caller scales delta so both perturbations remain valid states.
     """
-    if not FD_STEP_MIN <= eps <= FD_STEP_MAX:
-        raise ValueError(f"eps must lie in [{FD_STEP_MIN:g}, {FD_STEP_MAX:g}], got {eps:g}")
+    require_real("eps", eps, FD_STEP_MIN, FD_STEP_MAX)
     if abs(np.trace(delta.matrix)) > 1e-10:
         raise ValueError("direction must be traceless")
     try:
@@ -244,8 +243,7 @@ def shift_differential(h: HamiltonianFunction, c: float) -> HamiltonianFunction:
     The shifted function generates the same state flow; only the global phase
     of the realizing unitaries changes.
     """
-    if not math.isfinite(c):
-        raise ValueError("shift must be finite")
+    require_real("c", c)
 
     def value(rho: DensityMatrix) -> float:
         return h.value(rho) + c

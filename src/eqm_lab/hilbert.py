@@ -54,6 +54,21 @@ def require_count(name: str, value, minimum: int, maximum: int | None = None) ->
         raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
+def require_real(name: str, value, minimum=-math.inf, maximum=math.inf, *, positive=False) -> None:
+    """Reject a value that is not a finite real number in [minimum, maximum] (and > 0 if positive).
+
+    numpy scalars pass; a bool, a string, None and an array do not.
+    """
+    try:  # math.isfinite raises OverflowError for an int past the float range
+        finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite or (positive and value <= 0) or not minimum <= value <= maximum:
+        bounds = (" > 0" if positive else f" in [{minimum:g}, {maximum:g}]" if maximum < math.inf
+                  else f" >= {minimum:g}" if minimum > -math.inf else "")
+        raise ValueError(f"{name} must be a finite number{bounds}, got {value!r}")
+
+
 def require_dim(name: str, value) -> None:
     """Reject a dimension that is not an integer in [MIN_DIM, MAX_DIM]."""
     require_count(name, value, MIN_DIM, MAX_DIM)
@@ -189,13 +204,18 @@ def trace_pairing(rho: DensityMatrix, a: HermitianOperator) -> float:
     return value.real
 
 
+def require_pure(name: str, state: DensityMatrix) -> None:
+    """Reject a state whose purity Tr(rho^2) falls short of 1 by more than PURITY_TOL."""
+    purity = state.purity()
+    if purity < 1.0 - PURITY_TOL:
+        raise ValueError(f"{name} is not pure: purity = {purity:.17g}")
+
+
 def transition_probability(p: DensityMatrix, q: DensityMatrix) -> float:
     """Tr(PQ) for two one-dimensional projections: |<psi|phi>|^2."""
     require_same_dim(p, q)
-    for name, state in (("first", p), ("second", q)):
-        pur = state.purity()
-        if pur < 1.0 - PURITY_TOL:
-            raise ValueError(f"{name} argument is not pure: purity = {pur:.17g}")
+    require_pure("first argument", p)
+    require_pure("second argument", q)
     return float(np.trace(p.matrix @ q.matrix).real)
 
 
@@ -311,8 +331,7 @@ def expm_hermitian(mat: np.ndarray, s: float) -> np.ndarray:
 
 def unitary_exponential(a: HermitianOperator, s: float) -> UnitaryOperator:
     """exp(-i s A) as a validated unitary."""
-    if not np.isfinite(s):
-        raise ValueError("exponent parameter must be finite")
+    require_real("s", s)
     return UnitaryOperator(expm_hermitian(a.matrix, s))
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .flow import split_steps
-from .hilbert import require_count
+from .hilbert import require_count, require_real
 
 PENDULUM_STEP = 1e-4      # internal leapfrog step
 SPATIAL_FD_STEP = 1e-5    # central-difference step for partial derivatives
@@ -40,8 +40,7 @@ class HarmonicOscillator:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.omega):
-            raise ValueError(f"omega must be finite, got {self.omega}")
+        require_real("omega", self.omega)
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,7 @@ class Pendulum:
     g: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.g):
-            raise ValueError(f"g must be finite, got {self.g}")
+        require_real("g", self.g)
 
 
 SymplecticFlow = Union[HarmonicOscillator, Pendulum]
@@ -101,8 +99,7 @@ def flow_map(flow: SymplecticFlow, q, p, t: float):
     integrated and the rest are their negated reversal, bit-identical to
     transporting every point.
     """
-    if not math.isfinite(t):
-        raise ValueError("transport time must be finite")
+    require_real("t", t)
     if isinstance(flow, HarmonicOscillator):
         angle = flow.omega * t
         if not math.isfinite(angle):
@@ -147,8 +144,7 @@ def compose(f: ClassicalObservable, flow: SymplecticFlow, t: float) -> Classical
 
 def gaussian_observable(center=(0.0, 0.0), width: float = 1.0) -> ClassicalObservable:
     q0, p0 = float(center[0]), float(center[1])
-    if not (math.isfinite(width) and width > 0):
-        raise ValueError("width must be positive")
+    require_real("width", width, positive=True)
     scale = 2.0 * width * width
 
     def evaluate(q, p):
@@ -206,8 +202,7 @@ class Quadrature:
 
     @classmethod
     def gauss_legendre(cls, extent: float = DEFAULT_EXTENT, order: int = DEFAULT_ORDER) -> "Quadrature":
-        if not (math.isfinite(extent) and extent > 0):
-            raise ValueError("extent must be positive")
+        require_real("extent", extent, positive=True)
         require_count("order", order, 2)
         nodes, weights = np.polynomial.legendre.leggauss(order)
         nodes = nodes * extent
@@ -307,8 +302,7 @@ def liouville_generator_residual(f: ClassicalObservable, flow: SymplecticFlow,
     The time derivative uses the flow at +/- dt; the bracket
     df/dq dH/dp - df/dp dH/dq uses spatial steps of SPATIAL_FD_STEP.
     """
-    if not GEN_DT_MIN <= dt <= GEN_DT_MAX:
-        raise ValueError(f"dt must lie in [{GEN_DT_MIN:g}, {GEN_DT_MAX:g}], got {dt:g}")
+    require_real("dt", dt, GEN_DT_MIN, GEN_DT_MAX)
     q0, p0 = float(point[0]), float(point[1])
     qf, pf = flow_map(flow, q0, p0, dt)
     qb, pb = flow_map(flow, q0, p0, -dt)

@@ -17,7 +17,6 @@ state dependence of observables is for.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,8 +25,8 @@ import numpy as np
 from . import flow as flow_mod
 from .flow import IntegratorConfig, Trajectory
 from .hamiltonians import HamiltonianFunction
-from .hilbert import (DensityMatrix, HermitianOperator, UnitaryOperator, require_same_dim,
-                      trace_pairing)
+from .hilbert import (DensityMatrix, HermitianOperator, UnitaryOperator, require_real,
+                      require_same_dim, trace_pairing)
 
 WEIGHT_TOL = 1e-12
 
@@ -116,8 +115,7 @@ def heisenberg_transform(f: ObservableFunction, h: HamiltonianFunction, t: float
     the realizing family unitary by construction and inverts the forward
     cocycle within integrator tolerance.
     """
-    if not math.isfinite(t):
-        raise ValueError("transport time must be finite")
+    require_real("t", t)
 
     def evaluate(rho: DensityMatrix) -> HermitianOperator:
         return _pull_back(f, *flow_mod.propagate(h, rho, t, cfg))
@@ -151,8 +149,8 @@ def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times
     a later one chains from the last such record before it.
     """
     fs, times = tuple(fs), tuple(times)
-    if not all(math.isfinite(t) for t in times):
-        raise ValueError("transport time must be finite")
+    for i, t in enumerate(times):
+        require_real(f"times[{i}]", t)
     recorded = {}  # whole steps -> (time, state) of the trajectory's records
     if trajectory is not None:
         if not np.array_equal(trajectory.states[0].matrix, rho.matrix):

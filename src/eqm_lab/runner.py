@@ -18,7 +18,7 @@ import numpy as np
 
 from . import flow as flow_mod
 from . import koopman as koopman_mod
-from .config import DEFAULT_THRESHOLDS, ScenarioConfig, build_config, with_dt
+from .config import DEFAULT_THRESHOLDS, SINGLE_STATE_OUTPUTS, ScenarioConfig, build_config, with_dt
 from .flow import ConvergenceError, IntegratorConfig, Trajectory
 from .hamiltonians import linear, mean_field
 from .hilbert import (
@@ -153,7 +153,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[list[tuple[str, str]], list[Repor
     rows: list[ReportRow] = []
     try:
         traj = None
-        if {"trajectory", "invariants", "wigner"} & set(cfg.outputs):
+        if set(SINGLE_STATE_OUTPUTS) & set(cfg.outputs):
             traj = flow_mod.evolve(cfg.hamiltonian, cfg.initial_state, cfg.integrator)
         if "trajectory" in cfg.outputs:
             tables.append(("trajectory.csv", _trajectory_table(traj, cfg.observables)))

@@ -110,14 +110,15 @@ class TestValidation:
         doc = minimal_doc(outputs=["wigner"],
                           initial={"density_matrix": matrix_to_pairs(np.eye(2) / 2)},
                           wigner_pair={"state_vector": PLUS_VEC})
-        with pytest.raises(ConfigError, match="pure initial state"):
+        with pytest.raises(ConfigError, match=r"^initial: wigner's initial state is not pure: "
+                                              r"purity = 0\.5$"):
             build_config(doc)
 
     def test_wigner_requires_pure_pair(self):
         doc = minimal_doc(outputs=["wigner"],
                           wigner_pair={"density_matrix": matrix_to_pairs(np.eye(2) / 2)})
-        with pytest.raises(ConfigError, match=r"^wigner_pair: wigner requires a pure wigner_pair "
-                                              r"state, got purity 0\.5$") as err:
+        with pytest.raises(ConfigError, match=r"^wigner_pair: wigner's wigner_pair state is not "
+                                              r"pure: purity = 0\.5$") as err:
             build_config(doc)
         assert err.value.path == "wigner_pair"
 
@@ -125,8 +126,6 @@ class TestValidation:
         assert build_config(minimal_doc(dimension=2.0)).initial.dim == 2
         with pytest.raises(ConfigError, match=r"^dimension: expected an integer, got 2\.5$"):
             build_config(minimal_doc(dimension=2.5))
-        with pytest.raises(ConfigError, match=r"^dimension: expected a finite number, got True$"):
-            build_config(minimal_doc(dimension=True))
 
     @pytest.mark.parametrize("dimension", [1, 65])
     def test_dimension_outside_the_lab_fails_at_its_path(self, dimension):

@@ -68,14 +68,6 @@ class TestBuild:
         with pytest.raises(ValueError, match="dimension mismatch"):
             mean_field(sx, HermitianOperator(np.eye(3)), 1.0)
 
-    def test_mean_field_rejects_non_finite_strength(self, sx, sz):
-        with pytest.raises(ValueError, match="strength must be finite"):
-            mean_field(sx, sz, float("nan"))
-
-    def test_polynomial_rejects_non_finite_coefficient(self, sx):
-        with pytest.raises(ValueError, match="coefficients must be finite"):
-            polynomial([(1.0, (sx,)), (float("inf"), (sx, sx))])
-
     def test_polynomial_factor_dimension_mismatch(self, sx):
         with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
             polynomial([(1.0, (sx, HermitianOperator(np.eye(3))))])
@@ -250,12 +242,6 @@ def _families(rng, dim):
 
 
 class TestArrayGenerator:
-    @pytest.mark.parametrize("dim", [2, 4, 16, MAX_DIM])
-    def test_generator_is_the_differential_bit_for_bit(self, rng, dim):
-        rho = random_density(rng, dim)
-        for name, h in _families(rng, dim).items():
-            assert np.array_equal(h.generator(rho.matrix), h.differential(rho).matrix), (name, dim)
-
     def test_default_generator_goes_through_the_differential(self, sz, rng):
         seen = []
 

@@ -1,7 +1,9 @@
 """Tests for the validated matrix types and primitive operations."""
 
 import dataclasses
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from eqm_lab.hilbert import (
     projector,
     require_count,
     require_dim,
+    require_pure,
+    require_real,
     spectrum,
     trace_pairing,
     transition_probability,
@@ -103,6 +107,33 @@ class TestCounts:
         require_dim("dim", value)
 
 
+class TestReals:
+    """require_real is the one check on real arguments; it states the bounds it was given."""
+
+    @pytest.mark.parametrize("value", [True, np.True_, "1", None, np.array(1.0), 1j, math.nan,
+                                       -math.inf, 10 ** 400])
+    def test_rejects_what_is_not_a_finite_real(self, value):
+        with pytest.raises(ValueError, match=rf"^x must be a finite number, "
+                                             rf"got {re.escape(repr(value))}$"):
+            require_real("x", value)
+
+    @pytest.mark.parametrize("kwargs, value, bounds", [
+        (dict(positive=True), 0.0, "> 0"),
+        (dict(minimum=0), -1e-300, ">= 0"),
+        (dict(minimum=1e-7, maximum=1e-3), 0.01, r"in \[1e-07, 0\.001\]"),
+        (dict(minimum=1e-7, maximum=1e-3), 1e-8, r"in \[1e-07, 0\.001\]"),
+    ])
+    def test_states_the_bounds_it_was_given(self, kwargs, value, bounds):
+        with pytest.raises(ValueError, match=rf"^x must be a finite number {bounds}, "
+                                             rf"got {re.escape(repr(value))}$"):
+            require_real("x", value, **kwargs)
+
+    @pytest.mark.parametrize("value", [0, 1e-7, 1e-3, np.float64(1e-4), np.float32(1e-4),
+                                       np.int64(0), Fraction(1, 10000)])
+    def test_reals_in_bounds_pass(self, value):
+        require_real("x", value, minimum=0, maximum=1e-3)
+
+
 class TestCommutator:
     def test_self_commutator_vanishes(self, sx):
         assert max_abs(commutator(sx, sx)) == 0.0
@@ -142,6 +173,11 @@ class TestTracePairing:
 
 
 class TestTransitionProbability:
+    def test_require_pure_names_what_it_rejects(self, qubit_up, qubit_plus):
+        require_pure("state", qubit_plus)
+        with pytest.raises(ValueError, match=r"^state is not pure: purity = 0\.5$"):
+            require_pure("state", DensityMatrix(np.eye(2) / 2))
+
     def test_identical_states(self, qubit_up):
         assert transition_probability(qubit_up, qubit_up) == pytest.approx(1.0, abs=1e-12)
 

@@ -184,16 +184,10 @@ class TestParity:
 
 class TestFiniteness:
     @pytest.mark.parametrize("flow", [OSC, PEND])
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-    def test_flow_map_rejects_non_finite_time(self, flow, t):
-        with pytest.raises(ValueError, match="^transport time must be finite$"):
-            flow_map(flow, 0.4, -0.2, t)
-
-    @pytest.mark.parametrize("flow", [OSC, PEND])
     def test_callers_inherit_the_time_check(self, flow, gauss_pair, quad):
-        with pytest.raises(ValueError, match="^transport time must be finite$"):
+        with pytest.raises(ValueError, match="^t must be a finite number, got nan$"):
             compose(gauss_pair[0], flow, math.nan).eval(0.4, -0.2)
-        with pytest.raises(ValueError, match="^transport time must be finite$"):
+        with pytest.raises(ValueError, match="^t must be a finite number, got inf$"):
             unitarity_residual(*gauss_pair, flow, math.inf, quad)
 
     @pytest.mark.parametrize("omega", [1e300, -1e300])
@@ -206,13 +200,6 @@ class TestFiniteness:
             compose(gauss_pair[0], flow, 1e10).eval(0.4, -0.2)
         with pytest.raises(ValueError, match=message):
             unitarity_residuals(gauss_pair, flow, 1e10, quad)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_flows_reject_non_finite_parameters(self, value):
-        with pytest.raises(ValueError, match="^g must be finite, got"):
-            Pendulum(g=value)
-        with pytest.raises(ValueError, match="^omega must be finite, got"):
-            HarmonicOscillator(omega=value)
 
 
 class TestCompose:

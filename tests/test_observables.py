@@ -265,10 +265,6 @@ class TestConservationResiduals:
             assert np.all(grid <= DEFAULT_THRESHOLDS["conservation"]), dt
             assert np.array_equal(grid, single), dt
 
-    def test_rejects_non_finite_time(self, h_mf, sx, qubit_up, cfg):
-        with pytest.raises(ValueError, match="finite"):
-            conservation_residuals((constant_observable(sx),), h_mf, qubit_up, (0.5, math.nan), cfg)
-
     def test_forward_failure_names_the_absolute_time(self, sx, sz, qubit_up):
         # 0 -> 0.05 forward and back takes 2 x 5 steps of 2 calls each; the
         # budget runs out at the third step of the forward leg from 0.05.
