@@ -14,7 +14,7 @@ import numpy as np
 from eqm_lab.config import DEFAULT_THRESHOLDS
 from eqm_lab.flow import IntegratorConfig, evolve
 from eqm_lab.hamiltonians import mean_field
-from eqm_lab.hilbert import MAX_DIM, PADE_MIN_DIM, DensityMatrix, HermitianOperator
+from eqm_lab.hilbert import MAX_DIM, POLYNOMIAL_MIN_DIM, DensityMatrix, HermitianOperator
 from eqm_lab.runner import four_level_ops
 
 DT = 1e-3
@@ -53,10 +53,10 @@ def test_mean_field_four_level_keeps_its_invariants():
 
 
 def test_mean_field_at_the_largest_dimension_keeps_its_invariants():
-    # 1e4 steps at d = 64, every exponential on the Padé path.  Operators with
+    # 1e4 steps at d = 64, every exponential on the Taylor path.  Operators with
     # spectral radius ~2 and a random mixed state, as in perfbench's long-flow.
     dim = MAX_DIM
-    assert dim >= PADE_MIN_DIM
+    assert dim >= POLYNOMIAL_MIN_DIM
     rng = np.random.default_rng(64)
 
     def hermitian():

@@ -139,6 +139,7 @@ def with_dt(cfg: ScenarioConfig, dt: float) -> ScenarioConfig:
     if cfg.integrator is None:
         raise ConfigError("integrator", "cannot override dt: config has no integrator section")
     with _at("integrator.dt"):
+        hilbert.require_real("dt", dt, positive=True)  # before float() reads a bool or a string
         integrator = replace(cfg.integrator, dt=float(dt))
     return replace(cfg, integrator=integrator)
 

@@ -225,7 +225,7 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
                 try:
                     half = expm_hermitian(gen, 0.5 * dt)
                 except ValueError:
-                    # The Padé path rejects every non-finite matrix, eigh
+                    # The Taylor path rejects every non-finite matrix, eigh
                     # many, math.sin an infinite angle.  Every later gen
                     # passed the finiteness check below, so only the first
                     # call can be at fault here.

@@ -29,12 +29,11 @@ PURITY_TOL = 1e-10       # 1 - Tr(rho^2) allowed for inputs declared pure
 MIN_DIM = 2
 MAX_DIM = 64
 
-# expm_hermitian takes the Padé path from this dimension on and eigh below it.
+# expm_hermitian takes the Taylor path from this dimension on and eigh below it.
 # Timed per call with one BLAS thread (2-vCPU Xeon VM, numpy 2.4.6, OpenBLAS
-# 0.3.31) at d = 6 to 64, Padé lost at d = 6 and 8, the two were within about
-# 10% of each other at d = 12 to 14, and Padé won by 13% or more in every
-# round from d = 15 on (44% at d = 64).
-PADE_MIN_DIM = 15
+# 0.3.31) at ||s A||_1 = 0.02 and 0.04 in four rounds, Taylor lost at d <= 11,
+# split the rounds at d = 12 to 14 and won every round from d = 15 on.
+POLYNOMIAL_MIN_DIM = 15
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -219,61 +218,51 @@ def transition_probability(p: DensityMatrix, q: DensityMatrix) -> float:
     return float(np.trace(p.matrix @ q.matrix).real)
 
 
-# Diagonal Padé approximants r_m = q_m^-1 p_m of exp(X), m = 3, 5, 7, 9 (N. J.
-# Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)): (theta_m, the
-# coefficients c_0 ... c_m of p_m).  For ||X||_1 <= theta_m, r_m is exp(X) to
-# double precision; past theta_9, X is scaled by 2^-k and r_9 squared k times.
-_PADE_TABLE = (
-    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
-                            56.0, 1.0)),
-    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-                           30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-)
+# Taylor polynomials T_(2k+1) of exp(X): the pairs (theta_k, k).  theta_k is the
+# largest theta with sum_(j > 2k+1) theta^j / j! <= 2^-53, so for ||X||_1 <= theta_k,
+# T_(2k+1)(X) is exp(X) to double precision (Al-Mohy and Higham, SIAM J. Sci.
+# Comput. 33, 488 (2011)): X = -i s A is skew-Hermitian, so ||X||_2 <= ||X||_1
+# and exp(X) is unitary.  Past theta_10, X is scaled by 2^-q and the result
+# squared q times.  T_(2k+1) takes k + 1 products up to k = 4 and ceil(k/2) + 3
+# from there, so k = 5, 7 and 9 are left out: each costs as much as k + 1.
+_TAYLOR = ((2.2719587097728253e-4, 1), (6.562297383731718e-3, 2), (3.811851980636154e-2, 3),
+           (1.1483174747739708e-1, 4), (4.374493667121566e-1, 6), (9.783448885699653e-1, 8),
+           (1.6987711384891326e0, 10))
+
+# T_(2k+1)(-iB) = E(W) - iB O(W) with W = B @ B, from X^2j = (-W)^j: the
+# coefficients of E, (-1)^j / (2j)!, and of -iO, -i (-1)^j / (2j+1)!.
+_EVEN_ODD = (tuple((-1) ** j / math.factorial(2 * j) for j in range(11)),
+             tuple(-1j * (-1) ** j / math.factorial(2 * j + 1) for j in range(11)))
 
 
-def _pade_weights(coeffs) -> tuple:
-    """The pairs (v_j, h_j), j = 0 ... (m - 1) / 2, of p_m(-iB) = V - iH, where
-    V = sum_j v_j W^j and iH = B sum_j h_j W^j with W = B @ B, from X^2j = (-W)^j."""
-    even = [c * (-1) ** j for j, c in enumerate(coeffs[0::2])]
-    odd = [1j * c * (-1) ** j for j, c in enumerate(coeffs[1::2])]
-    return tuple(zip(even, odd))
+def _polynomial(powers: list, coeffs, h: int) -> np.ndarray:
+    """sum_j c_j W^j, j = 0 ... len(coeffs) - 1 <= 2h, from powers = [W, ..., W^h].
 
-
-_PADE = tuple((theta, _pade_weights(coeffs)) for theta, coeffs in _PADE_TABLE)
-
-
-def _pade_fraction(b: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
-    """q_m(-iB) = V + iH and p_m(-iB) = V - iH for Hermitian B.
-
-    Only q and p outlive the call, and they reuse the buffers of V and of
-    the polynomial in W, so the caller's solve runs with three d x d arrays
-    alive.  At d = 64 a call with more temporaries alive raised the peak
-    RSS of perfbench's long-flow, and in a loop of calls it made glibc
-    malloc trim and refault the heap every call (~130 page faults).
+    Paterson–Stockmeyer in two blocks: the terms below W^h directly, the rest
+    as W^h times a polynomial of degree at most h, so at most one product.
     """
-    w = b @ b
-    (v0, h0), (v1, h1), *higher = weights
-    v, h = v1 * w, h1 * w
-    power = w
-    for vj, hj in higher:
-        power = power @ w
-        v += vj * power
-        h += hj * power
-    d = b.shape[0]
-    v.ravel()[::d + 1] += v0
-    h.ravel()[::d + 1] += h0
-    ih = np.matmul(b, h, out=w)
-    return np.add(v, ih, out=h), np.subtract(v, ih, out=v)
+    d = powers[0].shape[0]
+    low, high = coeffs[:h], coeffs[h:]
+    if len(high) > 1:
+        total = high[1] * powers[0]
+        for c, power in zip(high[2:], powers[1:]):
+            total += c * power
+        total.ravel()[::d + 1] += high[0]
+        total = powers[h - 1] @ total
+    else:
+        total = high[0] * powers[h - 1]
+    for c, power in zip(low[1:], powers):
+        total += c * power
+    total.ravel()[::d + 1] += low[0]
+    return total
 
 
-def _pade_exponential(mat: np.ndarray, s: float) -> np.ndarray:
-    """exp(-i s A) by the Padé approximant of X = -i s A with scaling and squaring.
+def _taylor_exponential(mat: np.ndarray, s: float) -> np.ndarray:
+    """exp(-i s A) by the Taylor polynomial of X = -i s A with scaling and squaring.
 
     A is read as eigh reads it: the lower triangle and the real diagonal.
-    For skew-Hermitian X, q_m(X) = p_m(-X) = p_m(X)^dagger, so the result
-    q^-1 p, taken by one linear solve, is unitary in exact arithmetic.
+    E and -iO share the powers W ... W^h, h = k up to k = 3 and ceil(k/2)
+    from there: the fewest products either way, and no linear solve.
     """
     d = mat.shape[0]
     b = np.where(np.tri(d, dtype=bool), mat, mat.conj().T)
@@ -282,13 +271,19 @@ def _pade_exponential(mat: np.ndarray, s: float) -> np.ndarray:
     if not math.isfinite(norm):
         raise ValueError(f"exponent must be finite, got |s| ||A||_1 = {norm}")
     squarings = 0
-    for theta, weights in _PADE:
+    for theta, k in _TAYLOR:
         if norm <= theta:
             break
     else:
         squarings = math.ceil(math.log2(norm / theta))
     b *= math.ldexp(s, -squarings)
-    r = np.linalg.solve(*_pade_fraction(b, weights))
+    h = k if k < 4 else (k + 1) // 2
+    powers = [b @ b]
+    for _ in range(h - 1):
+        powers.append(powers[-1] @ powers[0])
+    even, odd = (_polynomial(powers, coeffs[:k + 1], h) for coeffs in _EVEN_ODD)
+    r = np.matmul(b, odd, out=powers[0])
+    r += even
     for _ in range(squarings):
         r = r @ r
     return r
@@ -303,14 +298,16 @@ def expm_hermitian(mat: np.ndarray, s: float) -> np.ndarray:
     - d = 2: a qubit generator A = a0 I + a.sigma takes the closed form
       exp(-i s a0) (cos(s|a|) I - i sin(s|a|)/|a| (A - a0 I)), with
       sin(s|a|)/|a| -> s at |a| = 0;
-    - 3 <= d < PADE_MIN_DIM: eigh, exp(-i s A) = V exp(-i s Lambda) V^dagger;
-    - d >= PADE_MIN_DIM: the diagonal Padé approximant of degree 3 to 9, with
-      scaling and squaring past ||s A||_1 = 2.1 (Higham 2005).
+    - 3 <= d < POLYNOMIAL_MIN_DIM: eigh, exp(-i s A) = V exp(-i s Lambda) V^dagger;
+    - d >= POLYNOMIAL_MIN_DIM: the Taylor polynomial of degree 3 to 21 in
+      X = -i s A, written as E(W) - i s A O(W) with W = (s A)^2, with scaling
+      and squaring past ||s A||_1 = 1.7 (Al-Mohy and Higham 2011).
 
     Non-finite entries are not checked for.  The closed form returns NaN for a
-    NaN and raises ValueError (math.sin) for an infinity; eigh returns NaN or
-    raises LinAlgError, a ValueError; the Padé path raises ValueError for both.
-    flow._steps turns each of these into GeneratorError.
+    NaN, and for an infinity raises ValueError (math.sin) unless s = 0; eigh
+    returns NaN or raises LinAlgError, a ValueError; the Taylor path raises
+    ValueError for both, before any product.  flow._steps turns each of these
+    into GeneratorError.
     """
     if mat.shape == (2, 2):
         # a = (Re A10, Im A10, z) with z = (A00 - A11) / 2.
@@ -322,8 +319,8 @@ def expm_hermitian(mat: np.ndarray, s: float) -> np.ndarray:
         diag, off = phase * math.cos(s * norm), -1j * sinc * phase
         return np.array([[diag + off * z, off * a10.conjugate()], [off * a10, diag - off * z]],
                         dtype=complex)
-    if mat.shape[0] >= PADE_MIN_DIM:
-        return _pade_exponential(mat, s)
+    if mat.shape[0] >= POLYNOMIAL_MIN_DIM:
+        return _taylor_exponential(mat, s)
     eigvals, eigvecs = np.linalg.eigh(mat)
     phases = np.exp(-1j * s * eigvals)
     return (eigvecs * phases) @ eigvecs.conj().T

@@ -142,8 +142,15 @@ def compose(f: ClassicalObservable, flow: SymplecticFlow, t: float) -> Classical
     return ClassicalObservable(eval=evaluate, label=f"U[{t:g}]{f.label}")
 
 
+def _coordinates(name: str, point) -> tuple[float, float]:
+    """(q, p) of a phase-space point, each coordinate checked as a finite real."""
+    for i in (0, 1):
+        require_real(f"{name}[{i}]", point[i])
+    return float(point[0]), float(point[1])
+
+
 def gaussian_observable(center=(0.0, 0.0), width: float = 1.0) -> ClassicalObservable:
-    q0, p0 = float(center[0]), float(center[1])
+    q0, p0 = _coordinates("center", center)
     require_real("width", width, positive=True)
     scale = 2.0 * width * width
 
@@ -303,7 +310,7 @@ def liouville_generator_residual(f: ClassicalObservable, flow: SymplecticFlow,
     df/dq dH/dp - df/dp dH/dq uses spatial steps of SPATIAL_FD_STEP.
     """
     require_real("dt", dt, GEN_DT_MIN, GEN_DT_MAX)
-    q0, p0 = float(point[0]), float(point[1])
+    q0, p0 = _coordinates("point", point)
     qf, pf = flow_map(flow, q0, p0, dt)
     qb, pb = flow_map(flow, q0, p0, -dt)
     time_deriv = (complex(f.eval(qf, pf)) - complex(f.eval(qb, pb))) / (2.0 * dt)

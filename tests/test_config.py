@@ -2,6 +2,8 @@
 
 import copy
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +360,21 @@ class TestDtOverride:
         cfg = build_config(minimal_doc())
         with pytest.raises(ConfigError, match="integrator.dt"):
             with_dt(cfg, 0.5)  # exceeds t_final = 0.1
+
+    @pytest.mark.parametrize("dt", [True, "0.05", None, math.nan, 0.0], ids=repr)
+    def test_override_is_checked_before_it_is_read_as_a_float(self, dt):
+        # float(True) and float("0.05") would pass; the rule is require_real's.
+        cfg = build_config(minimal_doc())
+        with pytest.raises(ConfigError, match=rf"^integrator\.dt: dt must be a finite number > 0, "
+                                              rf"got {re.escape(repr(dt))}$") as err:
+            with_dt(cfg, dt)
+        assert err.value.path == "integrator.dt"
+
+    def test_override_takes_numpy_and_int_values(self):
+        cfg = build_config(minimal_doc())
+        assert with_dt(cfg, np.float64(0.05)).integrator.dt == 0.05
+        cfg = build_config(minimal_doc(integrator={"dt": 0.1, "t_final": 1.0}))
+        assert with_dt(cfg, 1).integrator.dt == 1.0
 
     def test_override_without_integrator(self):
         doc = {

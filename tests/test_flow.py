@@ -299,7 +299,7 @@ class TestNonFiniteGenerator:
                                           (MAX_DIM, np.inf)])
     def test_first_call_fails_at_step_one(self, dim, bad, rng):
         # The first call reaches the exponential before any increment exists:
-        # eigh at d = 4, the Padé path at d = 16 and 64, and at d = 2 an
+        # eigh at d = 4, the Taylor path at d = 16 and 64, and at d = 2 an
         # infinite angle reaches math.sin.
         h = self._turns_bad(dim, 1, bad, rng)
         with pytest.raises(GeneratorError, match=r"^generator of 'turns bad' gave a non-finite "

@@ -1,6 +1,7 @@
 """Tests for the validated matrix types and primitive operations."""
 
 import dataclasses
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -14,7 +15,7 @@ from eqm_lab.flow import IntegratorConfig, propagate
 from eqm_lab.hamiltonians import mean_field
 from eqm_lab.hilbert import (
     MAX_DIM,
-    PADE_MIN_DIM,
+    POLYNOMIAL_MIN_DIM,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -38,6 +39,7 @@ from eqm_lab.hilbert import (
     unitary_exponential,
     vector_from_pairs,
 )
+from eqm_lab.hilbert import _TAYLOR
 from eqm_lab.runner import corpus_documents
 from conftest import (
     random_density,
@@ -238,7 +240,7 @@ def _assert_qubit_exponential(mat, s):
     return u
 
 
-def _assert_pade_exponential(mat, s):
+def _assert_taylor_exponential(mat, s):
     """expm_hermitian(mat, s) agrees with eigh and is unitary within 1e-14 max(1, |s| ||A||_2).
 
     Each squaring doubles the rounding of the one before, and the number of
@@ -308,8 +310,8 @@ class TestQubitClosedForm:
     def test_reads_what_eigh_reads(self, rng, dim):
         # The real diagonal and the lower triangle, so a generator Hermitian
         # only to rounding gets the same exponential as its lower part; at
-        # d = 16 and 64 this is the Padé path.
-        check = _assert_qubit_exponential if dim == 2 else _assert_pade_exponential
+        # d = 16 and 64 this is the Taylor path.
+        check = _assert_qubit_exponential if dim == 2 else _assert_taylor_exponential
         for _ in range(20 if dim == 2 else 3):
             lower = random_hermitian(rng, dim).matrix
             noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -318,9 +320,9 @@ class TestQubitClosedForm:
                 assert np.array_equal(expm_hermitian(skewed, s), expm_hermitian(lower, s))
                 check(skewed, s)
 
-    @pytest.mark.parametrize("dim", [3, 4, PADE_MIN_DIM - 1])
+    @pytest.mark.parametrize("dim", [3, 4, POLYNOMIAL_MIN_DIM - 1])
     def test_larger_dimensions_keep_the_eigendecomposition(self, rng, dim):
-        # Below PADE_MIN_DIM, eigh's bits.
+        # Below POLYNOMIAL_MIN_DIM, eigh's bits.
         a = random_hermitian(rng, dim).matrix
         assert np.array_equal(expm_hermitian(a, 0.37), _eigh_exponential(a, 0.37))
 
@@ -341,25 +343,59 @@ class TestQubitClosedForm:
         assert 2 not in calls and calls.count(4) >= 20
 
 
-class TestPadePath:
-    """From PADE_MIN_DIM on, expm_hermitian is a scaled and squared diagonal Padé approximant."""
+def _taylor_tail(theta, m):
+    """sum_(j > m) theta^j / j!, summed until a term no longer changes the sum."""
+    term = theta ** (m + 1) / math.factorial(m + 1)
+    total, j = 0.0, m + 1
+    while total + term != total:
+        total += term
+        j += 1
+        term *= theta / j
+    return total
 
-    DIMS = sorted({PADE_MIN_DIM, 16, MAX_DIM})
+
+class TestTaylorPath:
+    """From POLYNOMIAL_MIN_DIM on, expm_hermitian is a scaled and squared Taylor polynomial."""
+
+    DIMS = sorted({POLYNOMIAL_MIN_DIM, 16, MAX_DIM})
 
     def test_the_corpus_stays_below_the_switch(self):
         # So the bundled scenarios and their outputs keep eigh's bits.
         dims = [doc["dimension"] for doc in corpus_documents() if "dimension" in doc]
-        assert dims and max(dims) < PADE_MIN_DIM <= MAX_DIM
+        assert dims and max(dims) < POLYNOMIAL_MIN_DIM <= MAX_DIM
+
+    def test_theta_table_is_the_tail_bound(self):
+        # theta_k is the largest theta whose Taylor tail past degree 2k+1
+        # stays within 2^-53, found again here by bisection.
+        ks = [k for _, k in _TAYLOR]
+        assert ks == sorted(ks) and ks[-1] == 10
+        for theta, k in _TAYLOR:
+            lo, hi = 0.0, 4.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if _taylor_tail(mid, 2 * k + 1) <= 2.0 ** -53 else (lo, mid)
+            assert theta == pytest.approx(lo, rel=1e-12), k
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_each_degree_is_exact_to_rounding_up_to_its_theta(self, rng, dim):
+        # ||s A||_1 at theta_k and 1% past it, so each table entry is taken at
+        # both ends of its range, and the last 1% past the table, squared once.
+        a = random_hermitian(rng, dim).matrix
+        one_norm = np.abs(a).sum(axis=0).max()
+        for theta, _ in _TAYLOR:
+            for norm, sign in itertools.product((theta, 1.01 * theta), (1.0, -1.0)):
+                _assert_taylor_exponential(a, sign * norm / one_norm)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_random_generators(self, rng, dim):
-        # |s| ||A||_2 from 1e-4, where ||s A||_1 <= sqrt(d) 1e-4 < theta_3 and
-        # m = 3, to 1e2, past theta_9 = 2.1, where the result is squared.
+        # |s| ||A||_2 from 1e-4, where ||s A||_1 <= sqrt(d) 1e-4 < theta_2 and
+        # the degree is 3 or 5, to 1e2, past theta_10 = 1.7, where the result
+        # is squared.
         for _ in range(4):
             a = random_hermitian(rng, dim, scale=rng.uniform(0.1, 10)).matrix
             norm = np.linalg.norm(a, 2)
             for target in np.logspace(-4, 2, 13):
-                _assert_pade_exponential(a, rng.choice([-1.0, 1.0]) * target / norm)
+                _assert_taylor_exponential(a, rng.choice([-1.0, 1.0]) * target / norm)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_zero_time_is_the_identity_exactly(self, rng, dim):
@@ -368,28 +404,37 @@ class TestPadePath:
         assert np.array_equal(expm_hermitian(np.zeros((dim, dim), dtype=complex), 0.7),
                               np.eye(dim))
 
+    @pytest.mark.parametrize("dim", sorted({POLYNOMIAL_MIN_DIM, MAX_DIM}))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_matrix_raises_value_error(self, rng, bad):
-        a = random_hermitian(rng, MAX_DIM).matrix.copy()
+    @pytest.mark.parametrize("s", [0.1, 0.0])
+    def test_non_finite_matrix_raises_value_error(self, rng, dim, bad, s):
+        a = random_hermitian(rng, dim).matrix.copy()
         a[5, 3] = bad
         with pytest.raises(ValueError, match="^exponent must be finite"):
-            expm_hermitian(a, 0.1)
+            expm_hermitian(a, s)
 
-    def test_large_flow_takes_no_eigendecomposition(self, rng, monkeypatch):
-        # A 20-step mean-field run at d = 64 must stay on the Padé path; the
-        # same run at d = 4 shows that the counter sees eigh calls.
-        calls, eigh = [], np.linalg.eigh
+    def test_large_flow_takes_no_eigendecomposition_and_no_solve(self, rng, monkeypatch):
+        # A 20-step mean-field run at d = 64 must stay on the Taylor path,
+        # which needs no linear solve; the same run at d = 4 shows that the
+        # counter sees eigh calls.
+        calls = []
 
-        def counted(mat, *args, **kwargs):
-            calls.append(mat.shape[0])
-            return eigh(mat, *args, **kwargs)
+        def counted(name):
+            original = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+            def call(mat, *args, **kwargs):
+                calls.append((name, mat.shape[0]))
+                return original(mat, *args, **kwargs)
+            return call
+
+        for name in ("eigh", "solve"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
         cfg = IntegratorConfig(dt=0.01, t_final=0.2)
         for dim in (MAX_DIM, 4):
             h = mean_field(random_hermitian(rng, dim), random_hermitian(rng, dim), 1.0)
             propagate(h, random_interior_density(rng, dim), 0.2, cfg)
-        assert MAX_DIM not in calls and calls.count(4) >= 20
+        assert not [call for call in calls if call[1] == MAX_DIM]
+        assert calls.count(("eigh", 4)) >= 20
 
 
 class TestProjector:

@@ -53,11 +53,21 @@ ENTRY_POINTS = {
     "flow_map.harmonic": ("t", lambda v: flow_map(OSC, 0.4, -0.2, v), 1, None),
     "flow_map.pendulum": ("t", lambda v: flow_map(PEND, 0.4, -0.2, v), 1, None),
     "gaussian_observable": ("width", lambda v: gaussian_observable(width=v), 1, 0.0),
+    "gaussian_observable.center[0]": ("center[0]", lambda v: gaussian_observable(center=(v, 0.0)),
+                                      1, None),
+    "gaussian_observable.center[1]": ("center[1]", lambda v: gaussian_observable(center=(0.0, v)),
+                                      1, None),
     "Quadrature.gauss_legendre": ("extent", lambda v: Quadrature.gauss_legendre(extent=v, order=4),
                                   1, 0.0),
     "liouville_generator_residual": (
         "dt", lambda v: liouville_generator_residual(GAUSS, OSC, classical_hamiltonian(OSC),
                                                      (0.3, 0.1), v), 1e-4, 1e-2),
+    "liouville_generator_residual.point[0]": (
+        "point[0]", lambda v: liouville_generator_residual(GAUSS, OSC, classical_hamiltonian(OSC),
+                                                           (v, 0.1), 1e-3), 1, None),
+    "liouville_generator_residual.point[1]": (
+        "point[1]", lambda v: liouville_generator_residual(GAUSS, OSC, classical_hamiltonian(OSC),
+                                                           (0.3, v), 1e-3), 1, None),
     "heisenberg_transform": (
         "t", lambda v: heisenberg_transform(constant_observable(SX), H, v, CFG).eval(UP), 1, None),
     "conservation_residuals": (
