@@ -8,6 +8,7 @@ it.  All tolerances used by the invariant checks live here.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -31,9 +32,10 @@ MAX_DIM = 64
 
 # expm_hermitian takes the Taylor path from this dimension on and eigh below it.
 # Timed per call with one BLAS thread (2-vCPU Xeon VM, numpy 2.4.6, OpenBLAS
-# 0.3.31) at ||s A||_1 = 0.02 and 0.04 in four rounds, Taylor lost at d <= 11,
-# split the rounds at d = 12 to 14 and won every round from d = 15 on.
-POLYNOMIAL_MIN_DIM = 15
+# 0.3.31) at ||s A||_1 = 0.02 and 0.04 in sessions of four rounds, Taylor won at
+# most 2 of 8 rounds at d = 10 and 11, 9-10 of 12 at d = 12, 11 of 12 at d = 13,
+# and all 12 from d = 14 on (d = 14: 49-61 us a call against eigh's 64-85 us).
+POLYNOMIAL_MIN_DIM = 14
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -218,72 +220,58 @@ def transition_probability(p: DensityMatrix, q: DensityMatrix) -> float:
     return float(np.trace(p.matrix @ q.matrix).real)
 
 
-# Taylor polynomials T_(2k+1) of exp(X): the pairs (theta_k, k).  theta_k is the
-# largest theta with sum_(j > 2k+1) theta^j / j! <= 2^-53, so for ||X||_1 <= theta_k,
-# T_(2k+1)(X) is exp(X) to double precision (Al-Mohy and Higham, SIAM J. Sci.
-# Comput. 33, 488 (2011)): X = -i s A is skew-Hermitian, so ||X||_2 <= ||X||_1
-# and exp(X) is unitary.  Past theta_10, X is scaled by 2^-q and the result
-# squared q times.  T_(2k+1) takes k + 1 products up to k = 4 and ceil(k/2) + 3
-# from there, so k = 5, 7 and 9 are left out: each costs as much as k + 1.
-_TAYLOR = ((2.2719587097728253e-4, 1), (6.562297383731718e-3, 2), (3.811851980636154e-2, 3),
-           (1.1483174747739708e-1, 4), (4.374493667121566e-1, 6), (9.783448885699653e-1, 8),
-           (1.6987711384891326e0, 10))
-
-# T_(2k+1)(-iB) = E(W) - iB O(W) with W = B @ B, from X^2j = (-W)^j: the
-# coefficients of E, (-1)^j / (2j)!, and of -iO, -i (-1)^j / (2j+1)!.
-_EVEN_ODD = (tuple((-1) ** j / math.factorial(2 * j) for j in range(11)),
-             tuple(-1j * (-1) ** j / math.factorial(2 * j + 1) for j in range(11)))
+# Taylor polynomials T_m of exp(X), X = -i s A: the triples (theta_m, m, p).  theta_m
+# is the largest theta with sum_(j > m) theta^j / j! <= 2^-53, so for ||X||_1 <= theta_m,
+# T_m(X) is exp(X) to double precision (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
+# 488 (2011)): X is skew-Hermitian, so ||X||_2 <= ||X||_1 and exp(X) is unitary.  Past
+# theta_20, X is scaled by 2^-q and the result squared q times.  Paterson-Stockmeyer
+# over X ... X^p, p dividing m, takes p - 1 + m/p - 1 products: 2 to 7 here.
+_TAYLOR = ((1.6783942982781048e-3, 4, 2), (1.7764527083684662e-2, 6, 2),
+           (0.11483174747739708, 9, 3), (0.33521368782861477, 12, 4),
+           (0.82460319163860873, 16, 4), (1.5041473223951629, 20, 5))
+_INVERSE_FACTORIALS = tuple(1.0 / math.factorial(j) for j in range(21))
 
 
-def _polynomial(powers: list, coeffs, h: int) -> np.ndarray:
-    """sum_j c_j W^j, j = 0 ... len(coeffs) - 1 <= 2h, from powers = [W, ..., W^h].
-
-    Paterson–Stockmeyer in two blocks: the terms below W^h directly, the rest
-    as W^h times a polynomial of degree at most h, so at most one product.
-    """
-    d = powers[0].shape[0]
-    low, high = coeffs[:h], coeffs[h:]
-    if len(high) > 1:
-        total = high[1] * powers[0]
-        for c, power in zip(high[2:], powers[1:]):
-            total += c * power
-        total.ravel()[::d + 1] += high[0]
-        total = powers[h - 1] @ total
-    else:
-        total = high[0] * powers[h - 1]
-    for c, power in zip(low[1:], powers):
-        total += c * power
-    total.ravel()[::d + 1] += low[0]
-    return total
+@functools.cache
+def _lower_triangle(d: int) -> np.ndarray:
+    """The mask of the diagonal and the lower triangle, built once per dimension."""
+    mask = np.tri(d, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
 
 def _taylor_exponential(mat: np.ndarray, s: float) -> np.ndarray:
     """exp(-i s A) by the Taylor polynomial of X = -i s A with scaling and squaring.
 
     A is read as eigh reads it: the lower triangle and the real diagonal.
-    E and -iO share the powers W ... W^h, h = k up to k = 3 and ceil(k/2)
-    from there: the fewest products either way, and no linear solve.
+    T_m(X) = sum_i C_i (X^p)^i with C_i = sum_(k < p) X^k / (ip + k)!, the top
+    chunk also taking X^p / m!, by Horner in X^p: matrix products only, and
+    no temporary larger than one d x d matrix.
     """
     d = mat.shape[0]
-    b = np.where(np.tri(d, dtype=bool), mat, mat.conj().T)
-    b.ravel()[::d + 1] = mat.diagonal().real
-    norm = abs(s) * float(np.abs(b).sum(axis=0).max())
+    x = np.where(_lower_triangle(d), mat, mat.conj().T)
+    x.ravel()[::d + 1] = mat.diagonal().real
+    norm = abs(s) * float(np.abs(x).sum(axis=0).max())
     if not math.isfinite(norm):
         raise ValueError(f"exponent must be finite, got |s| ||A||_1 = {norm}")
     squarings = 0
-    for theta, k in _TAYLOR:
+    for theta, m, p in _TAYLOR:
         if norm <= theta:
             break
     else:
         squarings = math.ceil(math.log2(norm / theta))
-    b *= math.ldexp(s, -squarings)
-    h = k if k < 4 else (k + 1) // 2
-    powers = [b @ b]
-    for _ in range(h - 1):
-        powers.append(powers[-1] @ powers[0])
-    even, odd = (_polynomial(powers, coeffs[:k + 1], h) for coeffs in _EVEN_ODD)
-    r = np.matmul(b, odd, out=powers[0])
-    r += even
+    x *= -1j * math.ldexp(s, -squarings)
+    powers = [x]
+    for _ in range(p - 1):
+        powers.append(powers[-1] @ x)
+    r = _INVERSE_FACTORIALS[m] * powers[-1]
+    for i in reversed(range(m // p)):
+        coeffs = _INVERSE_FACTORIALS[i * p:(i + 1) * p]
+        for c, power in zip(coeffs[1:], powers):
+            r += c * power
+        r.ravel()[::d + 1] += coeffs[0]
+        if i:
+            r = r @ powers[-1]
     for _ in range(squarings):
         r = r @ r
     return r
@@ -299,9 +287,10 @@ def expm_hermitian(mat: np.ndarray, s: float) -> np.ndarray:
       exp(-i s a0) (cos(s|a|) I - i sin(s|a|)/|a| (A - a0 I)), with
       sin(s|a|)/|a| -> s at |a| = 0;
     - 3 <= d < POLYNOMIAL_MIN_DIM: eigh, exp(-i s A) = V exp(-i s Lambda) V^dagger;
-    - d >= POLYNOMIAL_MIN_DIM: the Taylor polynomial of degree 3 to 21 in
-      X = -i s A, written as E(W) - i s A O(W) with W = (s A)^2, with scaling
-      and squaring past ||s A||_1 = 1.7 (Al-Mohy and Higham 2011).
+    - d >= POLYNOMIAL_MIN_DIM: the Taylor polynomial T_m of X = -i s A,
+      m = 4 to 20 by ||s A||_1, evaluated by Paterson-Stockmeyer over
+      X ... X^p, with scaling and squaring past ||s A||_1 = 1.5 (Al-Mohy and
+      Higham 2011).
 
     Non-finite entries are not checked for.  The closed form returns NaN for a
     NaN, and for an infinity raises ValueError (math.sin) unless s = 0; eigh

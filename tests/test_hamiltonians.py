@@ -8,6 +8,7 @@ import pytest
 
 from eqm_lab.flow import GeneratorError, IntegratorConfig, evolve, propagate
 from eqm_lab.hamiltonians import (
+    GENERIC_FD_STEP,
     HamiltonianFunction,
     fd_differential_residual,
     from_value,
@@ -223,6 +224,44 @@ class TestGenericClosure:
             rho = random_density(rng, 2)
             assert poisson_bracket(generic, probe, rho) == pytest.approx(
                 poisson_bracket(closed, probe, rho), abs=1e-7)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_probes_are_the_state_plus_and_minus_a_scaled_basis_matrix(self, rng, dim):
+        # Per generator call, 2 (d^2 - 1) evaluations, at m + step X_k and
+        # m - step X_k in turn, with the bits of that expression.
+        seen = []
+
+        def fn(m):
+            seen.append(m.copy())
+            return float(np.trace(m).real)
+
+        m = random_density(rng, dim).matrix
+        from_value(fn, dim).generator(m)
+        expected = [m + sign * (GENERIC_FD_STEP * x) for x in traceless_hermitian_basis(dim)
+                    for sign in (1.0, -1.0)]
+        assert len(seen) == len(expected) == 2 * (dim * dim - 1)
+        for got, want in zip(seen, expected):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_differential_is_the_weighted_basis_sum_and_exactly_hermitian(self, rng, dim):
+        # The reference: one slope per basis matrix, summed direction by
+        # direction.  The generator sums in one matrix product instead.
+        a, b = random_hermitian(rng, dim).matrix, random_hermitian(rng, dim).matrix
+
+        def fn(m):
+            return float((np.trace(m @ a) * np.trace(m @ b) ** 2).real)
+
+        h = from_value(fn, dim)
+        for _ in range(10):
+            m = random_density(rng, dim).matrix
+            reference = np.zeros((dim, dim), dtype=complex)
+            for x in traceless_hermitian_basis(dim):
+                step = GENERIC_FD_STEP * x
+                reference += (fn(m + step) - fn(m - step)) / (2.0 * GENERIC_FD_STEP) * x
+            d = h.generator(m)
+            assert max_abs(d - reference) <= 4e-16 * max_abs(d)
+            assert np.array_equal(d, d.conj().T)
 
 
 def _families(rng, dim):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqm_lab import hilbert
 from eqm_lab.flow import IntegratorConfig, propagate
 from eqm_lab.hamiltonians import mean_field
 from eqm_lab.hilbert import (
@@ -365,31 +366,45 @@ class TestTaylorPath:
         assert dims and max(dims) < POLYNOMIAL_MIN_DIM <= MAX_DIM
 
     def test_theta_table_is_the_tail_bound(self):
-        # theta_k is the largest theta whose Taylor tail past degree 2k+1
-        # stays within 2^-53, found again here by bisection.
-        ks = [k for _, k in _TAYLOR]
-        assert ks == sorted(ks) and ks[-1] == 10
-        for theta, k in _TAYLOR:
+        # theta_m is the largest theta whose Taylor tail past degree m stays
+        # within 2^-53, found again here by bisection.  Paterson-Stockmeyer
+        # over X ... X^p takes p - 1 + ceil(m/p) - 1 products, one more per
+        # entry, and p divides m, so the top chunk ends at X^p / m!.
+        degrees = [m for _, m, _ in _TAYLOR]
+        assert degrees == sorted(set(degrees)) and degrees[-1] == 20
+        products = [p - 1 + math.ceil(m / p) - 1 for _, m, p in _TAYLOR]
+        assert products == list(range(2, 2 + len(_TAYLOR)))
+        for theta, m, p in _TAYLOR:
+            assert m % p == 0, (m, p)
             lo, hi = 0.0, 4.0
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if _taylor_tail(mid, 2 * k + 1) <= 2.0 ** -53 else (lo, mid)
-            assert theta == pytest.approx(lo, rel=1e-12), k
+                lo, hi = (mid, hi) if _taylor_tail(mid, m) <= 2.0 ** -53 else (lo, mid)
+            assert theta == pytest.approx(lo, rel=1e-12), m
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_each_degree_is_exact_to_rounding_up_to_its_theta(self, rng, dim):
-        # ||s A||_1 at theta_k and 1% past it, so each table entry is taken at
+        # ||s A||_1 at theta_m and 1% past it, so each table entry is taken at
         # both ends of its range, and the last 1% past the table, squared once.
         a = random_hermitian(rng, dim).matrix
         one_norm = np.abs(a).sum(axis=0).max()
-        for theta, _ in _TAYLOR:
+        for theta, _, _ in _TAYLOR:
             for norm, sign in itertools.product((theta, 1.01 * theta), (1.0, -1.0)):
                 _assert_taylor_exponential(a, sign * norm / one_norm)
+        # A diagonal generator with ||A||_2 = ||A||_1 = 1 meets the tail bound
+        # with equality, so a term missing from T_m (at least 1.4e-15 at
+        # theta_m) shows against the ~3e-16 the path reaches on it.
+        eigvals = rng.uniform(-1.0, 1.0, dim)
+        eigvals[0] = 1.0
+        for theta, _, _ in _TAYLOR:
+            for s in (theta, -theta, 1.01 * theta):
+                u = expm_hermitian(np.diag(eigvals).astype(complex), s)
+                assert max_abs(u - np.diag(np.exp(-1j * s * eigvals))) <= 6e-16, (theta, s)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_random_generators(self, rng, dim):
-        # |s| ||A||_2 from 1e-4, where ||s A||_1 <= sqrt(d) 1e-4 < theta_2 and
-        # the degree is 3 or 5, to 1e2, past theta_10 = 1.7, where the result
+        # |s| ||A||_2 from 1e-4, where ||s A||_1 <= sqrt(d) 1e-4 < theta_4 and
+        # the degree is 4, to 1e2, past theta_20 = 1.5, where the result
         # is squared.
         for _ in range(4):
             a = random_hermitian(rng, dim, scale=rng.uniform(0.1, 10)).matrix
@@ -412,6 +427,18 @@ class TestTaylorPath:
         a[5, 3] = bad
         with pytest.raises(ValueError, match="^exponent must be finite"):
             expm_hermitian(a, s)
+
+    def test_flow_agrees_with_the_eigendecomposition(self, rng, monkeypatch):
+        # A 50-step mean-field run at d = 16, once on the Taylor path and once
+        # with the switch moved past MAX_DIM, which forces eigh.
+        h = mean_field(random_hermitian(rng, 16), random_hermitian(rng, 16), 1.0)
+        rho0 = random_interior_density(rng, 16)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.5)
+        taylor = propagate(h, rho0, 0.5, cfg)
+        monkeypatch.setattr(hilbert, "POLYNOMIAL_MIN_DIM", MAX_DIM + 1)
+        eigh = propagate(h, rho0, 0.5, cfg)
+        for ours, reference in zip(taylor, eigh):
+            assert max_abs(ours.matrix - reference.matrix) <= 1e-13
 
     def test_large_flow_takes_no_eigendecomposition_and_no_solve(self, rng, monkeypatch):
         # A 20-step mean-field run at d = 64 must stay on the Taylor path,
