@@ -225,10 +225,9 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
                 try:
                     half = expm_hermitian(gen, 0.5 * dt)
                 except ValueError:
-                    # The Taylor path rejects every non-finite matrix, eigh
-                    # many, math.sin an infinite angle.  Every later gen
-                    # passed the finiteness check below, so only the first
-                    # call can be at fault here.
+                    # Every path rejects a non-finite entry that it reads.
+                    # Every later gen passed the finiteness check below, so
+                    # only the first call can be at fault here.
                     if np.isfinite(gen).all():
                         raise
                     raise GeneratorError(h.label, k, time - dt, time) from None

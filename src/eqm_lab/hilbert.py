@@ -14,6 +14,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Invariant tolerances, fixed package-wide.
 HERMITICITY_TOL = 1e-12  # max-abs entry of A - A_dagger
@@ -32,9 +33,11 @@ MAX_DIM = 64
 
 # expm_hermitian takes the Taylor path from this dimension on and eigh below it.
 # Timed per call with one BLAS thread (2-vCPU Xeon VM, numpy 2.4.6, OpenBLAS
-# 0.3.31) at ||s A||_1 = 0.02 and 0.04 in sessions of four rounds, Taylor won at
-# most 2 of 8 rounds at d = 10 and 11, 9-10 of 12 at d = 12, 11 of 12 at d = 13,
-# and all 12 from d = 14 on (d = 14: 49-61 us a call against eigh's 64-85 us).
+# 0.3.31) at ||s A||_1 = 0.02 and 0.04 in three sessions of four interleaved
+# rounds, against the eigh path as it is now (finiteness check, no numpy
+# wrapper), Taylor won 2 of 24 rounds at d = 11, 6 of 24 at d = 12, 22 of 24 at
+# d = 13, 23 of 24 at d = 14 (medians 61 us a call against eigh's 73 us) and all
+# 24 at d = 15.  Neither side won every round at 13 or 14, so the switch stays.
 POLYNOMIAL_MIN_DIM = 14
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -90,6 +93,22 @@ def as_complex_matrix(entries) -> np.ndarray:
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix entries must be finite")
     return mat
+
+
+def _eigh(mat: np.ndarray, vectors: bool = True):
+    """np.linalg.eigh(mat), or eigvalsh(mat) if not vectors, without numpy's per-call wrapper.
+
+    The same LAPACK gufunc on the same data, with UPLO = 'L' and numpy's
+    signature rule (complex input in complex double, any other in double), so
+    the same bits.  What is skipped is the dtype dispatch and the np.errstate
+    that turns a LAPACK failure into LinAlgError: a NaN entry gives NaN
+    eigenvalues and an infinite one a RuntimeWarning, so every caller rules
+    both out itself.
+    """
+    complex_ = mat.dtype.kind == "c"
+    if vectors:
+        return _umath_linalg.eigh_lo(mat, signature="D->dD" if complex_ else "d->dd")
+    return _umath_linalg.eigvalsh_lo(mat, signature="D->d" if complex_ else "d->d")
 
 
 def _hermiticity_defect(mat: np.ndarray) -> float:
@@ -153,8 +172,8 @@ class DensityMatrix(_SquareMatrix):
         trace = np.trace(mat)
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValueError(f"state must have unit trace, got Tr = {trace.real:.17g}")
-        lowest = float(np.linalg.eigvalsh(mat)[0])
-        if lowest < -PSD_SLACK:
+        lowest = float(_eigh(mat, vectors=False)[0])
+        if not lowest >= -PSD_SLACK:  # a NaN eigenvalue fails too
             raise ValueError(f"state is not positive semidefinite: lowest eigenvalue {lowest:.3e}")
         self._freeze(mat)
 
@@ -292,17 +311,19 @@ def expm_hermitian(mat: np.ndarray, s: float) -> np.ndarray:
       X ... X^p, with scaling and squaring past ||s A||_1 = 1.5 (Al-Mohy and
       Higham 2011).
 
-    Non-finite entries are not checked for.  The closed form returns NaN for a
-    NaN, and for an infinity raises ValueError (math.sin) unless s = 0; eigh
-    returns NaN or raises LinAlgError, a ValueError; the Taylor path raises
-    ValueError for both, before any product.  flow._steps turns each of these
-    into GeneratorError.
+    Every path raises ValueError("exponent must be finite, ...") before it
+    takes a sine, an eigendecomposition or a product when s or an entry it
+    reads is NaN or infinite, for s = 0 too.  The eigh path checks the whole
+    matrix, so it also rejects a non-finite entry above the diagonal, which it
+    does not read.  flow._steps turns this error into GeneratorError.
     """
     if mat.shape == (2, 2):
         # a = (Re A10, Im A10, z) with z = (A00 - A11) / 2.
         (a00, _), (a10, a11) = mat.tolist()
         a0, z = 0.5 * a00.real + 0.5 * a11.real, 0.5 * a00.real - 0.5 * a11.real
         norm = math.hypot(z, a10.real, a10.imag)
+        if not (math.isfinite(s) and math.isfinite(a0 + norm)):
+            raise ValueError(f"exponent must be finite, got s = {s!r}, a0 + |a| = {a0 + norm!r}")
         sinc = math.sin(s * norm) / norm if norm else s
         phase = complex(math.cos(s * a0), -math.sin(s * a0))
         diag, off = phase * math.cos(s * norm), -1j * sinc * phase
@@ -310,7 +331,10 @@ def expm_hermitian(mat: np.ndarray, s: float) -> np.ndarray:
                         dtype=complex)
     if mat.shape[0] >= POLYNOMIAL_MIN_DIM:
         return _taylor_exponential(mat, s)
-    eigvals, eigvecs = np.linalg.eigh(mat)
+    if not (math.isfinite(s) and np.isfinite(mat).all()):
+        bad = mat.size - np.count_nonzero(np.isfinite(mat))
+        raise ValueError(f"exponent must be finite, got s = {s!r} and {bad} non-finite entries of A")
+    eigvals, eigvecs = _eigh(mat)
     phases = np.exp(-1j * s * eigvals)
     return (eigvecs * phases) @ eigvecs.conj().T
 
@@ -328,7 +352,7 @@ def projector(psi: StateVector) -> DensityMatrix:
 
 def spectrum(rho: DensityMatrix) -> np.ndarray:
     """Eigenvalues of the state in descending order."""
-    return np.linalg.eigvalsh(rho.matrix)[::-1]
+    return _eigh(rho.matrix, vectors=False)[::-1]
 
 
 def _from_pairs(doc, kind: str, ndim: int, layout: str) -> np.ndarray:

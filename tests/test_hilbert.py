@@ -86,6 +86,13 @@ class TestConstructors:
         with pytest.raises(ValueError, match="positive semidefinite"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_rejects_a_nan_lowest_eigenvalue(self, monkeypatch):
+        # The gate reads the helper's eigenvalues; a NaN one, as LAPACK
+        # returns when it fails, must not pass as nonnegative.
+        monkeypatch.setattr(hilbert, "_eigh", lambda mat, vectors=True: np.full(2, np.nan))
+        with pytest.raises(ValueError, match="not positive semidefinite: lowest eigenvalue nan"):
+            DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+
     def test_rejects_unnormalized_vector(self):
         with pytest.raises(ValueError, match="normalized"):
             StateVector(np.array([1.0, 1.0]))
@@ -254,6 +261,30 @@ def _assert_taylor_exponential(mat, s):
     return u
 
 
+def _count_eigendecompositions(monkeypatch, *more):
+    """Record (name, d) for each eigendecomposition by hilbert._eigh and each
+    call of np.linalg.eigh and of the np.linalg functions named in more."""
+    calls, helper = [], hilbert._eigh
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def call(mat, *args, **kwargs):
+            calls.append((name, mat.shape[0]))
+            return original(mat, *args, **kwargs)
+        return call
+
+    def counted_helper(mat, vectors=True):
+        if vectors:
+            calls.append(("_eigh", mat.shape[0]))
+        return helper(mat, vectors)
+
+    for name in ("eigh", *more):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    monkeypatch.setattr(hilbert, "_eigh", counted_helper)
+    return calls
+
+
 def _qubit(a0, x, y, z):
     return a0 * np.eye(2) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
 
@@ -329,19 +360,15 @@ class TestQubitClosedForm:
 
     def test_qubit_flow_takes_no_eigendecomposition(self, rng, monkeypatch):
         # A 20-step mean-field run at d = 2 must stay on the closed form; the
-        # same run at d = 4 shows that the counter sees eigh calls.
-        calls, eigh = [], np.linalg.eigh
-
-        def counted(mat, *args, **kwargs):
-            calls.append(mat.shape[0])
-            return eigh(mat, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        # same run at d = 4 shows that the counter sees the helper's
+        # eigendecompositions.  Neither calls np.linalg.eigh.
+        calls = _count_eigendecompositions(monkeypatch)
         cfg = IntegratorConfig(dt=0.01, t_final=0.2)
         for dim in (2, 4):
             h = mean_field(random_hermitian(rng, dim), random_hermitian(rng, dim), 1.0)
             propagate(h, random_interior_density(rng, dim), 0.2, cfg)
-        assert 2 not in calls and calls.count(4) >= 20
+        assert ("_eigh", 2) not in calls and calls.count(("_eigh", 4)) >= 20
+        assert not [call for call in calls if call[0] == "eigh"]
 
 
 def _taylor_tail(theta, m):
@@ -419,15 +446,6 @@ class TestTaylorPath:
         assert np.array_equal(expm_hermitian(np.zeros((dim, dim), dtype=complex), 0.7),
                               np.eye(dim))
 
-    @pytest.mark.parametrize("dim", sorted({POLYNOMIAL_MIN_DIM, MAX_DIM}))
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("s", [0.1, 0.0])
-    def test_non_finite_matrix_raises_value_error(self, rng, dim, bad, s):
-        a = random_hermitian(rng, dim).matrix.copy()
-        a[5, 3] = bad
-        with pytest.raises(ValueError, match="^exponent must be finite"):
-            expm_hermitian(a, s)
-
     def test_flow_agrees_with_the_eigendecomposition(self, rng, monkeypatch):
         # A 50-step mean-field run at d = 16, once on the Taylor path and once
         # with the switch moved past MAX_DIM, which forces eigh.
@@ -443,25 +461,72 @@ class TestTaylorPath:
     def test_large_flow_takes_no_eigendecomposition_and_no_solve(self, rng, monkeypatch):
         # A 20-step mean-field run at d = 64 must stay on the Taylor path,
         # which needs no linear solve; the same run at d = 4 shows that the
-        # counter sees eigh calls.
-        calls = []
-
-        def counted(name):
-            original = getattr(np.linalg, name)
-
-            def call(mat, *args, **kwargs):
-                calls.append((name, mat.shape[0]))
-                return original(mat, *args, **kwargs)
-            return call
-
-        for name in ("eigh", "solve"):
-            monkeypatch.setattr(np.linalg, name, counted(name))
+        # counter sees the helper's eigendecompositions.  Neither calls
+        # np.linalg.eigh.
+        calls = _count_eigendecompositions(monkeypatch, "solve")
         cfg = IntegratorConfig(dt=0.01, t_final=0.2)
         for dim in (MAX_DIM, 4):
             h = mean_field(random_hermitian(rng, dim), random_hermitian(rng, dim), 1.0)
             propagate(h, random_interior_density(rng, dim), 0.2, cfg)
         assert not [call for call in calls if call[1] == MAX_DIM]
-        assert calls.count(("eigh", 4)) >= 20
+        assert calls.count(("_eigh", 4)) >= 20
+        assert not [call for call in calls if call[0] == "eigh"]
+
+
+class TestNonFiniteExponent:
+    """Every path raises ValueError before it exponentiates a non-finite s or entry."""
+
+    DIMS = sorted({2, 3, 4, POLYNOMIAL_MIN_DIM - 1, POLYNOMIAL_MIN_DIM, MAX_DIM})
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["lower", "diagonal"])
+    @pytest.mark.parametrize("s", [0.1, 0.0])
+    def test_non_finite_matrix_raises_value_error(self, rng, dim, bad, where, s):
+        a = random_hermitian(rng, dim).matrix.copy()
+        a[(dim - 1, 0) if where == "lower" else (dim - 1, dim - 1)] = bad
+        with pytest.raises(ValueError, match="^exponent must be finite"):
+            expm_hermitian(a, s)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_raises_value_error(self, rng, dim, s):
+        with pytest.raises(ValueError, match="^exponent must be finite"):
+            expm_hermitian(random_hermitian(rng, dim).matrix, s)
+
+
+def _hermitian_cases(rng, dim):
+    """Matrices the helper must take as numpy does: random complex Hermitian,
+    degenerate, real and integer, a transposed view, and garbage above the diagonal."""
+    a = random_hermitian(rng, dim).matrix
+    ints = rng.integers(-3, 4, size=(dim, dim))
+    garbage = a + np.triu(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), 1)
+    return {
+        "complex": a,
+        "identity": np.eye(dim, dtype=complex),
+        "repeated": np.diag(np.repeat([0.25, -1.5], [dim // 2, dim - dim // 2])).astype(complex),
+        "real": a.real.copy(),
+        "integer": ints + ints.T,
+        "transposed": a.T,  # not C-contiguous
+        "garbage above": garbage,
+    }
+
+
+class TestEighHelper:
+    """hilbert._eigh gives np.linalg.eigh's and eigvalsh's bits, without their wrapper."""
+
+    @pytest.mark.parametrize("dim", range(2, POLYNOMIAL_MIN_DIM))
+    def test_eigendecomposition_is_numpys(self, rng, dim):
+        for name, mat in _hermitian_cases(rng, dim).items():
+            (w, v), (w_np, v_np) = hilbert._eigh(mat), np.linalg.eigh(mat)
+            assert np.array_equal(w, w_np) and np.array_equal(v, v_np), name
+            assert w.dtype == w_np.dtype and v.dtype == v_np.dtype, name
+
+    def test_eigenvalues_are_numpys(self, rng):
+        for dim in range(2, MAX_DIM + 1):
+            for name, mat in _hermitian_cases(rng, dim).items():
+                w, w_np = hilbert._eigh(mat, vectors=False), np.linalg.eigvalsh(mat)
+                assert np.array_equal(w, w_np) and w.dtype == w_np.dtype, (dim, name)
 
 
 class TestProjector:
