@@ -155,25 +155,6 @@ def polynomial(terms: Sequence, label: str = "polynomial") -> HamiltonianFunctio
                                dim=every_factor[0].dim if every_factor else None)
 
 
-def traceless_hermitian_basis(dim: int) -> np.ndarray:
-    """Orthonormal basis of traceless Hermitian matrices under Tr(XY): dim^2 - 1 of them, stacked."""
-    basis = np.zeros((dim * dim - 1, dim, dim), dtype=complex)
-    n = 0
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            basis[n, j, k] = basis[n, k, j] = 1.0 / math.sqrt(2.0)
-            basis[n + 1, j, k] = -1j / math.sqrt(2.0)
-            basis[n + 1, k, j] = 1j / math.sqrt(2.0)
-            n += 2
-    for level in range(1, dim):
-        diag = np.zeros(dim, dtype=complex)
-        diag[:level] = 1.0
-        diag[level] = -level
-        np.fill_diagonal(basis[n], diag / math.sqrt(level * (level + 1)))
-        n += 1
-    return basis
-
-
 def from_value(
     fn: Callable[[np.ndarray], float],
     dim: int,
@@ -184,26 +165,43 @@ def from_value(
 
     The probes rho +/- step*basis leave the positive cone by O(step) near its
     boundary, so ``fn`` must accept arbitrary Hermitian matrices close to the
-    state space, as every trace-polynomial functional does.  The recovered
-    differential is the traceless part; the identity component is pure gauge
-    and does not affect the generated flow.
+    state space, as every trace-polynomial functional does.  All probes are one
+    work matrix, edited between calls, so ``fn`` must not modify or keep it.
+    The recovered differential is the traceless part; the identity component
+    is pure gauge and does not affect the generated flow.
     """
     require_dim("dim", dim)
-    basis = traceless_hermitian_basis(dim)
-    flat = basis.reshape(len(basis), dim * dim)
     step = GENERIC_FD_STEP
+    # The orthonormal traceless Hermitian basis under Tr(XY) by its nonzero
+    # entries (flat index, value): the pairs j < k row by row, real then
+    # imaginary, then the diagonal levels 1 ... dim - 1.
+    r, up, down = 1.0 / math.sqrt(2.0), -1j / math.sqrt(2.0), 1j / math.sqrt(2.0)
+    basis = [((j * dim + k, x), (k * dim + j, y)) for j in range(dim)
+             for k in range(j + 1, dim) for x, y in ((r, r), (up, down))]
+    for level in range(1, dim):
+        scale = 1.0 / math.sqrt(level * (level + 1))
+        basis.append([(i * (dim + 1), scale) for i in range(level)]
+                     + [(level * (dim + 1), -level * scale)])
+    directions = [[(i, v, step * v) for i, v in entries] for entries in basis]
 
     def value(rho: DensityMatrix) -> float:
         return float(fn(rho.matrix))
 
     def generator(m: np.ndarray) -> np.ndarray:
-        # One probe at a time: a stack of all 2 (d^2 - 1) probes would take
-        # 0.5 GB at d = 64, and was no faster at d = 4.
-        slopes = []
-        for direction in basis:
-            probe = step * direction
-            slopes.append((fn(m + probe) - fn(m - probe)) / (2.0 * step))
-        return (np.array(slopes) @ flat).reshape(dim, dim)
+        work = np.array(m, dtype=complex, order="C")
+        flat = work.reshape(dim * dim)
+        state, d = flat.tolist(), [0j] * (dim * dim)
+        for entries in directions:
+            for i, _, scaled in entries:
+                flat[i] = state[i] + scaled
+            plus = fn(work)
+            for i, _, scaled in entries:
+                flat[i] = state[i] - scaled
+            slope = (plus - fn(work)) / (2.0 * step)
+            for i, v, _ in entries:
+                flat[i] = state[i]  # restored for the next direction
+                d[i] += slope * v
+        return np.array(d).reshape(dim, dim)
 
     return HamiltonianFunction(value=value, label=label, generator=generator, dim=dim)
 
@@ -225,6 +223,7 @@ def fd_differential_residual(
     delta must be traceless so that rho +/- eps*delta stays on the unit-trace
     plane; the caller scales delta so both perturbations remain valid states.
     """
+    require_same_dim(rho, delta)
     require_real("eps", eps, FD_STEP_MIN, FD_STEP_MAX)
     if abs(np.trace(delta.matrix)) > 1e-10:
         raise ValueError("direction must be traceless")

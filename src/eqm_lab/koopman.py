@@ -204,8 +204,8 @@ class Quadrature:
             raise ValueError("quadrature q, p, weights and boundary must be 1-D arrays of one length")
         if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.p))):
             raise ValueError("quadrature nodes must be finite")
-        if not np.all(self.weights > 0):
-            raise ValueError("quadrature weights must be positive")
+        if not np.all(np.isfinite(self.weights) & (self.weights > 0)):
+            raise ValueError("quadrature weights must be positive and finite")
 
     @classmethod
     def gauss_legendre(cls, extent: float = DEFAULT_EXTENT, order: int = DEFAULT_ORDER) -> "Quadrature":

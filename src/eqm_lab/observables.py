@@ -57,8 +57,8 @@ class StateMeasure:
             raise ValueError(
                 f"need one weight per support point, got {weights.shape} for {len(support)} points"
             )
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise ValueError("weights must be finite and nonnegative")
         total = float(np.sum(weights))
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights must sum to 1, got {total:.17g}")

@@ -1,7 +1,9 @@
 """Tests for Hamiltonian function families, brackets, and differentials."""
 
 import dataclasses
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from eqm_lab.hamiltonians import (
     poisson_bracket,
     polynomial,
     shift_differential,
-    traceless_hermitian_basis,
 )
 from eqm_lab.hilbert import (
     MAX_DIM,
@@ -35,6 +36,27 @@ from conftest import (
     random_interior_density,
     random_traceless_hermitian,
 )
+
+
+def _dense_basis(dim):
+    """The reference for from_value: the orthonormal basis of traceless
+    Hermitian matrices under Tr(XY), dim^2 - 1 dense matrices stacked, in the
+    order from_value probes them."""
+    basis = np.zeros((dim * dim - 1, dim, dim), dtype=complex)
+    n = 0
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            basis[n, j, k] = basis[n, k, j] = 1.0 / math.sqrt(2.0)
+            basis[n + 1, j, k] = -1j / math.sqrt(2.0)
+            basis[n + 1, k, j] = 1j / math.sqrt(2.0)
+            n += 2
+    for level in range(1, dim):
+        diag = np.zeros(dim, dtype=complex)
+        diag[:level] = 1.0
+        diag[level] = -level
+        np.fill_diagonal(basis[n], diag / math.sqrt(level * (level + 1)))
+        n += 1
+    return basis
 
 
 class TestBuild:
@@ -170,6 +192,11 @@ class TestDifferentialResidual:
         with pytest.raises(ValueError, match="traceless"):
             fd_differential_residual(linear(sz), rho, HermitianOperator(np.eye(2)), 1e-4)
 
+    def test_direction_of_another_dimension(self, sz, qubit_up, rng):
+        delta = random_traceless_hermitian(rng, 4, scale=0.2)
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 4$"):
+            fd_differential_residual(linear(sz), qubit_up, delta, 1e-4)
+
     def test_perturbation_leaving_cone(self, sz, qubit_up):
         # A pure state cannot move along a diagonal traceless direction both ways.
         delta = HermitianOperator(SIGMA_Z)
@@ -204,7 +231,7 @@ class TestShiftDifferential:
 
 class TestGenericClosure:
     def test_basis_is_orthonormal_and_traceless(self):
-        basis = traceless_hermitian_basis(3)
+        basis = _dense_basis(3)
         assert len(basis) == 8
         for i, x in enumerate(basis):
             assert abs(np.trace(x)) < 1e-14
@@ -228,7 +255,10 @@ class TestGenericClosure:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_probes_are_the_state_plus_and_minus_a_scaled_basis_matrix(self, rng, dim):
         # Per generator call, 2 (d^2 - 1) evaluations, at m + step X_k and
-        # m - step X_k in turn, with the bits of that expression.
+        # m - step X_k in turn, with the bytes of those expressions but one:
+        # where X_k is zero, m + step X_k adds +0.0 and so turns a -0.0 of m
+        # into +0.0, while the probe, which writes only the entries X_k
+        # touches, keeps it.
         seen = []
 
         def fn(m):
@@ -236,17 +266,42 @@ class TestGenericClosure:
             return float(np.trace(m).real)
 
         m = random_density(rng, dim).matrix
-        from_value(fn, dim).generator(m)
-        expected = [m + sign * (GENERIC_FD_STEP * x) for x in traceless_hermitian_basis(dim)
-                    for sign in (1.0, -1.0)]
-        assert len(seen) == len(expected) == 2 * (dim * dim - 1)
-        for got, want in zip(seen, expected):
-            assert np.array_equal(got, want)
+        signed = m.copy()
+        signed[0, 0] = complex(m[0, 0].real, -0.0)   # only the diagonal levels touch it
+        for state, moved in ((m, 0), (signed, dim * (dim - 1))):
+            seen.clear()
+            from_value(fn, dim).generator(state)
+            expected = [probe for x in _dense_basis(dim)
+                        for probe in (state + GENERIC_FD_STEP * x, state - GENERIC_FD_STEP * x)]
+            assert len(seen) == len(expected) == 2 * (dim * dim - 1)
+            differ = 0
+            for got, want in zip(seen, expected):
+                assert np.array_equal(got, want)
+                if got.tobytes() != want.tobytes():
+                    differ += 1
+                    assert math.copysign(1.0, want[0, 0].imag) == 1.0
+                    want[0, 0] = complex(want[0, 0].real, -0.0)
+                    assert got.tobytes() == want.tobytes()
+            # The plus probe along each of the d (d - 1) off-diagonal matrices.
+            assert differ == moved
+
+    def test_memory_stays_quadratic_in_the_dimension(self):
+        # Building from_value at MAX_DIM and one generator call; a dense
+        # basis of MAX_DIM^2 - 1 matrices alone would take 268 MB.
+        tracemalloc.start()
+        try:
+            h = from_value(lambda m: 0.0, MAX_DIM)
+            d = h.generator(np.eye(MAX_DIM, dtype=complex) / MAX_DIM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not d.any()
+        assert peak < 4e6
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
     def test_differential_is_the_weighted_basis_sum_and_exactly_hermitian(self, rng, dim):
-        # The reference: one slope per basis matrix, summed direction by
-        # direction.  The generator sums in one matrix product instead.
+        # The reference: one slope per dense basis matrix, summed direction by
+        # direction.  The generator adds each slope into its nonzero entries only.
         a, b = random_hermitian(rng, dim).matrix, random_hermitian(rng, dim).matrix
 
         def fn(m):
@@ -256,7 +311,7 @@ class TestGenericClosure:
         for _ in range(10):
             m = random_density(rng, dim).matrix
             reference = np.zeros((dim, dim), dtype=complex)
-            for x in traceless_hermitian_basis(dim):
+            for x in _dense_basis(dim):
                 step = GENERIC_FD_STEP * x
                 reference += (fn(m + step) - fn(m - step)) / (2.0 * GENERIC_FD_STEP) * x
             d = h.generator(m)

@@ -384,11 +384,11 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="1-D arrays of one length"):
             Quadrature(**fields)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_hand_built_nodes_must_be_finite_and_weights_positive(self, bad):
         rule = Quadrature.gauss_legendre(order=4)
         q, weights = rule.q.copy(), rule.weights.copy()
-        q[5], weights[5] = bad, -bad     # -bad is NaN or -inf, neither positive
+        q[5], weights[5] = bad, -bad     # -bad is NaN, -inf or inf: not a finite positive weight
         with pytest.raises(ValueError, match="nodes must be finite"):
             Quadrature(q=q, p=rule.p, weights=rule.weights, boundary=rule.boundary, extent=4.0)
         with pytest.raises(ValueError, match="weights must be positive"):

@@ -75,8 +75,10 @@ class TestStateMeasure:
             StateMeasure(support=(qubit_up,), weights=np.array([0.7]))
 
     def test_rejects_negative_weights(self, qubit_up, qubit_plus):
-        with pytest.raises(ValueError, match="nonnegative"):
-            StateMeasure(support=(qubit_up, qubit_plus), weights=np.array([1.5, -0.5]))
+        # A NaN weight is neither negative nor off the unit sum by WEIGHT_TOL.
+        for weights in ([1.5, -0.5], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                StateMeasure(support=(qubit_up, qubit_plus), weights=np.array(weights))
 
     def test_rejects_empty_support(self):
         with pytest.raises(ValueError, match="nonempty"):
