@@ -21,10 +21,10 @@ from .hilbert import (
     DensityMatrix,
     UnitaryOperator,
     expm_hermitian,
+    first_rejected,
     max_abs,
     require_count,
     require_real,
-    spectrum,
     transition_probability,
 )
 
@@ -34,6 +34,9 @@ DEFAULT_MIDPOINT_MAX_ITER = 50
 # the remaining error falls below MIDPOINT_KAPPA * midpoint_tol.
 MIDPOINT_KAPPA = 1e-2
 EXACT_ERROR_FLOOR = 1e-12  # self-convergence errors below this count as exact
+# Records are checked and monitored in stacks of at most this many bytes of
+# matrices: 1024 records at d = 2, 16 at d = 16, one at d = 64.
+RECORD_BLOCK_BYTES = 1 << 16
 
 
 class StepError(Exception):
@@ -78,7 +81,7 @@ class GeneratorError(StepError, ValueError):
 
 
 class StateError(StepError, ValueError):
-    """A state or cocycle failed validation where it left the kernel; ``detail`` is the reason.
+    """A recorded state or cocycle failed validation; ``detail`` is the reason.
 
     It names the time after the step, which ``start`` and ``end`` both hold.
     """
@@ -119,31 +122,46 @@ class Trajectory:
         if len(self.times) == 0:
             raise ValueError("a trajectory holds at least the initial record")
 
-    # Invariant monitors; all are worst-case values over the records.
+    # Invariant monitors; all are worst-case values over the records, read a block at a time.
 
     def max_unitarity_defect(self) -> float:
-        dim = self.cocycle[0].dim
-        eye = np.eye(dim)
-        return max(max_abs(u.matrix.conj().T @ u.matrix - eye) for u in self.cocycle)
+        eye = np.eye(self.cocycle[0].dim)
+        return max(float(np.abs(u.conj().swapaxes(1, 2) @ u - eye).max())
+                   for (u,) in _stacked(self.cocycle))
 
     def max_cocycle_defect(self) -> float:
         """Worst |rho_t - u rho_0 u_dagger| over the records."""
         rho0 = self.states[0].matrix
-        return max(
-            max_abs(state.matrix - u.matrix @ rho0 @ u.matrix.conj().T)
-            for state, u in zip(self.states, self.cocycle)
-        )
+        return max(float(np.abs(s - u @ rho0 @ u.conj().swapaxes(1, 2)).max())
+                   for s, u in _stacked(self.states, self.cocycle))
 
     def max_spectrum_drift(self) -> float:
-        base = spectrum(self.states[0])
-        return max(max_abs(spectrum(state) - base) for state in self.states)
+        # Ascending eigenvalues pair up as the descending spectrum's do.
+        base = np.linalg.eigvalsh(self.states[0].matrix)
+        return max(float(np.abs(np.linalg.eigvalsh(s) - base).max())
+                   for (s,) in _stacked(self.states))
 
     def max_trace_defect(self) -> float:
-        return max(abs(complex(np.trace(state.matrix)) - 1.0) for state in self.states)
+        traces = (np.trace(s, axis1=1, axis2=2) for (s,) in _stacked(self.states))
+        # np.hypot is Python's abs(complex(Tr rho) - 1.0), bit for bit.
+        return max(float(np.hypot(tr.real - 1.0, tr.imag).max()) for tr in traces)
 
     def max_purity_drift(self) -> float:
         base = self.states[0].purity()
-        return max(abs(state.purity() - base) for state in self.states)
+        return max(float(np.abs(np.trace(s @ s, axis1=1, axis2=2).real - base).max())
+                   for (s,) in _stacked(self.states))
+
+
+def _block_size(wrapper) -> int:
+    """Records of wrapper's dimension in one block: RECORD_BLOCK_BYTES of matrices, at least one."""
+    return max(1, RECORD_BLOCK_BYTES // wrapper.matrix.nbytes)
+
+
+def _stacked(*columns):
+    """Yield, block by block, one (B, d, d) stack per column of equal-length wrapper tuples."""
+    size = _block_size(columns[0][0])
+    for start in range(0, len(columns[0]), size):
+        yield tuple(np.stack([w.matrix for w in column[start:start + size]]) for column in columns)
 
 
 def split_steps(span: float, dt: float) -> tuple[int, float]:
@@ -182,9 +200,10 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
     Each step conjugates by exp(-i dt D_mid), with D_mid the differential at
     the self-consistent midpoint state, and extends the cocycle u by the
     same factor.  Only h.generator and expm_hermitian run here, on plain
-    arrays; states are validated where they leave the kernel.  A function
-    that carries a dimension other than the state's raises ValueError
-    before the first step.
+    arrays.  Each yielded rho and u is a fresh array that the kernel never
+    writes afterwards, so evolve and propagate keep them as the records
+    once a stacked check accepts them.  A function that carries a dimension
+    other than the state's raises ValueError before the first step.
 
     The midpoint iteration refreshes D_mid from the midpoint state it
     gives.  Pass j measures its increment delta_j, the largest entry of the
@@ -255,28 +274,46 @@ def _identity(dim: int) -> UnitaryOperator:
     return UnitaryOperator(np.eye(dim, dtype=complex))
 
 
-def _validated(k: int, time: float, rho: np.ndarray,
-               u: np.ndarray) -> tuple[DensityMatrix, UnitaryOperator]:
-    """The kernel's state and cocycle after step k as wrappers; a failure names the step."""
-    try:
-        return DensityMatrix(rho), UnitaryOperator(u)
-    except ValueError as exc:
+def _accepted(records: list) -> list:
+    """The kernel's records (k, time, rho, u) as (time, state, cocycle) wrappers of its arrays.
+
+    The records are checked in one stack; the first that fails raises
+    StateError, named by its step and time.
+    """
+    rejected = first_rejected(np.stack([r[2] for r in records]), np.stack([r[3] for r in records]))
+    if rejected is not None:
+        i, exc = rejected
+        k, time = records[i][:2]
         raise StateError(str(exc), k, time, time) from exc
+    return [(time, DensityMatrix._accepted(rho), UnitaryOperator._accepted(u))
+            for _, time, rho, u in records]
 
 
 def evolve(h: HamiltonianFunction, rho0: DensityMatrix, cfg: IntegratorConfig) -> Trajectory:
     """Integrate from rho0 to cfg.t_final, recording every record_stride-th step.
 
     The final time is always recorded; a shorter last step is taken when
-    t_final is not a multiple of dt.
+    t_final is not a multiple of dt.  The records wrap the kernel's own
+    arrays, checked a block of RECORD_BLOCK_BYTES at a time: a bad record
+    raises StateError once its block is full, the run ends or the kernel
+    raises, so the run may go up to one block past it, but no later failure
+    of the kernel hides it.
     """
     records = [(0.0, rho0, _identity(rho0.dim))]
+    block, size = [], _block_size(rho0)
     k = 0
-    for k, time, rho, u in _steps(h, rho0.matrix, cfg.t_final, cfg):
-        if k % cfg.record_stride == 0:
-            records.append((time, *_validated(k, time, rho, u)))
-    if k % cfg.record_stride:
-        records.append((time, *_validated(k, time, rho, u)))
+    try:
+        for k, time, rho, u in _steps(h, rho0.matrix, cfg.t_final, cfg):
+            if k % cfg.record_stride == 0:
+                block.append((k, time, rho, u))
+                if len(block) == size:
+                    full, block = block, []
+                    records += _accepted(full)
+        if k % cfg.record_stride:
+            block.append((k, time, rho, u))
+    finally:  # also when the kernel raises: a bad record's StateError comes first
+        if block:
+            records += _accepted(block)
     times, states, cocycle = zip(*records)
     return Trajectory(times, states, cocycle)
 
@@ -294,7 +331,8 @@ def propagate(h: HamiltonianFunction, rho0: DensityMatrix, t: float,
         pass
     if end is None:
         return rho0, _identity(rho0.dim)
-    return _validated(*end)
+    _, rho, u = _accepted([end])[0]
+    return rho, u
 
 
 def wigner_deviation(h: HamiltonianFunction, p: DensityMatrix, q: DensityMatrix,
@@ -319,11 +357,13 @@ def overlap_deviation(traj_p: Trajectory, traj_q: Trajectory) -> tuple[float, fl
     if traj_p.times != traj_q.times:
         raise ValueError("the two trajectories must be recorded at the same times")
     baseline = transition_probability(traj_p.states[0], traj_q.states[0])
-    best_dev, best_t = 0.0, 0.0
-    for t, sp, sq in zip(traj_p.times, traj_p.states, traj_q.states):
-        dev = abs(float(np.trace(sp.matrix @ sq.matrix).real) - baseline)
-        if dev > best_dev:
-            best_dev, best_t = dev, t
+    best_dev, best_t, start = 0.0, 0.0, 0
+    for p, q in _stacked(traj_p.states, traj_q.states):
+        devs = np.abs(np.trace(p @ q, axis1=1, axis2=2).real - baseline)
+        i = int(devs.argmax())  # the first of equal deviations, as a strict > scan keeps
+        if devs[i] > best_dev:
+            best_dev, best_t = float(devs[i]), traj_p.times[start + i]
+        start += len(devs)
     return best_dev, best_t
 
 

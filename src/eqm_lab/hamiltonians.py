@@ -172,17 +172,21 @@ def from_value(
     """
     require_dim("dim", dim)
     step = GENERIC_FD_STEP
-    # The orthonormal traceless Hermitian basis under Tr(XY) by its nonzero
-    # entries (flat index, value): the pairs j < k row by row, real then
-    # imaginary, then the diagonal levels 1 ... dim - 1.
+    # The orthonormal traceless Hermitian basis under Tr(XY), in probe order:
+    # for each pair j < k row by row, the values (x, y) at the flat indices
+    # (jk, kj), for each row (x, y, step x, step y) of off_diagonal, real then
+    # imaginary; then the diagonal levels 1 ... dim - 1, kept as their nonzero
+    # entries (flat index, value, step * value).  Only the levels are stored,
+    # and their entries share the index and value objects.
     r, up, down = 1.0 / math.sqrt(2.0), -1j / math.sqrt(2.0), 1j / math.sqrt(2.0)
-    basis = [((j * dim + k, x), (k * dim + j, y)) for j in range(dim)
-             for k in range(j + 1, dim) for x, y in ((r, r), (up, down))]
+    off_diagonal = ((r, r, step * r, step * r), (up, down, step * up, step * down))
+    diagonal = [i * (dim + 1) for i in range(dim)]
+    levels = []
     for level in range(1, dim):
         scale = 1.0 / math.sqrt(level * (level + 1))
-        basis.append([(i * (dim + 1), scale) for i in range(level)]
-                     + [(level * (dim + 1), -level * scale)])
-    directions = [[(i, v, step * v) for i, v in entries] for entries in basis]
+        lowest, step_scale = -level * scale, step * scale
+        levels.append([(i, scale, step_scale) for i in diagonal[:level]]
+                      + [(diagonal[level], lowest, step * lowest)])
 
     def value(rho: DensityMatrix) -> float:
         return float(fn(rho.matrix))
@@ -191,7 +195,18 @@ def from_value(
         work = np.array(m, dtype=complex, order="C")
         flat = work.reshape(dim * dim)
         state, d = flat.tolist(), [0j] * (dim * dim)
-        for entries in directions:
+        for j in range(dim):
+            for k in range(j + 1, dim):
+                jk, kj = j * dim + k, k * dim + j
+                for x, y, step_x, step_y in off_diagonal:
+                    flat[jk], flat[kj] = state[jk] + step_x, state[kj] + step_y
+                    plus = fn(work)
+                    flat[jk], flat[kj] = state[jk] - step_x, state[kj] - step_y
+                    slope = (plus - fn(work)) / (2.0 * step)
+                    flat[jk], flat[kj] = state[jk], state[kj]  # restored for the next direction
+                    d[jk] += slope * x
+                    d[kj] += slope * y
+        for entries in levels:
             for i, _, scaled in entries:
                 flat[i] = state[i] + scaled
             plus = fn(work)
@@ -199,7 +214,7 @@ def from_value(
                 flat[i] = state[i] - scaled
             slope = (plus - fn(work)) / (2.0 * step)
             for i, v, _ in entries:
-                flat[i] = state[i]  # restored for the next direction
+                flat[i] = state[i]
                 d[i] += slope * v
         return np.array(d).reshape(dim, dim)
 

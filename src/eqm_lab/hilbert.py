@@ -131,6 +131,13 @@ class _SquareMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
+    @classmethod
+    def _accepted(cls, mat: np.ndarray):
+        """Wrap mat, which this class's checks already accepted, read-only and without a copy."""
+        wrapped = object.__new__(cls)
+        wrapped._freeze(mat)
+        return wrapped
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -180,6 +187,40 @@ class DensityMatrix(_SquareMatrix):
     def purity(self) -> float:
         """Tr(rho^2), equal to 1 exactly for one-dimensional projections."""
         return float(np.trace(self.matrix @ self.matrix).real)
+
+
+def first_rejected(states: np.ndarray, unitaries: np.ndarray) -> tuple[int, ValueError] | None:
+    """The first record i whose states[i] DensityMatrix or unitaries[i] UnitaryOperator rejects.
+
+    Returns (i, the constructor's error), or None when every record passes.
+    The (B, d, d) stacks take the constructors' tests in a few stacked calls
+    (finite, Hermitian, unit trace, lowest eigenvalue, U^dagger U = 1) with
+    the same bits per matrix; a record that any test flags is handed to the
+    constructors themselves, which decide and give the message.  Records past
+    the first non-finite one are not tested.
+    """
+    finite = np.isfinite(states).all(axis=(1, 2)) & np.isfinite(unitaries).all(axis=(1, 2))
+    n = len(finite) if finite.all() else int(finite.argmin())
+    flagged = []
+    if n:
+        s, u = states[:n], unitaries[:n]
+        trace = np.trace(s, axis1=1, axis2=2)
+        # np.hypot is the scalar abs(trace - 1.0) of the constructor, bit for bit.
+        bad = ((np.abs(s - s.conj().swapaxes(1, 2)).max(axis=(1, 2)) > HERMITICITY_TOL)
+               | (np.hypot(trace.real - 1.0, trace.imag) > TRACE_TOL)
+               | ~(_eigh(s, vectors=False)[:, 0] >= -PSD_SLACK)
+               | (np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(s.shape[1])).max(axis=(1, 2))
+                  > UNITARITY_TOL))
+        flagged = np.flatnonzero(bad).tolist()
+    if n < len(finite):
+        flagged.append(n)
+    for i in flagged:
+        try:
+            DensityMatrix(states[i])
+            UnitaryOperator(unitaries[i])
+        except ValueError as exc:
+            return i, exc
+    return None
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,7 @@ defaults to the module tolerances; the runner hard-codes none of them.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -282,14 +283,22 @@ def run_suite(out_dir: Path, dt: float | None = None) -> list[ReportRow]:
     """Run the shipped corpus plus the cross-run checks; returns every report row.
 
     Each scenario goes through :func:`run_and_write`; the combined report is
-    written to ``out_dir/suite_report.txt``.
+    written to ``out_dir/suite_report.txt``.  A scenario that raises
+    ScenarioError prints its message to stderr and writes a report of one
+    FAIL row, ``scenario_error``, in place of its outputs; the suite runs on.
     """
     all_rows: list[ReportRow] = []
     for doc in corpus_documents():
         cfg = build_config(doc)
         if dt is not None and cfg.integrator is not None:
             cfg = with_dt(cfg, dt)
-        all_rows.extend(run_and_write(cfg, out_dir))
+        try:
+            all_rows.extend(run_and_write(cfg, out_dir))
+        except ScenarioError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            failed = ReportRow(cfg.scenario_id, "scenario_error", 1.0, 0.0)
+            write_outputs(out_dir, cfg.scenario_id, [], [failed])
+            all_rows.append(failed)
     all_rows.extend(_suite_cross_checks(dt, dict(DEFAULT_THRESHOLDS)))
     (Path(out_dir) / "suite_report.txt").write_text(render_report(all_rows), newline="\n")
     return all_rows

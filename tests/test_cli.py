@@ -1,14 +1,16 @@
 """Tests for the command-line front end and its exit codes."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import eqm_lab
-from eqm_lab import flow
+from eqm_lab import flow, runner
 from eqm_lab.cli import _build_parser, main
+from eqm_lab.hamiltonians import HamiltonianFunction
 from eqm_lab.hilbert import SIGMA_X, SIGMA_Z, matrix_to_pairs
 
 SX = matrix_to_pairs(SIGMA_X)
@@ -256,3 +258,45 @@ class TestSuite:
         assert rows and all(line.endswith(" PASS") for line in rows)
         assert report[-1] == f"{len(rows)}/{len(rows)} checks passed"
         assert (tmp_path / "out" / "koopman-pendulum" / "report.txt").exists()
+
+    def test_failing_scenario_is_reported_and_the_suite_runs_on(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        clean, failing = tmp_path / "clean", tmp_path / "failing"
+        assert main(["suite", "--dt", "0.01", "--out-dir", str(clean), "--quiet"]) == 0
+        build = runner.build_config
+
+        def injected(doc):
+            # gauge-shift, third of eight, gets a generator that gives NaN.
+            cfg = build(doc)
+            if cfg.scenario_id != "gauge-shift":
+                return cfg
+            h = cfg.hamiltonian
+            return replace(cfg, hamiltonian=HamiltonianFunction(
+                h.value, generator=lambda m: h.generator(m) * np.nan, label="broken"))
+
+        monkeypatch.setattr(runner, "build_config", injected)
+        capsys.readouterr()
+        assert main(["suite", "--dt", "0.01", "--out-dir", str(failing), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: scenario 'gauge-shift': generator of 'broken' gave a "
+                                "non-finite matrix at step 1, t = 0 to 0.01\n")
+        # Every other scenario writes the same bytes as without the failure.
+        written = sorted(p.relative_to(clean) for p in clean.rglob("*") if p.is_file())
+        assert sorted(p.relative_to(failing) for p in failing.rglob("*") if p.is_file()) == written
+        for name in written:
+            if name.parts[0] not in ("gauge-shift", "suite_report.txt"):
+                assert (failing / name).read_bytes() == (clean / name).read_bytes(), name
+        # The report holds one FAIL row in place of the scenario's rows, and counts it.
+        fail_row = runner.render_report(
+            [runner.ReportRow("gauge-shift", "scenario_error", 1.0, 0.0)]).splitlines()[2]
+        assert fail_row.endswith(" FAIL")
+        assert (failing / "gauge-shift" / "report.txt").read_text().splitlines()[2:] == [
+            fail_row, "0/1 checks passed"]
+        rows = (clean / "suite_report.txt").read_text().splitlines()[2:-1]
+        first = next(i for i, row in enumerate(rows) if row.startswith("gauge-shift "))
+        expected = [*rows[:first], fail_row,
+                    *(row for row in rows[first:] if not row.startswith("gauge-shift "))]
+        report = (failing / "suite_report.txt").read_text().splitlines()
+        assert report[2:-1] == expected
+        assert report[-1] == f"{len(expected) - 1}/{len(expected)} checks passed"

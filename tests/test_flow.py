@@ -38,7 +38,7 @@ from eqm_lab.hilbert import (
     unitary_exponential,
 )
 from eqm_lab.runner import four_level_ops
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, random_pure, random_traceless_hermitian
 
 STEP_DIMS = (2, 4, 16, MAX_DIM)
 
@@ -427,7 +427,9 @@ class TestPropagate:
         with pytest.raises(ValueError, match=r"^state after step 5, t = 0\.05: state must have unit trace"):
             evolve(h_mf, qubit_up, cfg)
 
-    def test_builds_wrappers_only_at_the_endpoint(self, rng, monkeypatch):
+    def test_checks_only_the_endpoint(self, rng, monkeypatch):
+        # One stacked check of one record, and no constructor runs: the
+        # endpoint wraps the kernel's arrays once the check accepts them.
         h = mean_field(random_hermitian(rng, 4), random_hermitian(rng, 4), 0.7)
         rho = random_density(rng, 4)
         built = dict.fromkeys(("DensityMatrix", "UnitaryOperator", "HermitianOperator"), 0)
@@ -440,8 +442,14 @@ class TestPropagate:
                 check(self)
 
             monkeypatch.setattr(cls, "__post_init__", counted)
-        propagate(h, rho, 0.2, IntegratorConfig(dt=0.01, t_final=0.2))
-        assert built == {"DensityMatrix": 1, "UnitaryOperator": 1, "HermitianOperator": 0}
+        checked, stacked = [], flow.first_rejected
+        monkeypatch.setattr(flow, "first_rejected",
+                            lambda states, unitaries: checked.append(len(states))
+                            or stacked(states, unitaries))
+        rho_t, u_t = propagate(h, rho, 0.2, IntegratorConfig(dt=0.01, t_final=0.2))
+        assert checked == [1]
+        assert built == {"DensityMatrix": 0, "UnitaryOperator": 0, "HermitianOperator": 0}
+        assert not (rho_t.matrix.flags.writeable or u_t.matrix.flags.writeable)
 
 
 class TestStateIndependent:
@@ -567,3 +575,206 @@ class TestConvergenceOrder:
         estimate = convergence_order(zero_hamiltonian(2), qubit_up, t_final=1.0, dt=0.01)
         assert estimate.exact
         assert estimate.coarse_error == 0.0
+
+
+# The per-record scans the monitors and overlap_deviation ran before they
+# read their records in stacked blocks: the stacked forms must keep these bits.
+PER_RECORD_MONITORS = {
+    "max_unitarity_defect": lambda traj: max(
+        max_abs(u.matrix.conj().T @ u.matrix - np.eye(u.dim)) for u in traj.cocycle),
+    "max_cocycle_defect": lambda traj: max(
+        max_abs(s.matrix - u.matrix @ traj.states[0].matrix @ u.matrix.conj().T)
+        for s, u in zip(traj.states, traj.cocycle)),
+    "max_spectrum_drift": lambda traj: max(
+        max_abs(hilbert.spectrum(s) - hilbert.spectrum(traj.states[0])) for s in traj.states),
+    "max_trace_defect": lambda traj: max(
+        abs(complex(np.trace(s.matrix)) - 1.0) for s in traj.states),
+    "max_purity_drift": lambda traj: max(
+        abs(s.purity() - traj.states[0].purity()) for s in traj.states),
+}
+
+
+def per_record_overlap_deviation(traj_p, traj_q):
+    baseline = hilbert.transition_probability(traj_p.states[0], traj_q.states[0])
+    best_dev, best_t = 0.0, 0.0
+    for t, sp, sq in zip(traj_p.times, traj_p.states, traj_q.states):
+        dev = abs(float(np.trace(sp.matrix @ sq.matrix).real) - baseline)
+        if dev > best_dev:
+            best_dev, best_t = dev, t
+    return best_dev, best_t
+
+
+def block_size(dim):
+    return max(1, flow.RECORD_BLOCK_BYTES // (16 * dim * dim))
+
+
+def random_unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+def random_trajectory(rng, rho0, records):
+    """rho0 carried by random unitaries, with a tiny Hermitian error on each state.
+
+    The conjugation leaves rounding in the imaginary parts of the diagonal,
+    so the traces are complex, as the kernel's are.
+    """
+    dim = rho0.dim
+    times, states, cocycle = [0.0], [rho0], [hilbert.UnitaryOperator(np.eye(dim))]
+    for n in range(1, records):
+        u = random_unitary(rng, dim)
+        state = u @ rho0.matrix @ u.conj().T + random_traceless_hermitian(rng, dim, 1e-13).matrix
+        times.append(0.01 * n)
+        states.append(DensityMatrix(state))
+        cocycle.append(hilbert.UnitaryOperator(u))
+    return flow.Trajectory(tuple(times), tuple(states), tuple(cocycle))
+
+
+class TestRecordBlocks:
+    """Records are checked and monitored in stacked blocks of RECORD_BLOCK_BYTES."""
+
+    DIMS = (2, 3, 4, 13, 14, 16, MAX_DIM)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_monitors_keep_the_per_record_bits(self, dim, rng):
+        # A block and a part; the overlap scan also runs on each record
+        # taken twice in a row, so that the worst deviation appears twice
+        # within a block: the scans keep the first.
+        traj = random_trajectory(rng, random_density(rng, dim), block_size(dim) + 3)
+        for name, per_record in PER_RECORD_MONITORS.items():
+            assert getattr(traj, name)() == per_record(traj), name
+        p, q = (random_trajectory(rng, random_pure(rng, dim), block_size(dim) + 3)
+                for _ in range(2))
+        twice = [flow.Trajectory(tuple(x for t in traj.times for x in (t, t + 0.005)),
+                                 tuple(x for s in traj.states for x in (s, s)),
+                                 tuple(x for u in traj.cocycle for x in (u, u)))
+                 for traj in (p, q)]
+        for pair in ((p, q), twice):
+            assert overlap_deviation(*pair) == per_record_overlap_deviation(*pair)
+
+    def test_overlap_of_unmoved_states_is_zero_at_time_zero(self, qubit_up):
+        traj = evolve(zero_hamiltonian(2), qubit_up, IntegratorConfig(dt=0.1, t_final=1.0))
+        assert overlap_deviation(traj, traj) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("dim", [2, 16, MAX_DIM])
+    def test_records_are_the_kernels_arrays_read_only(self, dim, rng):
+        h = mean_field(random_hermitian(rng, dim), random_hermitian(rng, dim), 0.7)
+        cfg = IntegratorConfig(dt=0.01, t_final=0.05)
+        traj = evolve(h, random_density(rng, dim), cfg)
+        assert len(traj.times) == 6
+        for wrapped in traj.states + traj.cocycle:
+            assert not wrapped.matrix.flags.writeable
+        rho_t, u_t = propagate(h, traj.states[0], 0.05, cfg)
+        assert np.array_equal(rho_t.matrix, traj.states[-1].matrix)
+        assert np.array_equal(u_t.matrix, traj.cocycle[-1].matrix)
+
+
+def corrupt_record(monkeypatch, bad_step):
+    """Make the kernel's record after bad_step fail validation; returns its message's maker.
+
+    The record's trace moves 1e-8 off 1, past TRACE_TOL; the kernel itself
+    runs on from its own state.  The message is what the per-record path
+    built: the constructors' error, named by the step and time.
+    """
+    steps, seen = flow._steps, []
+
+    def corrupted(h, rho, span, cfg):
+        for k, time, rho_k, u in steps(h, rho, span, cfg):
+            if k == bad_step:
+                rho_k = rho_k * (1 + 1e-8)
+                seen.append((k, time, rho_k, u))
+            yield k, time, rho_k, u
+
+    monkeypatch.setattr(flow, "_steps", corrupted)
+
+    def message():
+        (k, time, rho, u), = seen
+        with pytest.raises(ValueError) as rejected:
+            DensityMatrix(rho)
+            hilbert.UnitaryOperator(u)
+        return str(StateError(str(rejected.value), k, time, time))
+
+    return message
+
+
+class TestBadRecord:
+    """A record that fails validation raises StateError with the per-record message."""
+
+    DIM = 4
+
+    def _h(self, rng):
+        return mean_field(random_hermitian(rng, self.DIM), random_hermitian(rng, self.DIM), 0.7)
+
+    @pytest.mark.parametrize("bad_step", [1, 2, block_size(DIM), block_size(DIM) + 1],
+                             ids=["first-of-first", "second", "last-of-block", "first-of-second"])
+    def test_message_names_the_step(self, bad_step, rng, monkeypatch):
+        message = corrupt_record(monkeypatch, bad_step)
+        cfg = IntegratorConfig(dt=1e-3, t_final=(block_size(self.DIM) + 5) * 1e-3)
+        with pytest.raises(StateError) as failure:
+            evolve(self._h(rng), random_density(rng, self.DIM), cfg)
+        assert str(failure.value) == message()
+        assert re.match(rf"state after step {bad_step}, t = \S+: state must have unit trace, "
+                        r"got Tr = 1\.0000000", str(failure.value))
+        assert failure.value.step == bad_step
+
+    def test_strided_final_record(self, rng, monkeypatch):
+        # 0.0105 is ten steps and a remainder, recorded at steps 5, 10 and 11.
+        message = corrupt_record(monkeypatch, 11)
+        with pytest.raises(StateError) as failure:
+            evolve(self._h(rng), random_density(rng, self.DIM),
+                   IntegratorConfig(dt=1e-3, t_final=0.0105, record_stride=5))
+        assert str(failure.value) == message()
+        assert str(failure.value).startswith("state after step 11, t = 0.0105: ")
+
+    def test_endpoint_of_propagate(self, rng, monkeypatch):
+        message = corrupt_record(monkeypatch, 20)
+        with pytest.raises(StateError) as failure:
+            propagate(self._h(rng), random_density(rng, self.DIM), -0.02,
+                      IntegratorConfig(dt=1e-3, t_final=0.02))
+        assert str(failure.value) == message()
+        assert str(failure.value).startswith("state after step 20, t = -0.02: ")
+
+    def test_comes_before_a_later_generator_error(self, rng, monkeypatch):
+        # The generator turns NaN from its 30th call, at a step past 3 but
+        # inside the first block, before the block is full.
+        base, calls = self._h(rng), [0]
+
+        def generator(m):
+            calls[0] += 1
+            return base.generator(m) * (np.nan if calls[0] >= 30 else 1.0)
+
+        h = HamiltonianFunction(value=base.value, generator=generator, label="turns nan")
+        rho = random_density(rng, self.DIM)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.1)
+        with pytest.raises(GeneratorError) as later:
+            evolve(h, rho, cfg)
+        assert later.value.step > 3
+        calls[0] = 0
+        message = corrupt_record(monkeypatch, 3)
+        with pytest.raises(StateError) as failure:
+            evolve(h, rho, cfg)
+        assert str(failure.value) == message()
+
+    def test_comes_before_a_later_convergence_error(self, rng, monkeypatch):
+        # From its 30th call the generator returns a fresh random matrix, so
+        # the midpoint iteration never settles.
+        base, calls = self._h(rng), [0]
+        noise = np.random.default_rng(7)
+
+        def generator(m):
+            calls[0] += 1
+            if calls[0] < 30:
+                return base.generator(m)
+            return random_hermitian(noise, self.DIM).matrix
+
+        h = HamiltonianFunction(value=base.value, generator=generator, label="restless")
+        rho = random_density(rng, self.DIM)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.1)
+        with pytest.raises(ConvergenceError) as later:
+            evolve(h, rho, cfg)
+        assert later.value.step > 3
+        calls[0] = 0
+        message = corrupt_record(monkeypatch, 3)
+        with pytest.raises(StateError) as failure:
+            evolve(h, rho, cfg)
+        assert str(failure.value) == message()

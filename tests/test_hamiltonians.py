@@ -2,8 +2,12 @@
 
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +288,66 @@ class TestGenericClosure:
                     assert got.tobytes() == want.tobytes()
             # The plus probe along each of the d (d - 1) off-diagonal matrices.
             assert differ == moved
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_probes_and_differential_are_the_entry_loops_bit_for_bit(self, rng, dim):
+        # The reference keeps every basis matrix as its entries (flat index,
+        # value, step * value) and probes them all with one loop.
+        r, up, down = 1.0 / math.sqrt(2.0), -1j / math.sqrt(2.0), 1j / math.sqrt(2.0)
+        basis = [((j * dim + k, x), (k * dim + j, y)) for j in range(dim)
+                 for k in range(j + 1, dim) for x, y in ((r, r), (up, down))]
+        for level in range(1, dim):
+            scale = 1.0 / math.sqrt(level * (level + 1))
+            basis.append([(i * (dim + 1), scale) for i in range(level)]
+                         + [(level * (dim + 1), -level * scale)])
+        directions = [[(i, v, GENERIC_FD_STEP * v) for i, v in entries] for entries in basis]
+
+        def reference(fn, m):
+            work = np.array(m, dtype=complex, order="C")
+            flat = work.reshape(dim * dim)
+            state, d = flat.tolist(), [0j] * (dim * dim)
+            for entries in directions:
+                for i, _, scaled in entries:
+                    flat[i] = state[i] + scaled
+                plus = fn(work)
+                for i, _, scaled in entries:
+                    flat[i] = state[i] - scaled
+                slope = (plus - fn(work)) / (2.0 * GENERIC_FD_STEP)
+                for i, v, _ in entries:
+                    flat[i] = state[i]
+                    d[i] += slope * v
+            return np.array(d).reshape(dim, dim)
+
+        a, b = random_hermitian(rng, dim).matrix, random_hermitian(rng, dim).matrix
+        seen = {"probes": [], "reference": []}
+
+        def recording(key):
+            def fn(m):
+                seen[key].append(m.tobytes())
+                return np.trace(m @ a).real + 0.5 * np.trace(m @ b).real ** 2
+            return fn
+
+        h = from_value(recording("probes"), dim)
+        for _ in range(3):
+            m = random_density(rng, dim).matrix.copy()
+            m[0, 1] = complex(-0.0, m[0, 1].imag)
+            d, d_ref = h.generator(m), reference(recording("reference"), m)
+            assert d.tobytes() == d_ref.tobytes()
+        assert seen["probes"] == seen["reference"]
+
+    def test_building_at_max_dim_raises_peak_rss_by_under_one_megabyte(self):
+        script = (
+            "import resource\n"
+            "from eqm_lab.hamiltonians import from_value\n"
+            "from_value(lambda m: 0.0, 2).generator(__import__('numpy').eye(2) / 2)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            f"h = from_value(lambda m: 0.0, {MAX_DIM})\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        rise_kb = int(subprocess.run([sys.executable, "-c", script], check=True, text=True,
+                                     capture_output=True,
+                                     env={**os.environ, "PYTHONPATH": src}).stdout)
+        assert rise_kb < 1024
 
     def test_memory_stays_quadratic_in_the_dimension(self):
         # Building from_value at MAX_DIM and one generator call; a dense

@@ -529,6 +529,94 @@ class TestEighHelper:
                 assert np.array_equal(w, w_np) and w.dtype == w_np.dtype, (dim, name)
 
 
+def _records(rng, dim, n):
+    """n valid (state, unitary) records as two (n, dim, dim) stacks."""
+    states = np.stack([random_density(rng, dim).matrix for _ in range(n)])
+    unitaries = np.stack([unitary_exponential(random_hermitian(rng, dim), 0.7).matrix
+                          for _ in range(n)])
+    return states, unitaries
+
+
+def _constructor_error(state, unitary) -> str:
+    with pytest.raises(ValueError) as rejected:
+        DensityMatrix(state)
+        UnitaryOperator(unitary)
+    return str(rejected.value)
+
+
+def _off_the_cone(state):
+    dim = state.shape[0]
+    return np.diag([1.0 + 2e-10, -2e-10] + [0.0] * (dim - 2)).astype(complex)
+
+
+def _off_hermitian(state):
+    state = state.copy()
+    state[1, 0] += 1e-9
+    return state
+
+
+# Record corruptions: (which stack, corruption), each failing one constructor test.
+CORRUPTIONS = {
+    "state-nan": (0, lambda m: np.where(np.eye(len(m), dtype=bool), np.nan, m)),
+    "state-inf": (0, lambda m: m + np.inf),
+    "not-hermitian": (0, _off_hermitian),
+    "trace": (0, lambda m: m * (1 + 1e-8)),
+    "not-psd": (0, _off_the_cone),
+    "unitary-nan": (1, lambda m: m * np.nan),
+    "not-unitary": (1, lambda m: m * (1 + 1e-9)),
+}
+
+
+class TestFirstRejected:
+    """first_rejected takes the constructors' tests a stack at a time, with their bits."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 13, 14, 16, MAX_DIM])
+    def test_stacked_eigenvalues_products_and_traces_are_per_matrix(self, rng, dim):
+        states, unitaries = _records(rng, dim, 5)
+        lowest = hilbert._eigh(states, vectors=False)
+        gram = unitaries.conj().swapaxes(1, 2) @ unitaries
+        trace = np.trace(states, axis1=1, axis2=2)
+        defect = np.hypot(trace.real - 1.0, trace.imag)
+        for i, (state, u) in enumerate(zip(states, unitaries)):
+            assert np.array_equal(lowest[i], hilbert._eigh(state, vectors=False))
+            assert np.array_equal(gram[i], u.conj().T @ u)
+            assert defect[i] == abs(np.trace(state) - 1.0) == abs(complex(np.trace(state)) - 1.0)
+
+    @pytest.mark.parametrize("dim", [2, 4, MAX_DIM])
+    def test_accepts_valid_records(self, rng, dim):
+        assert hilbert.first_rejected(*_records(rng, dim, 3)) is None
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_names_the_first_bad_record_with_the_constructors_error(self, rng, dim, kind):
+        which, corrupt = CORRUPTIONS[kind]
+        for bad in (0, 2, 4):
+            stacks = list(_records(rng, dim, 5))
+            with np.errstate(invalid="ignore"):
+                stacks[which][bad] = corrupt(stacks[which][bad])
+            # A later record that fails another test does not mask the first.
+            if bad < 4:
+                stacks[1 - which][4] *= 2.0
+            i, error = hilbert.first_rejected(*stacks)
+            assert i == bad
+            assert str(error) == _constructor_error(stacks[0][bad], stacks[1][bad])
+
+    def test_looks_no_further_than_a_non_finite_record(self, rng):
+        states, unitaries = _records(rng, 4, 4)
+        states[2] = np.nan
+        unitaries[3] *= 2.0
+        assert hilbert.first_rejected(states, unitaries)[0] == 2
+        unitaries[1] *= 2.0
+        i, error = hilbert.first_rejected(states, unitaries)
+        assert i == 1 and str(error).startswith("matrix is not unitary")
+
+    def test_accepted_wraps_without_a_copy_and_freezes(self, rng):
+        mat = random_density(rng, 3).matrix.copy()
+        wrapped = DensityMatrix._accepted(mat)
+        assert type(wrapped) is DensityMatrix and wrapped.matrix is mat
+        assert not mat.flags.writeable and wrapped.dim == 3
+
+
 class TestProjector:
     def test_up_vector(self):
         p = projector(StateVector(np.array([1.0, 0.0])))
