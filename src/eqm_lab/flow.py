@@ -20,12 +20,16 @@ from .hamiltonians import HamiltonianFunction
 from .hilbert import (
     DensityMatrix,
     UnitaryOperator,
+    _eigh,
     expm_hermitian,
     first_rejected,
     max_abs,
     require_count,
     require_real,
+    trace_defect,
+    trace_product,
     transition_probability,
+    unitarity_defect,
 )
 
 DEFAULT_MIDPOINT_TOL = 1e-12
@@ -122,34 +126,28 @@ class Trajectory:
         if len(self.times) == 0:
             raise ValueError("a trajectory holds at least the initial record")
 
-    # Invariant monitors; all are worst-case values over the records, read a block at a time.
+    # Invariant monitors: each is the worst value of one measure over the records.
 
     def max_unitarity_defect(self) -> float:
-        eye = np.eye(self.cocycle[0].dim)
-        return max(float(np.abs(u.conj().swapaxes(1, 2) @ u - eye).max())
-                   for (u,) in _stacked(self.cocycle))
+        return _worst(unitarity_defect, self.cocycle)[0]
 
     def max_cocycle_defect(self) -> float:
         """Worst |rho_t - u rho_0 u_dagger| over the records."""
         rho0 = self.states[0].matrix
-        return max(float(np.abs(s - u @ rho0 @ u.conj().swapaxes(1, 2)).max())
-                   for s, u in _stacked(self.states, self.cocycle))
+        return _worst(lambda s, u: np.abs(s - u @ rho0 @ u.conj().swapaxes(1, 2)).max(axis=(1, 2)),
+                      self.states, self.cocycle)[0]
 
     def max_spectrum_drift(self) -> float:
         # Ascending eigenvalues pair up as the descending spectrum's do.
-        base = np.linalg.eigvalsh(self.states[0].matrix)
-        return max(float(np.abs(np.linalg.eigvalsh(s) - base).max())
-                   for (s,) in _stacked(self.states))
+        base = _eigh(self.states[0].matrix, vectors=False)
+        return _worst(lambda s: np.abs(_eigh(s, vectors=False) - base).max(axis=1), self.states)[0]
 
     def max_trace_defect(self) -> float:
-        traces = (np.trace(s, axis1=1, axis2=2) for (s,) in _stacked(self.states))
-        # np.hypot is Python's abs(complex(Tr rho) - 1.0), bit for bit.
-        return max(float(np.hypot(tr.real - 1.0, tr.imag).max()) for tr in traces)
+        return _worst(trace_defect, self.states)[0]
 
     def max_purity_drift(self) -> float:
         base = self.states[0].purity()
-        return max(float(np.abs(np.trace(s @ s, axis1=1, axis2=2).real - base).max())
-                   for (s,) in _stacked(self.states))
+        return _worst(lambda s: np.abs(trace_product(s, s).real - base), self.states)[0]
 
 
 def _block_size(wrapper) -> int:
@@ -157,11 +155,17 @@ def _block_size(wrapper) -> int:
     return max(1, RECORD_BLOCK_BYTES // wrapper.matrix.nbytes)
 
 
-def _stacked(*columns):
-    """Yield, block by block, one (B, d, d) stack per column of equal-length wrapper tuples."""
+def _worst(measure, *columns) -> tuple[float, int]:
+    """The largest of measure's values over blocks of stacked records, and its first record."""
     size = _block_size(columns[0][0])
+    worst, where = -math.inf, 0
     for start in range(0, len(columns[0]), size):
-        yield tuple(np.stack([w.matrix for w in column[start:start + size]]) for column in columns)
+        values = measure(*(np.stack([w.matrix for w in column[start:start + size]])
+                           for column in columns))
+        i = int(values.argmax())  # the first of equal values
+        if values[i] > worst:
+            worst, where = float(values[i]), start + i
+    return worst, where
 
 
 def split_steps(span: float, dt: float) -> tuple[int, float]:
@@ -352,19 +356,14 @@ def overlap_deviation(traj_p: Trajectory, traj_q: Trajectory) -> tuple[float, fl
     """The scan of wigner_deviation over two trajectories recorded at the same times.
 
     The first records are P_0 and Q_0, which must be pure.
-    Returns (max deviation of Tr(P_t Q_t) from Tr(P_0 Q_0), time at which it occurs).
+    Returns (max deviation of Tr(P_t Q_t) from Tr(P_0 Q_0), first time at which it occurs).
     """
     if traj_p.times != traj_q.times:
         raise ValueError("the two trajectories must be recorded at the same times")
     baseline = transition_probability(traj_p.states[0], traj_q.states[0])
-    best_dev, best_t, start = 0.0, 0.0, 0
-    for p, q in _stacked(traj_p.states, traj_q.states):
-        devs = np.abs(np.trace(p @ q, axis1=1, axis2=2).real - baseline)
-        i = int(devs.argmax())  # the first of equal deviations, as a strict > scan keeps
-        if devs[i] > best_dev:
-            best_dev, best_t = float(devs[i]), traj_p.times[start + i]
-        start += len(devs)
-    return best_dev, best_t
+    deviation, i = _worst(lambda p, q: np.abs(trace_product(p, q).real - baseline),
+                          traj_p.states, traj_q.states)
+    return deviation, traj_p.times[i]
 
 
 @dataclass(frozen=True)
@@ -395,11 +394,7 @@ def convergence_order(h: HamiltonianFunction, rho0: DensityMatrix, t_final: floa
         endpoints.append(endpoint.matrix)
     coarse = float(np.linalg.norm(endpoints[0] - endpoints[2]))
     fine = float(np.linalg.norm(endpoints[1] - endpoints[2]))
-    if max(coarse, fine) < EXACT_ERROR_FLOOR:
-        return ConvergenceEstimate(order=math.nan, exact=True,
-                                   coarse_error=coarse, fine_error=fine)
-    if fine == 0.0 or coarse / fine <= 1.0:
-        return ConvergenceEstimate(order=math.nan, exact=False,
-                                   coarse_error=coarse, fine_error=fine)
-    return ConvergenceEstimate(order=math.log2(coarse / fine - 1.0), exact=False,
-                               coarse_error=coarse, fine_error=fine)
+    exact = max(coarse, fine) < EXACT_ERROR_FLOOR
+    shrinks = not exact and fine != 0.0 and coarse / fine > 1.0
+    order = math.log2(coarse / fine - 1.0) if shrinks else math.nan
+    return ConvergenceEstimate(order=order, exact=exact, coarse_error=coarse, fine_error=fine)

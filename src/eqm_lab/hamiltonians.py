@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hilbert import (DensityMatrix, HermitianOperator, commutator, require_count, require_dim,
-                      require_real, require_same_dim, trace_pairing)
+                      require_real, require_same_dim, trace_pairing, trace_product)
 
 FD_STEP_MIN = 1e-7
 FD_STEP_MAX = 1e-3
@@ -223,7 +223,7 @@ def from_value(
 
 def poisson_bracket(f: HamiltonianFunction, h: HamiltonianFunction, rho: DensityMatrix) -> float:
     """{f, h}(rho) = i Tr(rho [Df(rho), Dh(rho)]); antisymmetric in f, h."""
-    bracket = 1j * np.trace(rho.matrix @ commutator(f.differential(rho), h.differential(rho)))
+    bracket = 1j * trace_product(rho.matrix, commutator(f.differential(rho), h.differential(rho)))
     return float(bracket.real)
 
 
@@ -248,7 +248,7 @@ def fd_differential_residual(
     except ValueError as exc:
         raise ValueError(f"perturbed state leaves the admissible cone: {exc}") from None
     slope = (h.value(plus) - h.value(minus)) / (2.0 * eps)
-    predicted = float(np.trace(delta.matrix @ h.differential(rho).matrix).real)
+    predicted = float(trace_product(delta.matrix, h.differential(rho).matrix).real)
     return abs(slope - predicted)
 
 

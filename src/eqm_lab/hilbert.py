@@ -111,8 +111,23 @@ def _eigh(mat: np.ndarray, vectors: bool = True):
     return _umath_linalg.eigvalsh_lo(mat, signature="D->d" if complex_ else "d->d")
 
 
-def _hermiticity_defect(mat: np.ndarray) -> float:
-    return max_abs(mat - mat.conj().T)
+# The invariant measures, each over the trailing two axes: one value for a
+# matrix, and for a (B, d, d) stack B values with the same bits per matrix.
+def hermiticity_defect(a: np.ndarray):  # max |A - A^dagger| over the entries
+    return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
+def trace_defect(a: np.ndarray):  # |Tr A - 1|
+    trace = np.trace(a, axis1=-2, axis2=-1)
+    return np.hypot(trace.real - 1.0, trace.imag)  # abs(complex(Tr A) - 1.0), bit for bit
+
+
+def unitarity_defect(u: np.ndarray):  # max |U^dagger U - 1| over the entries
+    return np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
+
+
+def trace_product(a: np.ndarray, b: np.ndarray):  # Tr(AB); its real part is the pairing
+    return np.trace(a @ b, axis1=-2, axis2=-1)
 
 
 def require_same_dim(a, b) -> None:
@@ -149,8 +164,7 @@ class HermitianOperator(_SquareMatrix):
 
     def __post_init__(self):
         mat = as_complex_matrix(self.matrix)
-        defect = _hermiticity_defect(mat)
-        if defect > HERMITICITY_TOL:
+        if (defect := hermiticity_defect(mat)) > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max |A - A†| = {defect:.3e}")
         self._freeze(mat)
 
@@ -161,8 +175,7 @@ class UnitaryOperator(_SquareMatrix):
 
     def __post_init__(self):
         mat = as_complex_matrix(self.matrix)
-        defect = max_abs(mat.conj().T @ mat - np.eye(mat.shape[0]))
-        if defect > UNITARITY_TOL:
+        if (defect := unitarity_defect(mat)) > UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary: max |U†U - 1| = {defect:.3e}")
         self._freeze(mat)
 
@@ -173,12 +186,10 @@ class DensityMatrix(_SquareMatrix):
 
     def __post_init__(self):
         mat = as_complex_matrix(self.matrix)
-        defect = _hermiticity_defect(mat)
-        if defect > HERMITICITY_TOL:
+        if (defect := hermiticity_defect(mat)) > HERMITICITY_TOL:
             raise ValueError(f"state is not Hermitian: max |A - A†| = {defect:.3e}")
-        trace = np.trace(mat)
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValueError(f"state must have unit trace, got Tr = {trace.real:.17g}")
+        if trace_defect(mat) > TRACE_TOL:
+            raise ValueError(f"state must have unit trace, got Tr = {np.trace(mat).real:.17g}")
         lowest = float(_eigh(mat, vectors=False)[0])
         if not lowest >= -PSD_SLACK:  # a NaN eigenvalue fails too
             raise ValueError(f"state is not positive semidefinite: lowest eigenvalue {lowest:.3e}")
@@ -186,7 +197,7 @@ class DensityMatrix(_SquareMatrix):
 
     def purity(self) -> float:
         """Tr(rho^2), equal to 1 exactly for one-dimensional projections."""
-        return float(np.trace(self.matrix @ self.matrix).real)
+        return float(trace_product(self.matrix, self.matrix).real)
 
 
 def first_rejected(states: np.ndarray, unitaries: np.ndarray) -> tuple[int, ValueError] | None:
@@ -201,17 +212,10 @@ def first_rejected(states: np.ndarray, unitaries: np.ndarray) -> tuple[int, Valu
     """
     finite = np.isfinite(states).all(axis=(1, 2)) & np.isfinite(unitaries).all(axis=(1, 2))
     n = len(finite) if finite.all() else int(finite.argmin())
-    flagged = []
-    if n:
-        s, u = states[:n], unitaries[:n]
-        trace = np.trace(s, axis1=1, axis2=2)
-        # np.hypot is the scalar abs(trace - 1.0) of the constructor, bit for bit.
-        bad = ((np.abs(s - s.conj().swapaxes(1, 2)).max(axis=(1, 2)) > HERMITICITY_TOL)
-               | (np.hypot(trace.real - 1.0, trace.imag) > TRACE_TOL)
-               | ~(_eigh(s, vectors=False)[:, 0] >= -PSD_SLACK)
-               | (np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(s.shape[1])).max(axis=(1, 2))
-                  > UNITARITY_TOL))
-        flagged = np.flatnonzero(bad).tolist()
+    s, u = states[:n], unitaries[:n]
+    bad = ((hermiticity_defect(s) > HERMITICITY_TOL) | (trace_defect(s) > TRACE_TOL)
+           | ~(_eigh(s, vectors=False)[:, 0] >= -PSD_SLACK) | (unitarity_defect(u) > UNITARITY_TOL))
+    flagged = np.flatnonzero(bad).tolist()
     if n < len(finite):
         flagged.append(n)
     for i in flagged:
@@ -241,10 +245,6 @@ class StateVector:
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
 
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[0]
-
 
 def commutator(a: HermitianOperator, b: HermitianOperator) -> np.ndarray:
     """AB - BA.  Anti-Hermitian for Hermitian inputs, so i*[A, B] is Hermitian."""
@@ -259,7 +259,7 @@ def trace_pairing(rho: DensityMatrix, a: HermitianOperator) -> float:
     to be below HERMITICITY_TOL; a larger value signals corrupted inputs.
     """
     require_same_dim(rho, a)
-    value = complex(np.trace(rho.matrix @ a.matrix))
+    value = complex(trace_product(rho.matrix, a.matrix))
     if abs(value.imag) > HERMITICITY_TOL:
         raise ValueError(f"trace pairing has a non-negligible imaginary part: {value.imag:.3e}")
     return value.real
@@ -277,7 +277,7 @@ def transition_probability(p: DensityMatrix, q: DensityMatrix) -> float:
     require_same_dim(p, q)
     require_pure("first argument", p)
     require_pure("second argument", q)
-    return float(np.trace(p.matrix @ q.matrix).real)
+    return float(trace_product(p.matrix, q.matrix).real)
 
 
 # Taylor polynomials T_m of exp(X), X = -i s A: the triples (theta_m, m, p).  theta_m

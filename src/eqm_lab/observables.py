@@ -70,10 +70,6 @@ class StateMeasure:
     def dirac(cls, rho: DensityMatrix) -> "StateMeasure":
         return cls(support=(rho,), weights=np.array([1.0]))
 
-    @property
-    def dim(self) -> int:
-        return self.support[0].dim
-
 
 def constant_observable(a: HermitianOperator, label: str = "constant") -> ObservableFunction:
     """The state-independent observable rho -> A."""

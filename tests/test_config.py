@@ -226,6 +226,21 @@ class TestValidation:
             build_config(doc)
         build_config(_with_integer(section, key, 50.0))
 
+    @pytest.mark.parametrize("value", [1, 0, "true", None, [True]], ids=repr)
+    def test_export_cocycle_must_be_a_bool(self, value):
+        with pytest.raises(ConfigError, match="^export_cocycle: expected true or false$") as err:
+            build_config(minimal_doc(export_cocycle=value))
+        assert err.value.path == "export_cocycle"
+
+    def test_a_measure_has_no_single_initial_state(self):
+        cfg = build_config(minimal_doc(outputs=["conservation"],
+                                       observables=[{"type": "constant", "A": SX}],
+                                       initial={"measure": {"support": [UP], "weights": [1.0]}}))
+        assert isinstance(cfg.initial, StateMeasure)
+        with pytest.raises(ValueError, match="^this scenario's initial condition is a measure, "
+                                             "not a single state$"):
+            cfg.initial_state
+
     def test_conservation_needs_a_time(self):
         doc = minimal_doc(outputs=["conservation"], observables=[{"type": "constant", "A": SX}],
                           conservation_times=[])

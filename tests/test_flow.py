@@ -2,6 +2,7 @@
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -376,6 +377,19 @@ class TestEvolve:
         assert worst <= 1e-5
 
 
+class TestTrajectory:
+    @pytest.mark.parametrize("lengths, message", [
+        ((1, 1, 0), "^times, states, and cocycle must have equal length$"),
+        ((2, 1, 1), "^times, states, and cocycle must have equal length$"),
+        ((0, 0, 0), "^a trajectory holds at least the initial record$"),
+    ], ids=["no-cocycle", "extra-time", "empty"])
+    def test_rejects_unequal_or_empty_records(self, qubit_up, lengths, message):
+        identity = hilbert.UnitaryOperator(np.eye(2))
+        columns = (0.0,) * lengths[0], (qubit_up,) * lengths[1], (identity,) * lengths[2]
+        with pytest.raises(ValueError, match=message):
+            flow.Trajectory(*columns)
+
+
 class TestPropagate:
     def test_zero_time(self, h_mf, qubit_up):
         rho, u = propagate(h_mf, qubit_up, 0.0, IntegratorConfig(dt=1e-3, t_final=1.0))
@@ -575,6 +589,23 @@ class TestConvergenceOrder:
         estimate = convergence_order(zero_hamiltonian(2), qubit_up, t_final=1.0, dt=0.01)
         assert estimate.exact
         assert estimate.coarse_error == 0.0
+
+    @pytest.mark.parametrize("coarse, fine", [(1e-6, 2e-6), (1e-6, 1e-6), (1e-6, 0.0)],
+                             ids=["coarse-below-fine", "equal", "fine-zero"])
+    def test_an_error_that_does_not_shrink_gives_no_order(self, qubit_up, monkeypatch,
+                                                           coarse, fine):
+        # The endpoints at dt, dt/2 and dt/4 sit coarse, fine and 0 off the
+        # zero matrix, past EXACT_ERROR_FLOOR: not exact, and no order.
+        offsets = {1: coarse, 2: fine, 4: 0.0}
+
+        def endpoint(h, rho0, t, cfg):
+            return SimpleNamespace(matrix=offsets[round(0.01 / cfg.dt)] * np.eye(2)), None
+
+        monkeypatch.setattr(flow, "propagate", endpoint)
+        estimate = convergence_order(zero_hamiltonian(2), qubit_up, t_final=1.0, dt=0.01)
+        assert not estimate.exact and math.isnan(estimate.order)
+        assert (estimate.coarse_error, estimate.fine_error) == (
+            float(np.linalg.norm(coarse * np.eye(2))), float(np.linalg.norm(fine * np.eye(2))))
 
 
 # The per-record scans the monitors and overlap_deviation ran before they

@@ -97,6 +97,20 @@ class TestConstructors:
         with pytest.raises(ValueError, match="normalized"):
             StateVector(np.array([1.0, 1.0]))
 
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(ValueError, match="^matrix must be nonempty$"):
+            HermitianOperator(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("entries, message", [
+        (np.eye(2), r"^expected a nonempty vector, got shape \(2, 2\)$"),
+        (np.zeros(0), r"^expected a nonempty vector, got shape \(0,\)$"),
+        (np.array([np.nan, 1.0]), "^vector entries must be finite$"),
+        (np.array([np.inf, 0.0]), "^vector entries must be finite$"),
+    ], ids=["matrix", "empty", "nan", "inf"])
+    def test_vector_rejects_bad_shapes_and_non_finite_entries(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            StateVector(entries)
+
     def test_matrices_are_frozen(self, sz):
         with pytest.raises(ValueError):
             sz.matrix[0, 0] = 5.0
@@ -180,6 +194,14 @@ class TestTracePairing:
     def test_dimension_mismatch(self, qubit_up):
         with pytest.raises(ValueError, match="dimension mismatch"):
             trace_pairing(qubit_up, HermitianOperator(np.eye(3)))
+
+    def test_rejects_an_imaginary_part(self, sy):
+        # Only a corrupted state, wrapped past its checks, can give Tr(rho A)
+        # an imaginary part: here Tr(rho sigma_y) = i.
+        corrupted = DensityMatrix._accepted(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
+        with pytest.raises(ValueError, match=r"^trace pairing has a non-negligible imaginary "
+                                             r"part: 1\.000e\+00$"):
+            trace_pairing(corrupted, sy)
 
 
 class TestTransitionProbability:

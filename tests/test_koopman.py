@@ -249,6 +249,13 @@ class TestInnerProduct:
         with pytest.raises(ValueError, match="not finite"):
             inner_product(bad, bad, quad)
 
+    def test_a_scalar_valued_observable_is_broadcast_to_the_nodes(self, quad):
+        g = gaussian_observable()
+        scalar = ClassicalObservable(eval=lambda q, p: 1.0, label="scalar 1")
+        one = ClassicalObservable(eval=lambda q, p: np.ones_like(np.asarray(q)) + 0j, label="1")
+        assert inner_product(g, scalar, quad) == inner_product(g, one, quad)
+        assert inner_product(scalar, scalar, quad) == inner_product(one, one, quad)
+
     def test_gaussian_integral_accuracy(self, quad):
         # Quadrature oracle: the integral of a width-s Gaussian is 2 pi s^2.
         # Measured rule error: 3.9e-9 rel centered, 3.1e-5 rel at (1, 1).

@@ -1,6 +1,7 @@
 """Tests for observable functions, measures, transport, and conservation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,13 @@ class TestStateMeasure:
         for weights in ([1.5, -0.5], [np.nan, 1.0]):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 StateMeasure(support=(qubit_up, qubit_plus), weights=np.array(weights))
+
+    @pytest.mark.parametrize("weights, shape", [([1.0], "(1,)"), ([0.5, 0.5, 0.0], "(3,)"),
+                                                ([[0.5, 0.5]], "(1, 2)")], ids=repr)
+    def test_needs_one_weight_per_support_point(self, qubit_up, qubit_plus, weights, shape):
+        message = f"need one weight per support point, got {shape} for 2 points"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StateMeasure(support=(qubit_up, qubit_plus), weights=np.array(weights))
 
     def test_rejects_empty_support(self):
         with pytest.raises(ValueError, match="nonempty"):
