@@ -167,26 +167,30 @@ def from_value(
     boundary, so ``fn`` must accept arbitrary Hermitian matrices close to the
     state space, as every trace-polynomial functional does.  All probes are one
     work matrix, edited between calls, so ``fn`` must not modify or keep it.
-    The recovered differential is the traceless part; the identity component
-    is pure gauge and does not affect the generated flow.
+    Each generator call walks the basis afresh, one matrix at a time, and the
+    built function stores none of it.  The recovered differential is the
+    traceless part; the identity component is pure gauge and does not affect
+    the generated flow.
     """
     require_dim("dim", dim)
     step = GENERIC_FD_STEP
-    # The orthonormal traceless Hermitian basis under Tr(XY), in probe order:
-    # for each pair j < k row by row, the values (x, y) at the flat indices
-    # (jk, kj), for each row (x, y, step x, step y) of off_diagonal, real then
-    # imaginary; then the diagonal levels 1 ... dim - 1, kept as their nonzero
-    # entries (flat index, value, step * value).  Only the levels are stored,
-    # and their entries share the index and value objects.
     r, up, down = 1.0 / math.sqrt(2.0), -1j / math.sqrt(2.0), 1j / math.sqrt(2.0)
-    off_diagonal = ((r, r, step * r, step * r), (up, down, step * up, step * down))
-    diagonal = [i * (dim + 1) for i in range(dim)]
-    levels = []
-    for level in range(1, dim):
-        scale = 1.0 / math.sqrt(level * (level + 1))
-        lowest, step_scale = -level * scale, step * scale
-        levels.append([(i, scale, step_scale) for i in diagonal[:level]]
-                      + [(diagonal[level], lowest, step * lowest)])
+
+    def basis():
+        # The orthonormal traceless Hermitian basis under Tr(XY), in probe
+        # order, each matrix as its nonzero entries (flat index, value,
+        # step * value): for each pair j < k row by row, the real and then the
+        # imaginary matrix; then the diagonal levels 1 ... dim - 1.
+        for j in range(dim):
+            for k in range(j + 1, dim):
+                jk, kj = j * dim + k, k * dim + j
+                yield (jk, r, step * r), (kj, r, step * r)
+                yield (jk, up, step * up), (kj, down, step * down)
+        for level in range(1, dim):
+            scale = 1.0 / math.sqrt(level * (level + 1))
+            lowest = -level * scale
+            yield ([(i * (dim + 1), scale, step * scale) for i in range(level)]
+                   + [(level * (dim + 1), lowest, step * lowest)])
 
     def value(rho: DensityMatrix) -> float:
         return float(fn(rho.matrix))
@@ -195,18 +199,7 @@ def from_value(
         work = np.array(m, dtype=complex, order="C")
         flat = work.reshape(dim * dim)
         state, d = flat.tolist(), [0j] * (dim * dim)
-        for j in range(dim):
-            for k in range(j + 1, dim):
-                jk, kj = j * dim + k, k * dim + j
-                for x, y, step_x, step_y in off_diagonal:
-                    flat[jk], flat[kj] = state[jk] + step_x, state[kj] + step_y
-                    plus = fn(work)
-                    flat[jk], flat[kj] = state[jk] - step_x, state[kj] - step_y
-                    slope = (plus - fn(work)) / (2.0 * step)
-                    flat[jk], flat[kj] = state[jk], state[kj]  # restored for the next direction
-                    d[jk] += slope * x
-                    d[kj] += slope * y
-        for entries in levels:
+        for entries in basis():
             for i, _, scaled in entries:
                 flat[i] = state[i] + scaled
             plus = fn(work)
@@ -214,7 +207,7 @@ def from_value(
                 flat[i] = state[i] - scaled
             slope = (plus - fn(work)) / (2.0 * step)
             for i, v, _ in entries:
-                flat[i] = state[i]
+                flat[i] = state[i]  # restored for the next direction
                 d[i] += slope * v
         return np.array(d).reshape(dim, dim)
 

@@ -63,6 +63,34 @@ def _dense_basis(dim):
     return basis
 
 
+def _entry_loop(fn, m):
+    """The reference for from_value's probes and differential: every basis
+    matrix of _dense_basis kept as its nonzero entries (flat index, value) in
+    one list, and all of them probed by one loop."""
+    dim = m.shape[0]
+    r, up, down = 1.0 / math.sqrt(2.0), -1j / math.sqrt(2.0), 1j / math.sqrt(2.0)
+    basis = [((j * dim + k, x), (k * dim + j, y)) for j in range(dim)
+             for k in range(j + 1, dim) for x, y in ((r, r), (up, down))]
+    for level in range(1, dim):
+        scale = 1.0 / math.sqrt(level * (level + 1))
+        basis.append([(i * (dim + 1), scale) for i in range(level)]
+                     + [(level * (dim + 1), -level * scale)])
+    work = np.array(m, dtype=complex, order="C")
+    flat = work.reshape(dim * dim)
+    state, d = flat.tolist(), [0j] * (dim * dim)
+    for entries in basis:
+        for i, v in entries:
+            flat[i] = state[i] + GENERIC_FD_STEP * v
+        plus = fn(work)
+        for i, v in entries:
+            flat[i] = state[i] - GENERIC_FD_STEP * v
+        slope = (plus - fn(work)) / (2.0 * GENERIC_FD_STEP)
+        for i, v in entries:
+            flat[i] = state[i]
+            d[i] += slope * v
+    return np.array(d).reshape(dim, dim)
+
+
 class TestBuild:
     def test_linear_family(self, sz, qubit_up, rng):
         h = linear(sz)
@@ -361,6 +389,41 @@ class TestGenericClosure:
             tracemalloc.stop()
         assert not d.any()
         assert peak < 4e6
+
+    def test_building_at_max_dim_holds_no_basis(self):
+        # The built function keeps fn and a few constants; each generator call
+        # walks the basis afresh.  A table of the diagonal levels alone took
+        # 156 KB at MAX_DIM.
+        tracemalloc.start()
+        try:
+            h = from_value(lambda m: 0.0, MAX_DIM)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert h.dim == MAX_DIM
+        assert held < 16 * 1024
+
+    def test_probe_values_and_differential_at_max_dim_are_the_entry_loop(self, rng):
+        # The bit-for-bit probe test above stores every probe; at MAX_DIM a
+        # cheap fingerprint of each probe stands in for its bytes.
+        w = rng.normal(size=MAX_DIM * MAX_DIM) + 1j * rng.normal(size=MAX_DIM * MAX_DIM)
+        seen = {"probes": [], "reference": []}
+
+        def fingerprint(key):
+            def fn(m):
+                x = (m.ravel() @ w).real
+                seen[key].append(x + 0.3 * x * x)
+                return seen[key][-1]
+            return fn
+
+        h = from_value(fingerprint("probes"), MAX_DIM)
+        for _ in range(2):
+            m = random_density(rng, MAX_DIM).matrix.copy()
+            m[0, 1] = complex(-0.0, m[0, 1].imag)
+            d, d_ref = h.generator(m), _entry_loop(fingerprint("reference"), m)
+            assert d.tobytes() == d_ref.tobytes()
+        assert len(seen["probes"]) == 4 * (MAX_DIM * MAX_DIM - 1)
+        assert seen["probes"] == seen["reference"]
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
     def test_differential_is_the_weighted_basis_sum_and_exactly_hermitian(self, rng, dim):

@@ -76,6 +76,16 @@ class TestFlows:
         q, p = flow_map(PEND, 0.01, 0.0, 1.0)
         assert q == pytest.approx(0.01 * math.cos(1.0), abs=1e-6)
 
+    @pytest.mark.parametrize("call", [lambda flow: flow_map(flow, 1.0, 0.0, 1.0),
+                                      classical_hamiltonian],
+                             ids=["flow_map", "classical_hamiltonian"])
+    def test_an_unknown_flow_is_a_type_error(self, call):
+        class Drift:
+            pass
+
+        with pytest.raises(TypeError, match="^unknown flow: Drift$"):
+            call(Drift())
+
 
 def _kick_drift_kick(g, q, p, t):
     """The leapfrog written as the plain loop: two sines per step."""
