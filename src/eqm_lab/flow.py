@@ -169,21 +169,29 @@ def _worst(measure, *columns) -> tuple[float, int]:
 
 
 def split_steps(span: float, dt: float) -> tuple[int, float]:
-    """Number of full steps of size dt covering span >= 0, plus the remainder."""
-    n = int(math.floor(span / dt + 1e-9))
+    """Number of full steps of size dt covering span >= 0, plus the remainder.
+
+    A span of more steps than a float can count (span / dt = inf) raises
+    ValueError.
+    """
+    count = span / dt
+    if not math.isfinite(count):
+        raise ValueError(f"a span of {span:g} holds too many steps of dt = {dt:g} to count")
+    n = int(math.floor(count + 1e-9))
     rem = span - n * dt
     if rem < 1e-12 * max(1.0, span):
         rem = 0.0
     return n, rem
 
 
-def _schedule(span: float, dt: float):
+def schedule(span: float, dt: float):
     """Yield (signed step size, signed time after the step) for each step of span.
 
     Full steps of size dt cover the span, plus one shorter step for the
     remainder when span is not a multiple of dt: last on a forward span and
     first on a backward one, so a backward run from rho_t retraces, step for
-    step, the forward run that reached it.
+    step, the forward run that reached it.  The density-matrix kernel and
+    the pendulum leapfrog of koopman both step on it.
     """
     n_full, rem = split_steps(abs(span), dt)
     if span >= 0:
@@ -234,7 +242,7 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
     steppers = {}  # signed step size -> exp(-i dt D) of the fixed generator
     tol, estimate_tol = cfg.midpoint_tol, MIDPOINT_KAPPA * cfg.midpoint_tol
     u = np.eye(rho.shape[0], dtype=complex)
-    for k, (dt, time) in enumerate(_schedule(span, cfg.dt), 1):
+    for k, (dt, time) in enumerate(schedule(span, cfg.dt), 1):
         if fixed is not None:
             if dt not in steppers:
                 if not np.isfinite(fixed).all():

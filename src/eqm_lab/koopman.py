@@ -11,7 +11,6 @@ must decay fast enough that no mass crosses the boundary.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import warnings
@@ -20,7 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .flow import split_steps
+from .flow import schedule
 from .hilbert import require_count, require_real
 
 PENDULUM_STEP = 1e-4      # internal leapfrog step
@@ -57,24 +56,21 @@ SymplecticFlow = Union[HarmonicOscillator, Pendulum]
 
 
 def _leapfrog(g: float, q, p, t: float):
-    """Kick-drift-kick steps of size PENDULUM_STEP (signed), plus a remainder step.
+    """Kick-drift-kick steps on flow's schedule of the signed span t at PENDULUM_STEP.
 
-    The closing half-kick of one step and the opening half-kick of the next
-    read sin(q) at the same q, so the sine is evaluated once per step.  Each
-    update runs in place with the arithmetic of p - (0.5 h g) sin(q) and
-    q + h p, so every node is bit-identical to the plain three-line loop.
+    A backward span takes its remainder step first, so a backward run
+    retraces the forward one step for step.  The closing half-kick of one
+    step and the opening half-kick of the next read sin(q) at the same q, so
+    the sine is evaluated once per step.  Each update runs in place with the
+    arithmetic of p - (0.5 h g) sin(q) and q + h p, so every node is
+    bit-identical to the plain three-line loop.
     """
-    n, rem = split_steps(abs(t), PENDULUM_STEP)
-    sign = 1.0 if t > 0 else -1.0
-    steps = itertools.repeat(sign * PENDULUM_STEP, n)
-    if rem > 0.0:
-        steps = itertools.chain(steps, (sign * rem,))
     q = np.array(q, dtype=float)
     p = np.array(p, dtype=float)
     # empty_like keeps 0-d inputs as arrays, which out= needs.
     sine, scratch = np.empty_like(q), np.empty_like(q)
     np.sin(q, out=sine)
-    for h in steps:
+    for h, _ in schedule(t, PENDULUM_STEP):
         kick = 0.5 * h * g
         np.subtract(p, np.multiply(kick, sine, out=scratch), out=p)
         np.add(q, np.multiply(h, p, out=scratch), out=q)
@@ -100,17 +96,15 @@ def flow_map(flow: SymplecticFlow, q, p, t: float):
     transporting every point.
     """
     require_real("t", t)
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
     if isinstance(flow, HarmonicOscillator):
         angle = flow.omega * t
         if not math.isfinite(angle):
             raise ValueError(f"omega * t overflows: omega = {flow.omega:g}, t = {t:g}")
         c, s = math.cos(angle), math.sin(angle)
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
         return q * c + p * s, -q * s + p * c
     if isinstance(flow, Pendulum):
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
         if not _point_symmetric(q, p):
             return _leapfrog(flow.g, q, p, t)
         n = q.size

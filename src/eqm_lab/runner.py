@@ -279,6 +279,12 @@ def _suite_cross_checks(dt: float | None, thresholds: dict) -> list[ReportRow]:
     ]
 
 
+def _failure_row(scenario: str, message: str) -> ReportRow:
+    """Print message to stderr; the one FAIL row, ``scenario_error``, that stands for the failed run."""
+    print(f"error: {message}", file=sys.stderr)
+    return ReportRow(scenario, "scenario_error", 1.0, 0.0)
+
+
 def run_suite(out_dir: Path, dt: float | None = None) -> list[ReportRow]:
     """Run the shipped corpus plus the cross-run checks; returns every report row.
 
@@ -286,6 +292,7 @@ def run_suite(out_dir: Path, dt: float | None = None) -> list[ReportRow]:
     written to ``out_dir/suite_report.txt``.  A scenario that raises
     ScenarioError prints its message to stderr and writes a report of one
     FAIL row, ``scenario_error``, in place of its outputs; the suite runs on.
+    Cross-checks that fail the same way give one such row for ``suite``.
     """
     all_rows: list[ReportRow] = []
     for doc in corpus_documents():
@@ -295,10 +302,12 @@ def run_suite(out_dir: Path, dt: float | None = None) -> list[ReportRow]:
         try:
             all_rows.extend(run_and_write(cfg, out_dir))
         except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            failed = ReportRow(cfg.scenario_id, "scenario_error", 1.0, 0.0)
+            failed = _failure_row(cfg.scenario_id, str(exc))
             write_outputs(out_dir, cfg.scenario_id, [], [failed])
             all_rows.append(failed)
-    all_rows.extend(_suite_cross_checks(dt, dict(DEFAULT_THRESHOLDS)))
+    try:
+        all_rows.extend(_suite_cross_checks(dt, dict(DEFAULT_THRESHOLDS)))
+    except (ConvergenceError, ValueError) as exc:
+        all_rows.append(_failure_row("suite", f"suite cross-checks: {exc}"))
     (Path(out_dir) / "suite_report.txt").write_text(render_report(all_rows), newline="\n")
     return all_rows

@@ -171,6 +171,32 @@ class TestRun:
         assert "too-coarse" in err and "did not settle" in err
 
 
+UNCOUNTABLE = [
+    ("run", "02-mean-field-qubit.json",
+     lambda doc: doc.update(integrator={"dt": 1e-320, "t_final": 1.0}),
+     "scenario 'mean-field-qubit': a span of 1 holds too many steps of dt = 9.99989e-321 "
+     "to count"),
+    ("koopman", "08-koopman-pendulum.json",
+     lambda doc: doc["koopman"].update(times=[1e305]),
+     "scenario 'koopman-pendulum': a span of 1e+305 holds too many steps of dt = 0.0001 "
+     "to count"),
+]
+
+
+@pytest.mark.parametrize("command, name, edit, message", UNCOUNTABLE,
+                         ids=[case[0] for case in UNCOUNTABLE])
+def test_uncountable_span_exits_one_with_scenario_id(command, name, edit, message, tmp_path,
+                                                     capsys):
+    # span / dt overflows to inf, so no step count exists.
+    doc = json.loads((CORPUS / name).read_text())
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestParser:
     @pytest.mark.parametrize("argv", [["run", "c.json"], ["suite"], ["koopman", "c.json"]])
     def test_every_command_takes_out_dir_and_quiet(self, argv):
@@ -300,3 +326,22 @@ class TestSuite:
         report = (failing / "suite_report.txt").read_text().splitlines()
         assert report[2:-1] == expected
         assert report[-1] == f"{len(expected) - 1}/{len(expected)} checks passed"
+
+    def test_failing_cross_checks_are_reported(self, tmp_path, capsys):
+        # No step count of dt = 1e-320 fits in a float: every flow scenario
+        # and the cross-checks fail, and the Koopman scenarios, which have no
+        # integrator, run and pass.
+        out = tmp_path / "out"
+        assert main(["suite", "--dt", "1e-320", "--out-dir", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        flows = [doc["id"] for doc in runner.corpus_documents() if "integrator" in doc]
+        assert len(flows) == 6 and len(err) == 7
+        assert err[-1] == ("error: suite cross-checks: a span of 1 holds too many steps of "
+                           "dt = 9.99989e-321 to count")
+        rows = (out / "suite_report.txt").read_text().splitlines()[2:-1]
+        failed = [row for row in rows if row.endswith(" FAIL")]
+        assert [row.split()[:2] for row in failed] == [[sid, "scenario_error"]
+                                                       for sid in [*flows, "suite"]]
+        passed = [row for row in rows if not row.endswith(" FAIL")]
+        assert passed and all(row.startswith("koopman-") and row.endswith(" PASS")
+                              for row in passed)

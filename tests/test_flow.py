@@ -321,6 +321,16 @@ class TestNonFiniteGenerator:
         with pytest.raises(GeneratorError, match=r"^generator of 'constant nan' .* at step 1, "):
             propagate(h, qubit_up, 0.1, self.CFG)
 
+    def test_finite_generator_keeps_the_exponential_error(self, qubit_up):
+        # Every entry is finite, but |a| = hypot(1.5e308, 1.5e308) overflows,
+        # so the exponential's own ValueError ends the run, not GeneratorError.
+        big = np.array([[1.5e308, 1.5e308], [1.5e308, -1.5e308]], dtype=complex)
+        h = HamiltonianFunction(value=lambda rho: 0.0, label="huge", generator=lambda m: big)
+        with pytest.raises(ValueError, match=r"^exponent must be finite, got s = 0\.005, "
+                                             r"a0 \+ \|a\| = inf$") as failure:
+            propagate(h, qubit_up, 0.1, self.CFG)
+        assert not isinstance(failure.value, GeneratorError)
+
 
 class TestEvolve:
     def test_zero_horizon_single_record(self, sz, qubit_up):

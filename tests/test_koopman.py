@@ -88,12 +88,16 @@ class TestFlows:
 
 
 def _kick_drift_kick(g, q, p, t):
-    """The leapfrog written as the plain loop: two sines per step."""
+    """The leapfrog written as the plain loop: two sines per step.
+
+    A remainder step comes last on a forward span and first on a backward one.
+    """
     span = abs(t)
     n = int(math.floor(span / koopman.PENDULUM_STEP + 1e-9))
     rem = span - n * koopman.PENDULUM_STEP
     sign = 1.0 if t > 0 else -1.0
-    steps = [sign * koopman.PENDULUM_STEP] * n + ([sign * rem] if rem >= 1e-15 else [])
+    full, tail = [sign * koopman.PENDULUM_STEP] * n, ([sign * rem] if rem >= 1e-15 else [])
+    steps = full + tail if t > 0 else tail + full
     q, p = np.array(q, dtype=float), np.array(p, dtype=float)
     for h in steps:
         p = p - 0.5 * h * g * np.sin(q)
@@ -104,11 +108,20 @@ def _kick_drift_kick(g, q, p, t):
 
 class TestLeapfrog:
     def test_one_sine_per_step_is_bit_identical(self, quad):
-        # -0.37 is 3700 steps and a remainder, taken backward.
-        for t in (0.5, -0.37):
+        # -0.12345 is 1234 steps and a remainder, taken backward.
+        for t in (0.5, -0.12345):
             q, p = flow_map(Pendulum(g=1.3), quad.q, quad.p, t)
             q_ref, p_ref = _kick_drift_kick(1.3, quad.q, quad.p, t)
             assert np.array_equal(q, q_ref) and np.array_equal(p, p_ref), t
+
+    @pytest.mark.parametrize("t", [0.12345, 3.14159])
+    def test_backward_run_retraces_an_off_grid_span(self, t):
+        # The backward run takes the forward run's steps in reverse order,
+        # remainder first, so each symmetric step undoes one forward step and
+        # only rounding is left.
+        quad = Quadrature.gauss_legendre(order=16)
+        q, p = flow_map(PEND, *flow_map(PEND, quad.q, quad.p, t), -t)
+        assert max(np.abs(q - quad.q).max(), np.abs(p - quad.p).max()) <= 1e-13
 
     def test_scalar_point(self):
         q, p = flow_map(PEND, 0.4, -0.2, 0.00037)

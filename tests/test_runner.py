@@ -220,6 +220,36 @@ class TestMidpointPasses:
         assert len(sizes) / steps <= 3.15
 
 
+class TestAsymmetricStep:
+    """The conservation rows catch a step that does not retrace itself, and no other row does."""
+
+    @pytest.mark.parametrize("scenario", ["mean-field-qubit", "conservation-mean-field-n4"])
+    def test_only_the_conservation_rows_fail(self, monkeypatch, scenario):
+        doc = next(d for d in corpus_documents() if d["id"] == scenario)
+        cfg = with_dt(build_config(doc), 1e-2)
+        _, rows = run_scenario(cfg)
+        assert all(row.passed for row in rows)
+        # A nonlinear step calls expm_hermitian at s = dt / 2 once per midpoint
+        # pass, first with its start-of-step generator, then once at s = dt.
+        # The mutant takes that last exponential of the start-of-step
+        # generator: still unitary, but no longer symmetric.
+        exact, first = flow.expm_hermitian, []
+
+        def start_of_step(mat, s):
+            if not first:
+                first.append((mat, s))
+            elif s != first[0][1]:
+                mat = first.pop()[0]
+            return exact(mat, s)
+
+        monkeypatch.setattr(flow, "expm_hermitian", start_of_step)
+        _, mutated = run_scenario(cfg)
+        assert [row.check for row in mutated] == [row.check for row in rows]
+        conservation = [row.check.startswith("conservation[") for row in mutated]
+        assert sum(conservation) == 8
+        assert [not row.passed for row in mutated] == conservation
+
+
 class TestNonFiniteGenerator:
     def test_scenario_names_the_step(self):
         doc = next(d for d in corpus_documents() if d["id"] == "mean-field-qubit")
