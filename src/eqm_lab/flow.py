@@ -227,7 +227,10 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
     VIII.6).  theta uses only increments of the current step.  A loop that
     stalls or diverges raises ConvergenceError after midpoint_max_iter
     passes; a generator that gives a non-finite matrix raises
-    GeneratorError.
+    GeneratorError.  Each generator output is scanned for finiteness once:
+    the step's first by np.isfinite, each later one by its increment, which
+    is finite only if the output is, given a finite predecessor.  So every
+    exponential here is taken with finite=True.
 
     For a state-independent h the midpoint iteration settles on its first
     pass with an increment of exactly 0, and the step map is exp(-i dt D)
@@ -247,21 +250,15 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
             if dt not in steppers:
                 if not np.isfinite(fixed).all():
                     raise GeneratorError(h.label, k, time - dt, time)
-                steppers[dt] = expm_hermitian(fixed, dt)
+                steppers[dt] = expm_hermitian(fixed, dt, finite=True)
             stepper = steppers[dt]
         else:
             gen = generator(rho)
+            if not np.isfinite(gen).all():
+                raise GeneratorError(h.label, k, time - dt, time)
             previous = None  # the last increment of this step; the first pass has none
             for _ in range(cfg.midpoint_max_iter):
-                try:
-                    half = expm_hermitian(gen, 0.5 * dt)
-                except ValueError:
-                    # Every path rejects a non-finite entry that it reads.
-                    # Every later gen passed the finiteness check below, so
-                    # only the first call can be at fault here.
-                    if np.isfinite(gen).all():
-                        raise
-                    raise GeneratorError(h.label, k, time - dt, time) from None
+                half = expm_hermitian(gen, 0.5 * dt, finite=True)
                 rho_mid = half @ rho @ half.conj().T
                 refreshed = generator(rho_mid)
                 increment = max_abs(refreshed - gen)
@@ -276,7 +273,7 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
                 previous, gen = increment, refreshed
             else:
                 raise ConvergenceError(cfg.midpoint_max_iter, k, time - dt, time)
-            stepper = expm_hermitian(refreshed, dt)
+            stepper = expm_hermitian(refreshed, dt, finite=True)
         rho = stepper @ rho @ stepper.conj().T
         u = stepper @ u
         yield k, time, rho, u

@@ -106,7 +106,7 @@ def mean_field(
     b_t = b.T.ravel()  # m.ravel() . b_t = Tr(m b): one dot product, no d x d product
 
     def generator(m: np.ndarray) -> np.ndarray:
-        return a + strength * np.dot(m.ravel(), b_t).real * b
+        return a + strength * float(np.dot(m.ravel(), b_t).real) * b
 
     return HamiltonianFunction(value=value, label=label, generator=generator,
                                dim=linear_term.dim)
@@ -124,7 +124,12 @@ def polynomial(terms: Sequence, label: str = "polynomial") -> HamiltonianFunctio
     # (row k of stack_t @ m.ravel() is Tr(m F_k)) and weighted once in D.
     distinct = {id(f): f for _, factors in terms for f in factors}
     row = {key: k for k, key in enumerate(distinct)}
-    indexed = [(coeff, [row[id(f)] for f in factors]) for coeff, factors in terms]
+    # The product rule, one entry per factor of each term in order: the
+    # factor's row k, the term's coefficient and the rows of its other factors.
+    plan = []
+    for coeff, factors in terms:
+        rows = [row[id(f)] for f in factors]
+        plan += [(k, coeff, rows[:j] + rows[j + 1:]) for j, k in enumerate(rows)]
     stack = np.array([f.matrix.ravel() for f in distinct.values()])
     stack_t = np.array([f.matrix.T.ravel() for f in distinct.values()])
 
@@ -142,13 +147,10 @@ def polynomial(terms: Sequence, label: str = "polynomial") -> HamiltonianFunctio
             return np.zeros_like(m)
         paired = (stack_t @ m.ravel()).real.tolist()
         weights = [0.0] * len(paired)
-        for coeff, rows in indexed:
-            for j, k in enumerate(rows):
-                partial = coeff
-                for i, r in enumerate(rows):
-                    if i != j:
-                        partial *= paired[r]
-                weights[k] += partial
+        for k, partial, others in plan:
+            for r in others:
+                partial *= paired[r]
+            weights[k] += partial
         return (np.array(weights) @ stack).reshape(m.shape)
 
     return HamiltonianFunction(value=value, label=label, generator=generator,

@@ -80,7 +80,7 @@ def require_dim(name: str, value) -> None:
 
 def max_abs(a: np.ndarray) -> float:
     """Largest entry magnitude; zero for empty input."""
-    return float(np.abs(a).max()) if a.size else 0.0
+    return float(np.maximum.reduce(np.abs(a), axis=None)) if a.size else 0.0
 
 
 def as_complex_matrix(entries) -> np.ndarray:
@@ -337,7 +337,7 @@ def _taylor_exponential(mat: np.ndarray, s: float) -> np.ndarray:
     return r
 
 
-def expm_hermitian(mat: np.ndarray, s: float) -> np.ndarray:
+def expm_hermitian(mat: np.ndarray, s: float, *, finite: bool = False) -> np.ndarray:
     """exp(-i s A) for Hermitian A, unitary to rounding.
 
     Three paths by the dimension d, each reading only the real diagonal and
@@ -356,7 +356,9 @@ def expm_hermitian(mat: np.ndarray, s: float) -> np.ndarray:
     takes a sine, an eigendecomposition or a product when s or an entry it
     reads is NaN or infinite, for s = 0 too.  The eigh path checks the whole
     matrix, so it also rejects a non-finite entry above the diagonal, which it
-    does not read.  flow._steps turns this error into GeneratorError.
+    does not read.  With finite=True the caller promises that every entry of
+    A is finite, and the eigh path checks only s; the d = 2 and Taylor paths
+    test what they compute either way.
     """
     if mat.shape == (2, 2):
         # a = (Re A10, Im A10, z) with z = (A00 - A11) / 2.
@@ -372,7 +374,7 @@ def expm_hermitian(mat: np.ndarray, s: float) -> np.ndarray:
                         dtype=complex)
     if mat.shape[0] >= POLYNOMIAL_MIN_DIM:
         return _taylor_exponential(mat, s)
-    if not (math.isfinite(s) and np.isfinite(mat).all()):
+    if not (math.isfinite(s) and (finite or np.isfinite(mat).all())):
         bad = mat.size - np.count_nonzero(np.isfinite(mat))
         raise ValueError(f"exponent must be finite, got s = {s!r} and {bad} non-finite entries of A")
     eigvals, eigvecs = _eigh(mat)
@@ -415,12 +417,6 @@ def matrix_from_pairs(doc) -> np.ndarray:
 def re_im_view(mat: np.ndarray) -> np.ndarray:
     """The float64 view of a complex matrix: each row holds re, im of its entries in turn."""
     return np.ascontiguousarray(mat, dtype=complex).view(np.float64)
-
-
-def matrix_to_pairs(mat: np.ndarray) -> list:
-    """Inverse of matrix_from_pairs."""
-    rows, cols = np.shape(mat)
-    return re_im_view(mat).reshape(rows, cols, 2).tolist()
 
 
 def vector_from_pairs(doc) -> np.ndarray:

@@ -12,12 +12,19 @@ from eqm_lab.hilbert import (
     HermitianOperator,
     StateVector,
     projector,
+    re_im_view,
 )
 
 # Property tests draw the same examples on every run; each example of a
 # flow property integrates at up to MAX_DIM, so few are drawn by default.
 settings.register_profile("eqm-lab", derandomize=True, deadline=None, max_examples=10)
 settings.load_profile("eqm-lab")
+
+
+def matrix_to_pairs(mat):
+    """Inverse of hilbert.matrix_from_pairs: nested rows of [re, im] pairs, for documents."""
+    rows, cols = np.shape(mat)
+    return re_im_view(mat).reshape(rows, cols, 2).tolist()
 
 
 def random_hermitian(rng, dim, scale=1.0):

@@ -11,7 +11,8 @@ import eqm_lab
 from eqm_lab import flow, runner
 from eqm_lab.cli import _build_parser, main
 from eqm_lab.hamiltonians import HamiltonianFunction
-from eqm_lab.hilbert import SIGMA_X, SIGMA_Z, matrix_to_pairs
+from eqm_lab.hilbert import SIGMA_X, SIGMA_Z
+from conftest import matrix_to_pairs
 
 SX = matrix_to_pairs(SIGMA_X)
 SZ = matrix_to_pairs(SIGMA_Z)

@@ -17,9 +17,10 @@ from eqm_lab.config import (
     parse_config,
     with_dt,
 )
-from eqm_lab.hilbert import SIGMA_X, SIGMA_Z, matrix_to_pairs
+from eqm_lab.hilbert import SIGMA_X, SIGMA_Z
 from eqm_lab.koopman import HarmonicOscillator
 from eqm_lab.observables import StateMeasure
+from conftest import matrix_to_pairs
 
 SX = matrix_to_pairs(SIGMA_X)
 SZ = matrix_to_pairs(SIGMA_Z)

@@ -215,10 +215,10 @@ class TestMidpointStop:
         rho = random_density(rng, dim)
         exact, full = flow.expm_hermitian, []
 
-        def recording(mat, s):
+        def recording(mat, s, **kw):
             if abs(s) == dt:
                 full.append(mat)
-            return exact(mat, s)
+            return exact(mat, s, **kw)
 
         monkeypatch.setattr(flow, "expm_hermitian", recording)
         cfg = IntegratorConfig(dt=dt, t_final=dt)
@@ -320,6 +320,37 @@ class TestNonFiniteGenerator:
                                 state_independent=True)
         with pytest.raises(GeneratorError, match=r"^generator of 'constant nan' .* at step 1, "):
             propagate(h, qubit_up, 0.1, self.CFG)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("pass_", ["first call", "later pass"])
+    def test_entry_above_the_diagonal_fails_at_its_step(self, pass_, bad, rng):
+        # The eigh path never reads A[0, 3], and the kernel's exponentials
+        # skip their own scan, so only the kernel's one scan of each output
+        # can see it: step 2's first call, or its first midpoint refresh.
+        base = mean_field(random_hermitian(rng, 4), random_hermitian(rng, 4), 0.7)
+        rho = random_density(rng, 4)
+        count = [0]
+
+        def counted(m):
+            count[0] += 1
+            return base.generator(m)
+
+        propagate(HamiltonianFunction(value=base.value, generator=counted), rho, 0.01, self.CFG)
+        poisoned = count[0] + (1 if pass_ == "first call" else 2)
+        count[0] = 0
+
+        def generator(m):
+            out = counted(m)
+            if count[0] == poisoned:
+                out = out.copy()
+                out[0, 3] = bad
+            return out
+
+        h = HamiltonianFunction(value=base.value, generator=generator, label="turns bad")
+        with pytest.raises(GeneratorError, match=r"^generator of 'turns bad' gave a non-finite "
+                                                 r"matrix at step 2, t = 0\.01 to 0\.02$"):
+            propagate(h, rho, 0.1, self.CFG)
+        assert count[0] == poisoned
 
     def test_finite_generator_keeps_the_exponential_error(self, qubit_up):
         # Every entry is finite, but |a| = hypot(1.5e308, 1.5e308) overflows,
@@ -444,7 +475,7 @@ class TestPropagate:
         # A step map 1e-8 off unitarity moves the trace past TRACE_TOL at once;
         # the kernel runs on, and the state fails where it leaves the kernel.
         exact = flow.expm_hermitian
-        monkeypatch.setattr(flow, "expm_hermitian", lambda mat, s: exact(mat, s) * (1 + 1e-8))
+        monkeypatch.setattr(flow, "expm_hermitian", lambda mat, s, **kw: exact(mat, s, **kw) * (1 + 1e-8))
         cfg = IntegratorConfig(dt=0.01, t_final=0.2, record_stride=5)
         with pytest.raises(StateError, match=r"^state after step 20, t = 0\.2: state must have unit trace"):
             propagate(h_mf, qubit_up, 0.2, cfg)
@@ -506,9 +537,9 @@ class TestStateIndependent:
     def test_one_exponential_per_step_size(self, rng, monkeypatch):
         exact, sizes = flow.expm_hermitian, []
 
-        def counted(mat, s):
+        def counted(mat, s, **kw):
             sizes.append(s)
-            return exact(mat, s)
+            return exact(mat, s, **kw)
 
         monkeypatch.setattr(flow, "expm_hermitian", counted)
         cfg = IntegratorConfig(dt=0.01, t_final=0.037)
@@ -819,3 +850,116 @@ class TestBadRecord:
         with pytest.raises(StateError) as failure:
             evolve(h, rho, cfg)
         assert str(failure.value) == message()
+
+
+# The nonlinear step as it stood before the kernel scanned each generator
+# output once, transcribed on plain arrays: every exponential scans its matrix,
+# the increment is a plain ndarray.max, and the generators are the closed forms
+# of that version.  The kernel must give the same bits.
+
+def _scanned_mean_field(a, b, strength):
+    b_t = b.T.ravel()
+    return lambda m: a + strength * np.dot(m.ravel(), b_t).real * b
+
+
+def _nested_polynomial(terms):
+    distinct = {id(f): f for _, factors in terms for f in factors}
+    row = {key: k for k, key in enumerate(distinct)}
+    indexed = [(coeff, [row[id(f)] for f in factors]) for coeff, factors in terms]
+    stack = np.array([f.ravel() for f in distinct.values()])
+    stack_t = np.array([f.T.ravel() for f in distinct.values()])
+
+    def generator(m):
+        paired = (stack_t @ m.ravel()).real.tolist()
+        weights = [0.0] * len(paired)
+        for coeff, rows in indexed:
+            for j, k in enumerate(rows):
+                partial = coeff
+                for i, r in enumerate(rows):
+                    if i != j:
+                        partial *= paired[r]
+                weights[k] += partial
+        return (np.array(weights) @ stack).reshape(m.shape)
+
+    return generator
+
+
+def _scanned_steps(generator, rho, span, cfg):
+    """The endpoint and cocycle of the transcribed step over the signed span."""
+    tol, estimate_tol = cfg.midpoint_tol, flow.MIDPOINT_KAPPA * cfg.midpoint_tol
+    u = np.eye(rho.shape[0], dtype=complex)
+    for dt, _ in flow.schedule(span, cfg.dt):
+        gen = generator(rho)
+        previous = None
+        for _ in range(cfg.midpoint_max_iter):
+            half = hilbert.expm_hermitian(gen, 0.5 * dt)
+            rho_mid = half @ rho @ half.conj().T
+            refreshed = generator(rho_mid)
+            increment = float(np.abs(refreshed - gen).max())
+            assert math.isfinite(increment)
+            if increment < tol:
+                break
+            if previous is not None:
+                ratio = increment / previous
+                if ratio < 1.0 and ratio / (1.0 - ratio) * increment < estimate_tol:
+                    break
+            previous, gen = increment, refreshed
+        else:
+            raise AssertionError("the transcribed step did not settle")
+        stepper = hilbert.expm_hermitian(refreshed, dt)
+        rho = stepper @ rho @ stepper.conj().T
+        u = stepper @ u
+    return rho, u
+
+
+class TestScannedStepBits:
+    """The kernel's endpoints and cocycles are the transcribed step's, bit for bit."""
+
+    CFG = IntegratorConfig(dt=0.01, t_final=0.037)
+    DIMS = [2, 3, 4, 13, 14, 16]  # the qubit, eigh and Taylor paths, both sides of each switch
+
+    @staticmethod
+    def _families(rng, dim):
+        a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
+        # A repeated factor, and a cubic term whose partials take two products.
+        terms = [(1.0, (a,)), (0.5, (b, b)), (0.25, (a, b)), (0.3, (b, a, b))]
+        plain = [(c, tuple(f.matrix for f in factors)) for c, factors in terms]
+        mf, reference = mean_field(a, b, 0.7), _scanned_mean_field(a.matrix, b.matrix, 0.7)
+        return {
+            "mean_field": (mf, reference),
+            "polynomial": (polynomial(terms), _nested_polynomial(plain)),
+            "shifted": (shift_differential(mf, 0.3),
+                        lambda m: reference(m) + 0.3 * np.eye(dim)),
+        }
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("t", [0.037, -0.037])  # the remainder step last, then first
+    def test_propagate(self, dim, t, rng):
+        rho = random_density(rng, dim)
+        for name, (h, reference) in self._families(rng, dim).items():
+            after, u = propagate(h, rho, t, self.CFG)
+            rho_ref, u_ref = _scanned_steps(reference, rho.matrix, t, self.CFG)
+            assert np.array_equal(after.matrix, rho_ref), (name, dim, t)
+            assert np.array_equal(u.matrix, u_ref), (name, dim, t)
+
+    def test_every_exponential_skips_the_scan(self, rng, monkeypatch):
+        # The kernel scans each generator output itself, so it passes its
+        # promise to every exponential, through the name flow.expm_hermitian.
+        exact, promises = flow.expm_hermitian, []
+
+        def recording(mat, s, **kw):
+            promises.append(kw)
+            return exact(mat, s, **kw)
+
+        monkeypatch.setattr(flow, "expm_hermitian", recording)
+        a = random_hermitian(rng, 4)
+        for h in (linear(a), mean_field(a, random_hermitian(rng, 4), 0.7)):
+            propagate(h, random_density(rng, 4), -0.037, self.CFG)
+        assert len(promises) > 2
+        assert all(kw == {"finite": True} for kw in promises)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_polynomial_generator(self, dim, rng):
+        h, reference = self._families(rng, dim)["polynomial"]
+        for m in (random_density(rng, dim).matrix, random_hermitian(rng, dim).matrix):
+            assert np.array_equal(h.generator(m), reference(m)), dim

@@ -27,7 +27,6 @@ from eqm_lab.hilbert import (
     commutator,
     expm_hermitian,
     matrix_from_pairs,
-    matrix_to_pairs,
     max_abs,
     projector,
     require_count,
@@ -43,6 +42,7 @@ from eqm_lab.hilbert import (
 from eqm_lab.hilbert import _TAYLOR
 from eqm_lab.runner import corpus_documents
 from conftest import (
+    matrix_to_pairs,
     random_density,
     random_hermitian,
     random_interior_density,
@@ -515,6 +515,32 @@ class TestNonFiniteExponent:
     def test_non_finite_time_raises_value_error(self, rng, dim, s):
         with pytest.raises(ValueError, match="^exponent must be finite"):
             expm_hermitian(random_hermitian(rng, dim).matrix, s)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_finite_promise_still_checks_the_time(self, rng, dim):
+        with pytest.raises(ValueError, match="^exponent must be finite"):
+            expm_hermitian(random_hermitian(rng, dim).matrix, np.nan, finite=True)
+
+
+class TestFinitePromise:
+    """finite=True skips only the eigh path's scan of the matrix: the bits do not move."""
+
+    @pytest.mark.parametrize("dim", [2, 3, POLYNOMIAL_MIN_DIM - 1, POLYNOMIAL_MIN_DIM, MAX_DIM])
+    @pytest.mark.parametrize("s", [0.0, 0.005, -0.01, 0.7, -3.0])
+    def test_same_bits_as_the_scanned_call(self, rng, dim, s):
+        for mat in _hermitian_cases(rng, dim).values():
+            if mat.dtype != complex:
+                continue  # the kernel's generators are complex
+            assert np.array_equal(expm_hermitian(mat, s, finite=True), expm_hermitian(mat, s))
+
+    def test_eigh_path_skips_its_scan(self, rng):
+        # An entry above the diagonal is never read, so only the scan sees it.
+        a = random_hermitian(rng, 4).matrix.copy()
+        a[0, 3] = np.nan
+        with pytest.raises(ValueError, match="^exponent must be finite"):
+            expm_hermitian(a, 0.1)
+        lower = np.tril(a) + np.tril(a, -1).conj().T
+        assert np.array_equal(expm_hermitian(a, 0.1, finite=True), expm_hermitian(lower, 0.1))
 
 
 def _hermitian_cases(rng, dim):

@@ -18,11 +18,11 @@ from eqm_lab.config import ConfigError, build_config
 from eqm_lab.flow import IntegratorConfig, propagate
 from eqm_lab.hamiltonians import (fd_differential_residual, mean_field, polynomial,
                                   shift_differential)
-from eqm_lab.hilbert import (SIGMA_X, SIGMA_Z, DensityMatrix, HermitianOperator, matrix_to_pairs,
-                             unitary_exponential)
+from eqm_lab.hilbert import SIGMA_X, SIGMA_Z, DensityMatrix, HermitianOperator, unitary_exponential
 from eqm_lab.koopman import (HarmonicOscillator, Pendulum, Quadrature, classical_hamiltonian,
                              flow_map, gaussian_observable, liouville_generator_residual)
 from eqm_lab.observables import constant_observable, conservation_residuals, heisenberg_transform
+from conftest import matrix_to_pairs
 
 SX, SZ = HermitianOperator(SIGMA_X), HermitianOperator(SIGMA_Z)
 UP = DensityMatrix(np.diag([1.0, 0.0]))
