@@ -230,7 +230,7 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
     GeneratorError.  Each generator output is scanned for finiteness once:
     the step's first by np.isfinite, each later one by its increment, which
     is finite only if the output is, given a finite predecessor.  So every
-    exponential here is taken with finite=True.
+    matrix exponentiated here is finite, as expm_hermitian requires.
 
     For a state-independent h the midpoint iteration settles on its first
     pass with an increment of exactly 0, and the step map is exp(-i dt D)
@@ -250,7 +250,7 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
             if dt not in steppers:
                 if not np.isfinite(fixed).all():
                     raise GeneratorError(h.label, k, time - dt, time)
-                steppers[dt] = expm_hermitian(fixed, dt, finite=True)
+                steppers[dt] = expm_hermitian(fixed, dt)
             stepper = steppers[dt]
         else:
             gen = generator(rho)
@@ -258,7 +258,7 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
                 raise GeneratorError(h.label, k, time - dt, time)
             previous = None  # the last increment of this step; the first pass has none
             for _ in range(cfg.midpoint_max_iter):
-                half = expm_hermitian(gen, 0.5 * dt, finite=True)
+                half = expm_hermitian(gen, 0.5 * dt)
                 rho_mid = half @ rho @ half.conj().T
                 refreshed = generator(rho_mid)
                 increment = max_abs(refreshed - gen)
@@ -273,7 +273,7 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
                 previous, gen = increment, refreshed
             else:
                 raise ConvergenceError(cfg.midpoint_max_iter, k, time - dt, time)
-            stepper = expm_hermitian(refreshed, dt, finite=True)
+            stepper = expm_hermitian(refreshed, dt)
         rho = stepper @ rho @ stepper.conj().T
         u = stepper @ u
         yield k, time, rho, u

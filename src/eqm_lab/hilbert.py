@@ -34,7 +34,7 @@ MAX_DIM = 64
 # expm_hermitian takes the Taylor path from this dimension on and eigh below it.
 # Timed per call with one BLAS thread (2-vCPU Xeon VM, numpy 2.4.6, OpenBLAS
 # 0.3.31) at ||s A||_1 = 0.02 and 0.04 in three sessions of four interleaved
-# rounds, against the eigh path as it is now (finiteness check, no numpy
+# rounds, against the eigh path as it then was (finiteness scan of A, no numpy
 # wrapper), Taylor won 2 of 24 rounds at d = 11, 6 of 24 at d = 12, 22 of 24 at
 # d = 13, 23 of 24 at d = 14 (medians 61 us a call against eigh's 73 us) and all
 # 24 at d = 15.  Neither side won every round at 13 or 14, so the switch stays.
@@ -309,7 +309,7 @@ def _taylor_exponential(mat: np.ndarray, s: float) -> np.ndarray:
     no temporary larger than one d x d matrix.
     """
     d = mat.shape[0]
-    x = np.where(_lower_triangle(d), mat, mat.conj().T)
+    x = np.where(_lower_triangle(d), mat, mat.conj().T).astype(complex, copy=False)
     x.ravel()[::d + 1] = mat.diagonal().real
     norm = abs(s) * float(np.abs(x).sum(axis=0).max())
     if not math.isfinite(norm):
@@ -337,7 +337,7 @@ def _taylor_exponential(mat: np.ndarray, s: float) -> np.ndarray:
     return r
 
 
-def expm_hermitian(mat: np.ndarray, s: float, *, finite: bool = False) -> np.ndarray:
+def expm_hermitian(mat: np.ndarray, s: float) -> np.ndarray:
     """exp(-i s A) for Hermitian A, unitary to rounding.
 
     Three paths by the dimension d, each reading only the real diagonal and
@@ -352,13 +352,12 @@ def expm_hermitian(mat: np.ndarray, s: float, *, finite: bool = False) -> np.nda
       X ... X^p, with scaling and squaring past ||s A||_1 = 1.5 (Al-Mohy and
       Higham 2011).
 
-    Every path raises ValueError("exponent must be finite, ...") before it
-    takes a sine, an eigendecomposition or a product when s or an entry it
-    reads is NaN or infinite, for s = 0 too.  The eigh path checks the whole
-    matrix, so it also rejects a non-finite entry above the diagonal, which it
-    does not read.  With finite=True the caller promises that every entry of
-    A is finite, and the eigh path checks only s; the d = 2 and Taylor paths
-    test what they compute either way.
+    Every entry of A must be finite, and the caller proves it (the step
+    kernel of eqm_lab.flow scans each generator; a HermitianOperator is
+    finite by construction), so A is never scanned here.  Each path checks
+    what it computes and raises ValueError("exponent must be finite, ...")
+    before any arithmetic, for s = 0 too: s on every path, a0 + |a| at
+    d = 2 and |s| ||A||_1 on the Taylor path.
     """
     if mat.shape == (2, 2):
         # a = (Re A10, Im A10, z) with z = (A00 - A11) / 2.
@@ -374,9 +373,8 @@ def expm_hermitian(mat: np.ndarray, s: float, *, finite: bool = False) -> np.nda
                         dtype=complex)
     if mat.shape[0] >= POLYNOMIAL_MIN_DIM:
         return _taylor_exponential(mat, s)
-    if not (math.isfinite(s) and (finite or np.isfinite(mat).all())):
-        bad = mat.size - np.count_nonzero(np.isfinite(mat))
-        raise ValueError(f"exponent must be finite, got s = {s!r} and {bad} non-finite entries of A")
+    if not math.isfinite(s):
+        raise ValueError(f"exponent must be finite, got s = {s!r}")
     eigvals, eigvecs = _eigh(mat)
     phases = np.exp(-1j * s * eigvals)
     return (eigvecs * phases) @ eigvecs.conj().T

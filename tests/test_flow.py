@@ -30,6 +30,7 @@ from eqm_lab.hamiltonians import (
 )
 from eqm_lab.hilbert import (
     MAX_DIM,
+    POLYNOMIAL_MIN_DIM,
     SIGMA_X,
     DensityMatrix,
     HermitianOperator,
@@ -215,10 +216,10 @@ class TestMidpointStop:
         rho = random_density(rng, dim)
         exact, full = flow.expm_hermitian, []
 
-        def recording(mat, s, **kw):
+        def recording(mat, s):
             if abs(s) == dt:
                 full.append(mat)
-            return exact(mat, s, **kw)
+            return exact(mat, s)
 
         monkeypatch.setattr(flow, "expm_hermitian", recording)
         cfg = IntegratorConfig(dt=dt, t_final=dt)
@@ -298,12 +299,17 @@ class TestNonFiniteGenerator:
         assert float(found[2]) == pytest.approx((k - 1) * 0.01)
         assert float(found[3]) == pytest.approx(k * 0.01)
 
+    # The qubit path, both ends of the eigh path and the Taylor path from its first dimension.
     @pytest.mark.parametrize("dim, bad", [(2, np.nan), (2, np.inf), (4, np.nan), (4, np.inf),
                                           (16, np.nan), (16, np.inf), (MAX_DIM, np.nan),
-                                          (MAX_DIM, np.inf)])
+                                          (MAX_DIM, np.inf), (3, np.nan), (3, np.inf),
+                                          (POLYNOMIAL_MIN_DIM - 1, np.nan),
+                                          (POLYNOMIAL_MIN_DIM - 1, np.inf),
+                                          (POLYNOMIAL_MIN_DIM, np.nan),
+                                          (POLYNOMIAL_MIN_DIM, np.inf)])
     def test_first_call_fails_at_step_one(self, dim, bad, rng):
         # The first call reaches the exponential before any increment exists,
-        # and each path rejects the matrix before it does any arithmetic on it.
+        # and the kernel's scan rejects the matrix before any path reads it.
         h = self._turns_bad(dim, 1, bad, rng)
         with pytest.raises(GeneratorError, match=r"^generator of 'turns bad' gave a non-finite "
                                                  r"matrix at step 1, t = 0 to 0\.01$"):
@@ -321,12 +327,31 @@ class TestNonFiniteGenerator:
         with pytest.raises(GeneratorError, match=r"^generator of 'constant nan' .* at step 1, "):
             propagate(h, qubit_up, 0.1, self.CFG)
 
+    @pytest.mark.parametrize("dim", [4, 16])  # the eigh and Taylor paths
+    def test_state_independent_mark_above_the_qubit(self, dim, rng):
+        h = HamiltonianFunction(value=lambda rho: 0.0, label="constant nan",
+                                generator=lambda m: np.full((dim, dim), np.nan + 0j),
+                                state_independent=True)
+        with pytest.raises(GeneratorError, match=r"^generator of 'constant nan' .* at step 1, "):
+            propagate(h, random_density(rng, dim), 0.1, self.CFG)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("pass_", ["first call", "later pass"])
     def test_entry_above_the_diagonal_fails_at_its_step(self, pass_, bad, rng):
-        # The eigh path never reads A[0, 3], and the kernel's exponentials
-        # skip their own scan, so only the kernel's one scan of each output
-        # can see it: step 2's first call, or its first midpoint refresh.
+        # The eigh path never reads A[0, 3], and expm_hermitian never scans
+        # A, so only the kernel's one scan of each output can see it: step
+        # 2's first call, or its first midpoint refresh.
+        self._poison_at_step_two((0, 3), pass_, bad, rng)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("pass_", ["first call", "later pass"])
+    @pytest.mark.parametrize("entry", [(3, 0), (2, 2)], ids=["lower", "diagonal"])
+    def test_entry_the_exponential_reads_fails_at_its_step(self, entry, pass_, bad, rng):
+        # The kernel's scan sees it before the eigh path reads it.
+        self._poison_at_step_two(entry, pass_, bad, rng)
+
+    def _poison_at_step_two(self, entry, pass_, bad, rng):
+        """Entry of step 2's first generator call, or of its first refresh, turns bad."""
         base = mean_field(random_hermitian(rng, 4), random_hermitian(rng, 4), 0.7)
         rho = random_density(rng, 4)
         count = [0]
@@ -343,7 +368,7 @@ class TestNonFiniteGenerator:
             out = counted(m)
             if count[0] == poisoned:
                 out = out.copy()
-                out[0, 3] = bad
+                out[entry] = bad
             return out
 
         h = HamiltonianFunction(value=base.value, generator=generator, label="turns bad")
@@ -475,7 +500,7 @@ class TestPropagate:
         # A step map 1e-8 off unitarity moves the trace past TRACE_TOL at once;
         # the kernel runs on, and the state fails where it leaves the kernel.
         exact = flow.expm_hermitian
-        monkeypatch.setattr(flow, "expm_hermitian", lambda mat, s, **kw: exact(mat, s, **kw) * (1 + 1e-8))
+        monkeypatch.setattr(flow, "expm_hermitian", lambda mat, s: exact(mat, s) * (1 + 1e-8))
         cfg = IntegratorConfig(dt=0.01, t_final=0.2, record_stride=5)
         with pytest.raises(StateError, match=r"^state after step 20, t = 0\.2: state must have unit trace"):
             propagate(h_mf, qubit_up, 0.2, cfg)
@@ -537,9 +562,9 @@ class TestStateIndependent:
     def test_one_exponential_per_step_size(self, rng, monkeypatch):
         exact, sizes = flow.expm_hermitian, []
 
-        def counted(mat, s, **kw):
+        def counted(mat, s):
             sizes.append(s)
-            return exact(mat, s, **kw)
+            return exact(mat, s)
 
         monkeypatch.setattr(flow, "expm_hermitian", counted)
         cfg = IntegratorConfig(dt=0.01, t_final=0.037)
@@ -912,6 +937,31 @@ def _scanned_steps(generator, rho, span, cfg):
     return rho, u
 
 
+class TestRealGenerator:
+    """A generator of real matrices steps as its complex cast, on the Taylor path too.
+
+    The eigh path is left out: LAPACK's real routine rounds a real A
+    differently from the complex one, as np.linalg.eigh does.
+    """
+
+    CFG = IntegratorConfig(dt=0.01, t_final=0.037)
+
+    @pytest.mark.parametrize("dim", [2, 16, MAX_DIM])
+    @pytest.mark.parametrize("t", [0.037, -0.037])
+    def test_endpoint_and_cocycle_are_the_complex_casts(self, dim, t, rng):
+        a, b = np.diag(np.linspace(-1.0, 1.0, dim)), random_hermitian(rng, dim).matrix.real
+        b_t = b.T.ravel()
+
+        def real(m):  # a mean-field generator with real symmetric a and b
+            return a + 0.7 * np.dot(m.ravel(), b_t).real * b
+
+        rho = random_density(rng, dim)
+        runs = [propagate(HamiltonianFunction(value=lambda r: 0.0, generator=g), rho, t, self.CFG)
+                for g in (real, lambda m: real(m).astype(complex))]
+        (after, u), (after_c, u_c) = runs
+        assert np.array_equal(after.matrix, after_c.matrix) and np.array_equal(u.matrix, u_c.matrix)
+
+
 class TestScannedStepBits:
     """The kernel's endpoints and cocycles are the transcribed step's, bit for bit."""
 
@@ -942,21 +992,22 @@ class TestScannedStepBits:
             assert np.array_equal(after.matrix, rho_ref), (name, dim, t)
             assert np.array_equal(u.matrix, u_ref), (name, dim, t)
 
-    def test_every_exponential_skips_the_scan(self, rng, monkeypatch):
-        # The kernel scans each generator output itself, so it passes its
-        # promise to every exponential, through the name flow.expm_hermitian.
-        exact, promises = flow.expm_hermitian, []
+    def test_every_exponential_takes_a_finite_matrix_and_no_keyword(self, rng, monkeypatch):
+        # The kernel alone proves each matrix it exponentiates finite, and
+        # calls expm_hermitian(mat, s) through the name flow.expm_hermitian.
+        exact, calls = flow.expm_hermitian, []
 
-        def recording(mat, s, **kw):
-            promises.append(kw)
-            return exact(mat, s, **kw)
+        def recording(*args, **kw):
+            calls.append((args, kw))
+            return exact(*args, **kw)
 
         monkeypatch.setattr(flow, "expm_hermitian", recording)
         a = random_hermitian(rng, 4)
         for h in (linear(a), mean_field(a, random_hermitian(rng, 4), 0.7)):
             propagate(h, random_density(rng, 4), -0.037, self.CFG)
-        assert len(promises) > 2
-        assert all(kw == {"finite": True} for kw in promises)
+        assert len(calls) > 2
+        for (mat, s), kw in calls:
+            assert kw == {} and isinstance(s, float) and np.isfinite(mat).all()
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_polynomial_generator(self, dim, rng):

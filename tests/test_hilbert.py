@@ -462,6 +462,17 @@ class TestTaylorPath:
                 _assert_taylor_exponential(a, rng.choice([-1.0, 1.0]) * target / norm)
 
     @pytest.mark.parametrize("dim", DIMS)
+    def test_real_and_integer_generators_are_their_complex_casts(self, rng, dim):
+        # The d = 2 and eigh paths take a real or integer A; so does this
+        # one, as the complex matrix of the same entries, to the bit.
+        cases = _hermitian_cases(rng, dim)
+        for name in ("real", "integer"):
+            mat = cases[name]
+            for s in (0.0, 0.005, -0.3, 7.0):
+                assert np.array_equal(expm_hermitian(mat, s),
+                                      expm_hermitian(mat.astype(complex), s)), (name, s)
+
+    @pytest.mark.parametrize("dim", DIMS)
     def test_zero_time_is_the_identity_exactly(self, rng, dim):
         a = random_hermitian(rng, dim, scale=10.0).matrix
         assert np.array_equal(expm_hermitian(a, 0.0), np.eye(dim))
@@ -496,11 +507,15 @@ class TestTaylorPath:
 
 
 class TestNonFiniteExponent:
-    """Every path raises ValueError before it exponentiates a non-finite s or entry."""
+    """Every path raises ValueError before it exponentiates a non-finite s.
+
+    A is the caller's to prove finite and is never scanned, but the d = 2 and
+    Taylor paths still reject a non-finite entry they compute with.
+    """
 
     DIMS = sorted({2, 3, 4, POLYNOMIAL_MIN_DIM - 1, POLYNOMIAL_MIN_DIM, MAX_DIM})
 
-    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("dim", [2, POLYNOMIAL_MIN_DIM, MAX_DIM])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["lower", "diagonal"])
     @pytest.mark.parametrize("s", [0.1, 0.0])
@@ -515,32 +530,6 @@ class TestNonFiniteExponent:
     def test_non_finite_time_raises_value_error(self, rng, dim, s):
         with pytest.raises(ValueError, match="^exponent must be finite"):
             expm_hermitian(random_hermitian(rng, dim).matrix, s)
-
-    @pytest.mark.parametrize("dim", DIMS)
-    def test_finite_promise_still_checks_the_time(self, rng, dim):
-        with pytest.raises(ValueError, match="^exponent must be finite"):
-            expm_hermitian(random_hermitian(rng, dim).matrix, np.nan, finite=True)
-
-
-class TestFinitePromise:
-    """finite=True skips only the eigh path's scan of the matrix: the bits do not move."""
-
-    @pytest.mark.parametrize("dim", [2, 3, POLYNOMIAL_MIN_DIM - 1, POLYNOMIAL_MIN_DIM, MAX_DIM])
-    @pytest.mark.parametrize("s", [0.0, 0.005, -0.01, 0.7, -3.0])
-    def test_same_bits_as_the_scanned_call(self, rng, dim, s):
-        for mat in _hermitian_cases(rng, dim).values():
-            if mat.dtype != complex:
-                continue  # the kernel's generators are complex
-            assert np.array_equal(expm_hermitian(mat, s, finite=True), expm_hermitian(mat, s))
-
-    def test_eigh_path_skips_its_scan(self, rng):
-        # An entry above the diagonal is never read, so only the scan sees it.
-        a = random_hermitian(rng, 4).matrix.copy()
-        a[0, 3] = np.nan
-        with pytest.raises(ValueError, match="^exponent must be finite"):
-            expm_hermitian(a, 0.1)
-        lower = np.tril(a) + np.tril(a, -1).conj().T
-        assert np.array_equal(expm_hermitian(a, 0.1, finite=True), expm_hermitian(lower, 0.1))
 
 
 def _hermitian_cases(rng, dim):

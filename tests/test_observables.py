@@ -302,9 +302,9 @@ class TestConservationResiduals:
         # backward run from 0.1, whose last step ends at t = 0.
         exact, calls = flow.expm_hermitian, [0]
 
-        def drifting(mat, s, **kw):
+        def drifting(mat, s):
             calls[0] += 1
-            return exact(mat, s, **kw) * (1 + 1e-8) if calls[0] > 60 else exact(mat, s, **kw)
+            return exact(mat, s) * (1 + 1e-8) if calls[0] > 60 else exact(mat, s)
 
         monkeypatch.setattr(flow, "expm_hermitian", drifting)
         cfg = IntegratorConfig(dt=0.01, t_final=0.1)

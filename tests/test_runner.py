@@ -210,9 +210,9 @@ class TestMidpointPasses:
         cfg = with_dt(build_config(doc), 0.01)
         exact, sizes = flow.expm_hermitian, []
 
-        def counted(mat, s, **kw):
+        def counted(mat, s):
             sizes.append(s)
-            return exact(mat, s, **kw)
+            return exact(mat, s)
 
         monkeypatch.setattr(flow, "expm_hermitian", counted)
         run_scenario(cfg)
@@ -236,12 +236,12 @@ class TestAsymmetricStep:
         # generator: still unitary, but no longer symmetric.
         exact, first = flow.expm_hermitian, []
 
-        def start_of_step(mat, s, **kw):
+        def start_of_step(mat, s):
             if not first:
                 first.append((mat, s))
             elif s != first[0][1]:
                 mat = first.pop()[0]
-            return exact(mat, s, **kw)
+            return exact(mat, s)
 
         monkeypatch.setattr(flow, "expm_hermitian", start_of_step)
         _, mutated = run_scenario(cfg)
@@ -274,7 +274,7 @@ class TestSuiteCrossChecks:
         # The oracle's state must move: a relative angle error of 1e-6 in
         # every step exponential turns the phase by ~2e-6 over t = 1.
         exact = flow.expm_hermitian
-        monkeypatch.setattr(flow, "expm_hermitian", lambda mat, s, **kw: exact(mat, s * (1 + 1e-6), **kw))
+        monkeypatch.setattr(flow, "expm_hermitian", lambda mat, s: exact(mat, s * (1 + 1e-6)))
         (row,) = [row for row in _suite_cross_checks(0.01, dict(DEFAULT_THRESHOLDS))
                   if row.check == "linear_oracle"]
         assert row.value > 1e-7
@@ -285,8 +285,8 @@ class TestSuiteCrossChecks:
         # reference built from it would move with the flow and hide the error.
         exact = hilbert.expm_hermitian
 
-        def wrong(mat, s, **kw):
-            return exact(mat, s * (1 + 1e-6), **kw)
+        def wrong(mat, s):
+            return exact(mat, s * (1 + 1e-6))
 
         monkeypatch.setattr(flow, "expm_hermitian", wrong)
         monkeypatch.setattr(hilbert, "expm_hermitian", wrong)
