@@ -350,6 +350,42 @@ class TestNonFiniteGenerator:
         # The kernel's scan sees it before the eigh path reads it.
         self._poison_at_step_two(entry, pass_, bad, rng)
 
+    # The eigh path reads these entries and checks none of them, so at each of
+    # its dimensions every scan of the kernel must stop each non-finite value
+    # before any exponential takes it: the fixed matrix of a state-independent
+    # function, the step's first call, and its first midpoint refresh.
+    @pytest.mark.parametrize("dim", [3, 4, POLYNOMIAL_MIN_DIM - 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["lower", "diagonal"])
+    @pytest.mark.parametrize("scan", ["fixed", "first call", "refresh"])
+    def test_each_scan_stops_an_entry_the_eigh_path_reads(self, scan, where, bad, dim, rng,
+                                                           monkeypatch):
+        entry = (dim - 1, 0) if where == "lower" else (dim - 1, dim - 1)
+        base = mean_field(random_hermitian(rng, dim), random_hermitian(rng, dim), 0.7)
+        poisoned, count = {"fixed": 1, "first call": 1, "refresh": 2}[scan], [0]
+
+        def generator(m):
+            count[0] += 1
+            out = base.generator(m)
+            if count[0] == poisoned:
+                out = out.copy()
+                out[entry] = bad
+            return out
+
+        exact = flow.expm_hermitian
+
+        def finite_only(mat, s):
+            assert np.isfinite(mat).all()
+            return exact(mat, s)
+
+        monkeypatch.setattr(flow, "expm_hermitian", finite_only)
+        h = HamiltonianFunction(value=base.value, generator=generator, label="turns bad",
+                                state_independent=scan == "fixed")
+        with pytest.raises(GeneratorError, match=r"^generator of 'turns bad' gave a non-finite "
+                                                 r"matrix at step 1, t = 0 to 0\.01$"):
+            propagate(h, random_density(rng, dim), 0.1, self.CFG)
+        assert count[0] == poisoned
+
     def _poison_at_step_two(self, entry, pass_, bad, rng):
         """Entry of step 2's first generator call, or of its first refresh, turns bad."""
         base = mean_field(random_hermitian(rng, 4), random_hermitian(rng, 4), 0.7)
