@@ -1,6 +1,7 @@
 """Tests for the command-line front end and its exit codes."""
 
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import eqm_lab
-from eqm_lab import flow, runner
+from eqm_lab import flow, koopman, runner
 from eqm_lab.cli import _build_parser, main
 from eqm_lab.hamiltonians import HamiltonianFunction
 from eqm_lab.hilbert import SIGMA_X, SIGMA_Z
@@ -172,15 +173,19 @@ class TestRun:
         assert "too-coarse" in err and "did not settle" in err
 
 
+# Twice the largest span whose count of PENDULUM_STEP steps is finite, so
+# the count overflows to inf; a finite count this large would run without end.
+PENDULUM_OVERFLOW = 2 * (sys.float_info.max * koopman.PENDULUM_STEP)
+
 UNCOUNTABLE = [
     ("run", "02-mean-field-qubit.json",
      lambda doc: doc.update(integrator={"dt": 1e-320, "t_final": 1.0}),
      "scenario 'mean-field-qubit': a span of 1 holds too many steps of dt = 9.99989e-321 "
      "to count"),
     ("koopman", "08-koopman-pendulum.json",
-     lambda doc: doc["koopman"].update(times=[1e305]),
-     "scenario 'koopman-pendulum': a span of 1e+305 holds too many steps of dt = 0.0001 "
-     "to count"),
+     lambda doc: doc["koopman"].update(times=[PENDULUM_OVERFLOW]),
+     f"scenario 'koopman-pendulum': a span of {PENDULUM_OVERFLOW:g} holds too many steps of "
+     "dt = 0.001 to count"),
 ]
 
 

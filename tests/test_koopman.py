@@ -53,13 +53,13 @@ class TestFlows:
         np.testing.assert_allclose(pt, ps, atol=1e-12)
 
     def test_pendulum_energy_drift(self):
-        # The leapfrog step preserves the energy to its usual second-order
-        # drift bound, which underpins area preservation.
+        # The fourth-order triple jump at PENDULUM_STEP keeps the energy to
+        # about 3e-15 here, which underpins area preservation.
         q0, p0 = 0.7, 0.3
         reference = 0.5 * p0**2 - math.cos(q0)
         for t in np.linspace(0.1, 1.0, 10):
             q, p = flow_map(PEND, q0, p0, float(t))
-            assert abs(0.5 * p**2 - math.cos(q) - reference) <= 1e-6
+            assert abs(0.5 * p**2 - math.cos(q) - reference) <= 1e-12
 
     def test_pendulum_backward_inverts_forward(self):
         q, p = flow_map(PEND, 0.4, -0.2, 0.5)
@@ -87,10 +87,12 @@ class TestFlows:
             call(Drift())
 
 
-def _kick_drift_kick(g, q, p, t):
-    """The leapfrog written as the plain loop: two sines per step.
+def _triple_jump(g, q, p, t):
+    """The pendulum scheme written as the plain loop: two sines per substep.
 
-    A remainder step comes last on a forward span and first on a backward one.
+    Each step of size h runs kick-drift-kick substeps of c * h for c in
+    (gamma_1, gamma_2, gamma_1).  A remainder step comes last on a forward
+    span and first on a backward one.
     """
     span = abs(t)
     n = int(math.floor(span / koopman.PENDULUM_STEP + 1e-9))
@@ -98,20 +100,24 @@ def _kick_drift_kick(g, q, p, t):
     sign = 1.0 if t > 0 else -1.0
     full, tail = [sign * koopman.PENDULUM_STEP] * n, ([sign * rem] if rem >= 1e-15 else [])
     steps = full + tail if t > 0 else tail + full
+    cbrt2 = 2.0 ** (1.0 / 3.0)
+    gammas = (1.0 / (2.0 - cbrt2), -cbrt2 / (2.0 - cbrt2), 1.0 / (2.0 - cbrt2))
     q, p = np.array(q, dtype=float), np.array(p, dtype=float)
-    for h in steps:
-        p = p - 0.5 * h * g * np.sin(q)
-        q = q + h * p
-        p = p - 0.5 * h * g * np.sin(q)
+    for step in steps:
+        for c in gammas:
+            h = c * step
+            p = p - 0.5 * h * g * np.sin(q)
+            q = q + h * p
+            p = p - 0.5 * h * g * np.sin(q)
     return q, p
 
 
 class TestLeapfrog:
     def test_one_sine_per_step_is_bit_identical(self, quad):
-        # -0.12345 is 1234 steps and a remainder, taken backward.
+        # -0.12345 is 123 steps and a remainder, taken backward.
         for t in (0.5, -0.12345):
             q, p = flow_map(Pendulum(g=1.3), quad.q, quad.p, t)
-            q_ref, p_ref = _kick_drift_kick(1.3, quad.q, quad.p, t)
+            q_ref, p_ref = _triple_jump(1.3, quad.q, quad.p, t)
             assert np.array_equal(q, q_ref) and np.array_equal(p, p_ref), t
 
     @pytest.mark.parametrize("t", [0.12345, 3.14159])
@@ -125,13 +131,36 @@ class TestLeapfrog:
 
     def test_scalar_point(self):
         q, p = flow_map(PEND, 0.4, -0.2, 0.00037)
-        q_ref, p_ref = _kick_drift_kick(1.0, 0.4, -0.2, 0.00037)
+        q_ref, p_ref = _triple_jump(1.0, 0.4, -0.2, 0.00037)
         assert (q, p) == (q_ref, p_ref)
         assert np.ndim(q) == np.ndim(p) == 0
 
+    def test_error_falls_at_fourth_order(self, monkeypatch):
+        # Halving the step divides the error by 2^4; a second-order scheme
+        # would read 2.
+        quad = Quadrature.gauss_legendre(order=16)
+        h = 4e-3
+
+        def transported(step):
+            monkeypatch.setattr(koopman, "PENDULUM_STEP", step)
+            return np.concatenate(flow_map(PEND, quad.q, quad.p, 0.5))
+
+        fine = transported(h / 16)
+        e_h, e_half = (np.abs(transported(step) - fine).max() for step in (h, h / 2))
+        assert 3.7 <= math.log2(e_h / e_half) <= 4.3
+
+    def test_error_at_the_shipped_step(self, monkeypatch):
+        # At a sixteenth of the step the scheme is 16^4 times more accurate,
+        # so the difference is the shipped step's own error, about 2e-12.
+        quad = Quadrature.gauss_legendre(order=16)
+        q, p = flow_map(PEND, quad.q, quad.p, 0.5)
+        monkeypatch.setattr(koopman, "PENDULUM_STEP", koopman.PENDULUM_STEP / 16)
+        q_ref, p_ref = _triple_jump(1.0, quad.q, quad.p, 0.5)
+        assert max(np.abs(q - q_ref).max(), np.abs(p - p_ref).max()) <= 1e-10
+
     def test_memory_does_not_grow_with_time(self):
-        # The steps are taken in a loop, not listed up front, so 30000 steps
-        # peak about as high as 1000 do.
+        # The steps are taken in a loop, not listed up front, so 3000 steps
+        # peak about as high as 100 do.
         peaks = []
         for t in (0.1, -3.0):
             tracemalloc.start()
@@ -168,19 +197,19 @@ class TestParity:
 
     @pytest.mark.parametrize("order, extent", PARITY_SETS)
     def test_halved_transport_is_the_plain_loop(self, order, extent):
-        # 0.12345 is 1234 steps and a remainder.  Equal bytes, stricter than
+        # 0.12345 is 123 steps and a remainder.  Equal bytes, stricter than
         # np.array_equal, also pin the sign of every zero, such as q = 0 on
         # the middle row of an odd order at t = 0.
         quad = Quadrature.gauss_legendre(extent=extent, order=order)
         for t in (0.12345, -0.12345, 0.0):
             q, p = flow_map(Pendulum(g=1.3), quad.q, quad.p, t)
-            q_ref, p_ref = _kick_drift_kick(1.3, quad.q, quad.p, t)
+            q_ref, p_ref = _triple_jump(1.3, quad.q, quad.p, t)
             assert q.tobytes() == q_ref.tobytes() and p.tobytes() == p_ref.tobytes(), t
 
     def test_asymmetric_nodes_are_the_plain_loop(self):
         quad = Quadrature.gauss_legendre(order=16)
         q, p = flow_map(Pendulum(g=1.3), quad.q + 0.1, quad.p, 0.12345)
-        q_ref, p_ref = _kick_drift_kick(1.3, quad.q + 0.1, quad.p, 0.12345)
+        q_ref, p_ref = _triple_jump(1.3, quad.q + 0.1, quad.p, 0.12345)
         assert np.array_equal(q, q_ref) and np.array_equal(p, p_ref)
 
     @pytest.mark.parametrize("order", [3, 64])
