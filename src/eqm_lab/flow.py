@@ -245,6 +245,8 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
     steppers = {}  # signed step size -> exp(-i dt D) of the fixed generator
     tol, estimate_tol = cfg.midpoint_tol, MIDPOINT_KAPPA * cfg.midpoint_tol
     u = np.eye(rho.shape[0], dtype=complex)
+    # Products go through ndarray.dot: the same zgemm call as @, with the same
+    # bits, without the matmul gufunc's dispatch (which dominates at small d).
     for k, (dt, time) in enumerate(schedule(span, cfg.dt), 1):
         if fixed is not None:
             if dt not in steppers:
@@ -259,7 +261,7 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
             previous = None  # the last increment of this step; the first pass has none
             for _ in range(cfg.midpoint_max_iter):
                 half = expm_hermitian(gen, 0.5 * dt)
-                rho_mid = half @ rho @ half.conj().T
+                rho_mid = half.dot(rho).dot(half.conj().T)
                 refreshed = generator(rho_mid)
                 increment = max_abs(refreshed - gen)
                 if not math.isfinite(increment):
@@ -274,8 +276,8 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
             else:
                 raise ConvergenceError(cfg.midpoint_max_iter, k, time - dt, time)
             stepper = expm_hermitian(refreshed, dt)
-        rho = stepper @ rho @ stepper.conj().T
-        u = stepper @ u
+        rho = stepper.dot(rho).dot(stepper.conj().T)
+        u = stepper.dot(u)
         yield k, time, rho, u
 
 

@@ -106,7 +106,7 @@ def mean_field(
     b_t = b.T.ravel()  # m.ravel() . b_t = Tr(m b): one dot product, no d x d product
 
     def generator(m: np.ndarray) -> np.ndarray:
-        return a + strength * float(np.dot(m.ravel(), b_t).real) * b
+        return a + strength * float(m.ravel().dot(b_t).real) * b
 
     return HamiltonianFunction(value=value, label=label, generator=generator,
                                dim=linear_term.dim)
@@ -151,7 +151,7 @@ def polynomial(terms: Sequence, label: str = "polynomial") -> HamiltonianFunctio
             for r in others:
                 partial *= paired[r]
             weights[k] += partial
-        return (np.array(weights) @ stack).reshape(m.shape)
+        return np.array(weights).dot(stack).reshape(m.shape)
 
     return HamiltonianFunction(value=value, label=label, generator=generator,
                                dim=every_factor[0].dim if every_factor else None)

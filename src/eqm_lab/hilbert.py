@@ -323,7 +323,7 @@ def _taylor_exponential(mat: np.ndarray, s: float) -> np.ndarray:
     x *= -1j * math.ldexp(s, -squarings)
     powers = [x]
     for _ in range(p - 1):
-        powers.append(powers[-1] @ x)
+        powers.append(powers[-1].dot(x))
     r = _INVERSE_FACTORIALS[m] * powers[-1]
     for i in reversed(range(m // p)):
         coeffs = _INVERSE_FACTORIALS[i * p:(i + 1) * p]
@@ -331,9 +331,9 @@ def _taylor_exponential(mat: np.ndarray, s: float) -> np.ndarray:
             r += c * power
         r.ravel()[::d + 1] += coeffs[0]
         if i:
-            r = r @ powers[-1]
+            r = r.dot(powers[-1])
     for _ in range(squarings):
-        r = r @ r
+        r = r.dot(r)
     return r
 
 
@@ -377,7 +377,7 @@ def expm_hermitian(mat: np.ndarray, s: float) -> np.ndarray:
         raise ValueError(f"exponent must be finite, got s = {s!r}")
     eigvals, eigvecs = _eigh(mat)
     phases = np.exp(-1j * s * eigvals)
-    return (eigvecs * phases) @ eigvecs.conj().T
+    return (eigvecs * phases).dot(eigvecs.conj().T)
 
 
 def unitary_exponential(a: HermitianOperator, s: float) -> UnitaryOperator:

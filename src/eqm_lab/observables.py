@@ -98,7 +98,7 @@ def expectation(omega: StateMeasure, f: ObservableFunction) -> float:
 def _pull_back(f: ObservableFunction, rho_t: DensityMatrix,
                u: UnitaryOperator) -> HermitianOperator:
     """u^dagger f(rho_t) u: f read at the end of a flow, conjugated back by its cocycle."""
-    return HermitianOperator(u.matrix.conj().T @ f.eval(rho_t).matrix @ u.matrix)
+    return HermitianOperator(u.matrix.conj().T.dot(f.eval(rho_t).matrix).dot(u.matrix))
 
 
 def heisenberg_transform(f: ObservableFunction, h: HamiltonianFunction, t: float,

@@ -916,7 +916,9 @@ class TestBadRecord:
 # The nonlinear step as it stood before the kernel scanned each generator
 # output once, transcribed on plain arrays: every exponential scans its matrix,
 # the increment is a plain ndarray.max, and the generators are the closed forms
-# of that version.  The kernel must give the same bits.
+# of that version.  It multiplies with @ (the matmul gufunc), so the kernel's
+# ndarray.dot products are held to matmul's bits.  The kernel must give the
+# same bits.
 
 def _scanned_mean_field(a, b, strength):
     b_t = b.T.ravel()
@@ -1002,7 +1004,8 @@ class TestScannedStepBits:
     """The kernel's endpoints and cocycles are the transcribed step's, bit for bit."""
 
     CFG = IntegratorConfig(dt=0.01, t_final=0.037)
-    DIMS = [2, 3, 4, 13, 14, 16]  # the qubit, eigh and Taylor paths, both sides of each switch
+    # The qubit, eigh and Taylor paths, both sides of each switch, and the largest d.
+    DIMS = [2, 3, 4, 13, 14, 16, MAX_DIM]
 
     @staticmethod
     def _families(rng, dim):

@@ -566,6 +566,39 @@ class TestEighHelper:
                 assert np.array_equal(w, w_np) and w.dtype == w_np.dtype, (dim, name)
 
 
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestDotIsMatmul:
+    """ndarray.dot gives @'s bits for each operand layout the step path multiplies.
+
+    The kernel, the exponentials, the generators and the pull-back multiply
+    through ndarray.dot; a numpy whose dot and matmul round differently
+    fails here before any output moves.
+    """
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 13, 14, 16, MAX_DIM])
+    def test_every_step_path_layout(self, rng, dim):
+        a, b = (random_hermitian(rng, dim).matrix @ random_hermitian(rng, dim).matrix
+                for _ in range(2))
+        eigvecs = hilbert._eigh(random_hermitian(rng, dim).matrix.real)[1]
+        phased = eigvecs * np.exp(-0.3j * rng.normal(size=dim))
+        layouts = {
+            "C x C": (a, b),
+            "a matrix times itself": (a, a),
+            "C x conj().T view": (a, b.conj().T),
+            "conj().T view x C": (b.conj().T, a),
+            "real eigh vectors": (phased, eigvecs.conj().T),
+        }
+        for name, (x, y) in layouts.items():
+            assert _same_bits(x.dot(y), x @ y), (dim, name)
+        for k in (1, 2, 5):
+            weights = rng.normal(size=k)
+            stack = np.array([random_hermitian(rng, dim).matrix.ravel() for _ in range(k)])
+            assert _same_bits(weights.dot(stack), weights @ stack), (dim, k)
+
+
 def _records(rng, dim, n):
     """n valid (state, unitary) records as two (n, dim, dim) stacks."""
     states = np.stack([random_density(rng, dim).matrix for _ in range(n)])
