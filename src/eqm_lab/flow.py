@@ -190,8 +190,8 @@ def schedule(span: float, dt: float):
     Full steps of size dt cover the span, plus one shorter step for the
     remainder when span is not a multiple of dt: last on a forward span and
     first on a backward one, so a backward run from rho_t retraces, step for
-    step, the forward run that reached it.  The density-matrix kernel and
-    the pendulum leapfrog of koopman both step on it.
+    step, the forward run that reached it.  The density-matrix kernel steps
+    on it.
     """
     n_full, rem = split_steps(abs(span), dt)
     if span >= 0:

@@ -121,7 +121,7 @@ def polynomial(terms: Sequence, label: str = "polynomial") -> HamiltonianFunctio
     for factor in every_factor[1:]:
         require_same_dim(every_factor[0], factor)
     # Each distinct factor, by identity, is one row: paired once per evaluation
-    # (row k of stack_t @ m.ravel() is Tr(m F_k)) and weighted once in D.
+    # (row k of stack_t.dot(m.ravel()) is Tr(m F_k)) and weighted once in D.
     distinct = {id(f): f for _, factors in terms for f in factors}
     row = {key: k for k, key in enumerate(distinct)}
     # The product rule, one entry per factor of each term in order: the
@@ -145,7 +145,7 @@ def polynomial(terms: Sequence, label: str = "polynomial") -> HamiltonianFunctio
     def generator(m: np.ndarray) -> np.ndarray:
         if not distinct:
             return np.zeros_like(m)
-        paired = (stack_t @ m.ravel()).real.tolist()
+        paired = stack_t.dot(m.ravel()).real.tolist()
         weights = [0.0] * len(paired)
         for k, partial, others in plan:
             for r in others:

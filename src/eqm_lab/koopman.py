@@ -6,7 +6,9 @@ integrable functions.  This module realizes that statement at desk scale:
 observables are plain function handles, the flow transports quadrature
 nodes (no grid interpolation, which would fake non-unitarity), and inner
 products are Gauss-Legendre sums over a truncated square.  Test families
-must decay fast enough that no mass crosses the boundary.
+must decay fast enough that no mass crosses the boundary.  Both flows are
+exact: the oscillator is a rotation and the pendulum moves by Jacobi
+elliptic functions, so transporting a rule costs the same at every time.
 """
 
 from __future__ import annotations
@@ -19,17 +21,17 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .flow import schedule
 from .hilbert import require_count, require_real
 
-PENDULUM_STEP = 1e-3      # internal macro step of the pendulum's triple jump
-# Yoshida's symmetric fourth-order composition: gamma_1, gamma_2, gamma_1 with
-# 2 gamma_1 + gamma_2 = 1 and 2 gamma_1^3 + gamma_2^3 = 0.
-TRIPLE_JUMP = tuple(c / (2.0 - 2.0 ** (1.0 / 3.0)) for c in (1.0, -(2.0 ** (1.0 / 3.0)), 1.0))
 SPATIAL_FD_STEP = 1e-5    # central-difference step for partial derivatives
 GEN_DT_MIN = 1e-6
 GEN_DT_MAX = 1e-3
 BOUNDARY_DECAY = 1e-8     # observable magnitude allowed on the outermost nodes
+# Carlson's (3 r)^(-1/6) for r = 2^-53: once every point's spread, scaled by it
+# and shrunk by 4 a duplication, is below its mean, R_F is good to about r.
+RF_SCALE = (3.0 * 2.0 ** -53) ** (-1.0 / 6.0)
+# Landen moduli below it are dropped: k^2 < 1e-18 leaves sn = sin, cn = cos, dn = 1.
+LANDEN_TOL = 2.0 ** -30
 
 DEFAULT_EXTENT = 6.0
 DEFAULT_ORDER = 64
@@ -47,11 +49,15 @@ class HarmonicOscillator:
 
 @dataclass(frozen=True)
 class Pendulum:
-    """Pendulum flow with energy p^2/2 - g cos q, advanced by a fourth-order triple jump.
+    """Pendulum flow with energy p^2/2 - g cos q, moved by its exact Jacobi-elliptic form.
 
-    Each macro step of PENDULUM_STEP composes three kick-drift-kick leapfrog
-    substeps of TRIPLE_JUMP times its size (Yoshida, Phys. Lett. A 150, 262
-    (1990)); the map is symplectic, symmetric and odd under (q, p) -> (-q, -p).
+    With omega = sqrt(g) and m = sin^2(q/2) + p^2/(4 g), 1 on the separatrix,
+    a point librates for m < 1: sin(q/2) = sqrt(m) sn(u | m) and
+    p = 2 omega sqrt(m) cn(u | m), u advancing at omega.  For m > 1 it
+    rotates: q/2 = am(u | 1/m) and p = +-2 omega sqrt(m) dn(u | 1/m), u
+    advancing at +-omega sqrt(m) with the sign of p (DLMF 22.19(i)).  For
+    m = 1, sn = tanh and cn = dn = sech.  g = 0 is free flight and g < 0 the
+    |g| pendulum shifted by pi in q.
     """
 
     g: float = 1.0
@@ -63,49 +69,133 @@ class Pendulum:
 SymplecticFlow = Union[HarmonicOscillator, Pendulum]
 
 
-def _leapfrog(g: float, q, p, t: float):
-    """Triple-jump macro steps on flow's schedule of the signed span t at PENDULUM_STEP.
+def _carlson_rf(x, y):
+    """Carlson's R_F(x, y, 1) for x, y >= 0, not both 0, vectorized by duplication.
 
-    A scheduled step of size step runs three kick-drift-kick substeps of
-    size c * step, c in TRIPLE_JUMP.  A backward span takes its remainder
-    step first, so a backward run retraces the forward one step for step;
-    each substep, and so each macro step, is symmetric.  The closing
-    half-kick of one substep and the opening half-kick of the next read
-    sin(q) at the same q, so the sine is evaluated once per substep.  Each
-    update runs in place with the arithmetic of p - (0.5 h g) sin(q) and
-    q + h p, so every node is bit-identical to the plain three-line loop.
+    Each pass maps every argument v to (v + l) / 4 with l = sqrt(xy) +
+    sqrt(yz) + sqrt(zx), which leaves R_F unchanged, until Carlson's bound
+    says the fifth-order series about the mean is exact to rounding at every
+    point (Carlson, Numer. Algorithms 10, 13 (1995); DLMF 19.36.1).
     """
-    q = np.array(q, dtype=float)
-    p = np.array(p, dtype=float)
-    # empty_like keeps 0-d inputs as arrays, which out= needs.
-    sine, scratch = np.empty_like(q), np.empty_like(q)
-    np.sin(q, out=sine)
-    for step, _ in schedule(t, PENDULUM_STEP):
-        for c in TRIPLE_JUMP:
-            h = c * step
-            kick = 0.5 * h * g
-            np.subtract(p, np.multiply(kick, sine, out=scratch), out=p)
-            np.add(q, np.multiply(h, p, out=scratch), out=q)
-            np.sin(q, out=sine)
-            np.subtract(p, np.multiply(kick, sine, out=scratch), out=p)
-    return q[()], p[()]
+    mean = (x + y + 1.0) / 3.0
+    dx, dy = mean - x, mean - y
+    bound = RF_SCALE * np.maximum(np.maximum(np.abs(dx), np.abs(dy)), np.abs(dx + dy))
+    z, shrink = 1.0, 1.0
+    while np.any(bound >= mean):
+        rx, ry, rz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = rx * (ry + rz) + ry * rz
+        x, y, z, mean = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (mean + lam)
+        bound, shrink = 0.25 * bound, 0.25 * shrink
+    dx, dy = dx * (shrink / mean), dy * (shrink / mean)
+    dz = -(dx + dy)
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    return (1.0 + e2 * (e2 / 24.0 - 0.1 - 3.0 / 44.0 * e3) + e3 / 14.0) / np.sqrt(mean)
 
 
-def _point_symmetric(q: np.ndarray, p: np.ndarray) -> bool:
-    """Whether the parity (q, p) -> (-q, -p) maps point k of a 1-D set onto point n - 1 - k."""
-    return (q.ndim == 1 and q.shape == p.shape
-            and np.array_equal(q[::-1], -q) and np.array_equal(p[::-1], -p))
+def _landen(kappa):
+    """The descending Landen moduli k_1, k_2, ... of modulus kappa < 1, and a_N.
+
+    a_n, b_n and c_n are the arithmetic-geometric mean of 1 and
+    sqrt(1 - kappa^2), with c_0 = kappa and c_(n+1) = c_n^2 / (4 a_(n+1)), free
+    of cancellation; k_n = c_n / a_n, and K(kappa^2) = pi / (2 a_N) (DLMF
+    19.8.1, 22.20(ii)).  Levels run until every point's modulus is below
+    LANDEN_TOL.
+    """
+    a, b, c = 1.0, np.sqrt((1.0 - kappa) * (1.0 + kappa)), kappa
+    moduli = []
+    while np.any(c > LANDEN_TOL * a):
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        c = c * c / (4.0 * a)
+        moduli.append(c / a)
+    return moduli, a
+
+
+def _sn_cn_dn(u, moduli, a):
+    """sn, cn and dn at u from the Landen levels of _landen: one sin and one cos.
+
+    At the last level sn, cn and dn are sin, cos and 1 of a_N u.  Each level
+    up applies Gauss's transformation, with s = sn, c = cn and d = dn below:
+    sn = (1 + k) s / (1 + k s^2), cn = c d / (1 + k s^2) and
+    dn = (1 - k s^2) / (1 + k s^2) (Bulirsch, Numer. Math. 7, 78 (1965);
+    DLMF 22.7.1-3).
+    """
+    x = u * a
+    s, c, d = np.sin(x), np.cos(x), 1.0
+    for k in reversed(moduli):
+        ks2 = k * s * s
+        r = 1.0 / (1.0 + ks2)
+        s, c, d = (1.0 + k) * s * r, c * d * r, (1.0 - ks2) * r
+    return s, c, d
+
+
+def _pendulum_flow(g: float, q: np.ndarray, p: np.ndarray, t: float):
+    """The pendulum's exact flow by time t != 0, vectorized over the points.
+
+    W = omega sqrt(m) sorts the points: W < omega librates and W > omega
+    rotates, with modulus kappa = min(W, omega) / max(W, omega).  q is
+    reduced into [-pi, pi] by a multiple of 2 pi, which is added back, and
+    the argument of a rotation is reduced by a multiple of 2 K, adding pi
+    to am per period.  The starting argument is F(phi | kappa^2) =
+    sin(phi) R_F(cos^2(q/2), (p / 2W)^2, 1) for both kinds, phi = q/2 for a
+    rotation and the amplitude for a libration; a libration moving left
+    starts at 2 K - F.  Rest points, where p = 0 and sin^2(q/2) is 0 or 1,
+    stay put.
+    """
+    if g < 0.0:
+        qt, pt = _pendulum_flow(-g, q - math.pi, p, t)
+        return qt + math.pi, pt
+    if g == 0.0:
+        rate = float(np.max(np.abs(p), initial=0.0))
+        if not math.isfinite(rate * t):
+            raise ValueError(f"rotation rate * t overflows: rate = {rate:g}, t = {t:g}")
+        return q + p * t, p.copy()
+    w = math.sqrt(g)
+    if not math.isfinite(w * t):
+        raise ValueError(f"omega * t overflows: omega = sqrt(|g|) = {w:g}, t = {t:g}")
+    turns = np.rint(q / (2.0 * math.pi))
+    half = 0.5 * (q - 2.0 * math.pi * turns)
+    s, c = np.sin(half), np.cos(half)
+    big_w = np.hypot(w * s, 0.5 * p)
+    rest = (p == 0.0) & ((big_w == 0.0) | (big_w == w))
+    any_rest = rest.any()
+    if any_rest:    # stand-ins that keep every step finite; the points are put back
+        s, c, big_w = np.where(rest, 0.0, s), np.where(rest, 1.0, c), np.where(rest, 0.5 * w, big_w)
+    rot = big_w >= w
+    # Twice W is the top speed of a rotation, which bounds how far its q moves.
+    rate = 2.0 * float(np.max(big_w, initial=0.0, where=rot))
+    if not math.isfinite(rate * t):
+        raise ValueError(f"rotation rate * t overflows: rate = {rate:g}, t = {t:g}")
+    kappa = np.minimum(big_w, w) / np.maximum(big_w, w)
+    sep = kappa == 1.0
+    any_sep = sep.any()
+    # On the separatrix K is infinite: its points take a stand-in modulus and
+    # no period reduction, and tanh and sech replace sn, cn and dn below.
+    moduli, a = _landen(np.where(sep, 0.0, kappa) if any_sep else kappa)
+    period = math.pi / a    # 2 K
+    f = np.where(rot, s, w * s / big_w) * _carlson_rf(c * c, np.square(0.5 * p / big_w))
+    signed_w = np.copysign(big_w, p)
+    u = np.where(rot | (p >= 0.0), f, period - f) + np.where(rot, signed_w, w) * t
+    laps = np.where(rot & ~sep if any_sep else rot, np.rint(u / period), 0.0)
+    sn, cn, dn = _sn_cn_dn(u - period * laps, moduli, a)
+    if any_sep:
+        decay = np.exp(-np.abs(u))
+        sech = 2.0 * decay / (1.0 + decay * decay)
+        sn, cn, dn = np.where(sep, np.tanh(u), sn), np.where(sep, sech, cn), np.where(sep, sech, dn)
+    qt = 2.0 * (np.arctan2(np.where(rot, sn, kappa * sn), np.where(rot, cn, dn))
+                + math.pi * (turns + laps))
+    pt = 2.0 * np.where(rot, signed_w * dn, big_w * cn)
+    if any_rest:
+        qt, pt = np.where(rest, q, qt), np.where(rest, p, pt)
+    return qt, pt
 
 
 def flow_map(flow: SymplecticFlow, q, p, t: float):
     """Transport phase-space points by time t; vectorized over numpy arrays.
 
-    The pendulum energy p^2/2 - g cos q is even, so the parity commutes with
-    the flow and with each kick and drift of the triple jump (np.sin is
-    odd).  When a 1-D point set is its own mirror image, point k being minus
-    point n - 1 - k as in every Quadrature.gauss_legendre rule, only the
-    first ceil(n/2) points are integrated and the rest are their negated
-    reversal, bit-identical to transporting every point.
+    Both flows are closed forms, so the cost does not grow with |t|.  A
+    0-d point gives 0-d coordinates, and t = 0 returns the points bit for
+    bit.  Where omega t, or a rotating pendulum point's top speed
+    2 omega sqrt(m) times t, is not a finite float, ValueError names it.
     """
     require_real("t", t)
     q = np.asarray(q, dtype=float)
@@ -117,13 +207,9 @@ def flow_map(flow: SymplecticFlow, q, p, t: float):
         c, s = math.cos(angle), math.sin(angle)
         return q * c + p * s, -q * s + p * c
     if isinstance(flow, Pendulum):
-        if not _point_symmetric(q, p):
-            return _leapfrog(flow.g, q, p, t)
-        n = q.size
-        qt, pt = _leapfrog(flow.g, q[:(n + 1) // 2], p[:(n + 1) // 2], t)
-        # 0 - x is -x for x != 0 and +0 for a zero: the sign that an exact
-        # cancellation gives the mirrored point too.
-        return tuple(np.concatenate((x, 0.0 - x[:n // 2][::-1])) for x in (qt, pt))
+        if t == 0.0:
+            return q.copy()[()], p.copy()[()]
+        return _pendulum_flow(flow.g, q, p, t)
     raise TypeError(f"unknown flow: {type(flow).__name__}")
 
 

@@ -1,7 +1,6 @@
 """Tests for the command-line front end and its exit codes."""
 
 import json
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -173,19 +172,11 @@ class TestRun:
         assert "too-coarse" in err and "did not settle" in err
 
 
-# Twice the largest span whose count of PENDULUM_STEP steps is finite, so
-# the count overflows to inf; a finite count this large would run without end.
-PENDULUM_OVERFLOW = 2 * (sys.float_info.max * koopman.PENDULUM_STEP)
-
 UNCOUNTABLE = [
     ("run", "02-mean-field-qubit.json",
      lambda doc: doc.update(integrator={"dt": 1e-320, "t_final": 1.0}),
      "scenario 'mean-field-qubit': a span of 1 holds too many steps of dt = 9.99989e-321 "
      "to count"),
-    ("koopman", "08-koopman-pendulum.json",
-     lambda doc: doc["koopman"].update(times=[PENDULUM_OVERFLOW]),
-     f"scenario 'koopman-pendulum': a span of {PENDULUM_OVERFLOW:g} holds too many steps of "
-     "dt = 0.001 to count"),
 ]
 
 
@@ -200,6 +191,29 @@ def test_uncountable_span_exits_one_with_scenario_id(command, name, edit, messag
     path.write_text(json.dumps(doc))
     assert main([command, str(path), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _rule_rotation_rate():
+    """2 omega sqrt(m) at g = 1, largest over the default rule's rotating nodes."""
+    quad = koopman.Quadrature.gauss_legendre()
+    m = np.sin(quad.q / 2) ** 2 + quad.p ** 2 / 4
+    return 2 * float(np.sqrt(m.max()))
+
+
+@pytest.mark.parametrize("g, message", [
+    (4.0, "omega * t overflows: omega = sqrt(|g|) = 2, t = 1e+308"),
+    (1.0, f"rotation rate * t overflows: rate = {_rule_rotation_rate():g}, t = 1e+308"),
+], ids=["omega", "rotation"])
+def test_overflowing_pendulum_span_exits_one_with_scenario_id(g, message, tmp_path, capsys):
+    # The closed form needs no step count, so a span of 1e305 finishes; only
+    # a phase that overflows a float is refused.
+    doc = json.loads((CORPUS / "08-koopman-pendulum.json").read_text())
+    doc["koopman"].update(flow={"type": "pendulum", "g": g}, times=[1e308])
+    path = tmp_path / "pendulum.json"
+    path.write_text(json.dumps(doc))
+    assert main(["koopman", str(path), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: scenario 'koopman-pendulum': {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -597,6 +597,8 @@ class TestDotIsMatmul:
             weights = rng.normal(size=k)
             stack = np.array([random_hermitian(rng, dim).matrix.ravel() for _ in range(k)])
             assert _same_bits(weights.dot(stack), weights @ stack), (dim, k)
+            # (k, d*d) x (d*d,): polynomial's pairings with a flattened state.
+            assert _same_bits(stack.dot(a.ravel()), stack @ a.ravel()), (dim, k)
 
 
 def _records(rng, dim, n):

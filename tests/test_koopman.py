@@ -2,12 +2,10 @@
 
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from eqm_lab import koopman
 from eqm_lab.koopman import (
     ClassicalObservable,
     HarmonicOscillator,
@@ -53,8 +51,8 @@ class TestFlows:
         np.testing.assert_allclose(pt, ps, atol=1e-12)
 
     def test_pendulum_energy_drift(self):
-        # The fourth-order triple jump at PENDULUM_STEP keeps the energy to
-        # about 3e-15 here, which underpins area preservation.
+        # The closed form keeps the energy to 2e-16 here (1e-14 over the
+        # order-64 rule), which underpins area preservation.
         q0, p0 = 0.7, 0.3
         reference = 0.5 * p0**2 - math.cos(q0)
         for t in np.linspace(0.1, 1.0, 10):
@@ -87,151 +85,166 @@ class TestFlows:
             call(Drift())
 
 
-def _triple_jump(g, q, p, t):
-    """The pendulum scheme written as the plain loop: two sines per substep.
+def _triple_jump(g, q, p, t, step):
+    """The fourth-order triple jump as a plain loop: an oracle for the exact flow.
 
     Each step of size h runs kick-drift-kick substeps of c * h for c in
-    (gamma_1, gamma_2, gamma_1).  A remainder step comes last on a forward
-    span and first on a backward one.
+    (gamma_1, gamma_2, gamma_1) (Yoshida, Phys. Lett. A 150, 262 (1990)).  A
+    remainder step comes last on a forward span and first on a backward
+    one.  q and p are summed with Kahan compensation: plain sums over the
+    150 000 substeps of t = 3.14159 at step 1e-3/16 drift 1.6e-12 from an
+    mpmath reference, more than the closed form is held to.
     """
     span = abs(t)
-    n = int(math.floor(span / koopman.PENDULUM_STEP + 1e-9))
-    rem = span - n * koopman.PENDULUM_STEP
+    n = int(math.floor(span / step + 1e-9))
+    rem = span - n * step
     sign = 1.0 if t > 0 else -1.0
-    full, tail = [sign * koopman.PENDULUM_STEP] * n, ([sign * rem] if rem >= 1e-15 else [])
+    full, tail = [sign * step] * n, ([sign * rem] if rem >= 1e-15 else [])
     steps = full + tail if t > 0 else tail + full
     cbrt2 = 2.0 ** (1.0 / 3.0)
     gammas = (1.0 / (2.0 - cbrt2), -cbrt2 / (2.0 - cbrt2), 1.0 / (2.0 - cbrt2))
     q, p = np.array(q, dtype=float), np.array(p, dtype=float)
-    for step in steps:
+    q_err, p_err = np.zeros_like(q), np.zeros_like(p)
+
+    def add(x, err, increment):
+        y = increment - err
+        total = x + y
+        return total, (total - x) - y
+
+    for h in steps:
         for c in gammas:
-            h = c * step
-            p = p - 0.5 * h * g * np.sin(q)
-            q = q + h * p
-            p = p - 0.5 * h * g * np.sin(q)
+            kick = 0.5 * c * h * g
+            p, p_err = add(p, p_err, -kick * np.sin(q))
+            q, q_err = add(q, q_err, c * h * p)
+            p, p_err = add(p, p_err, -kick * np.sin(q))
     return q, p
 
 
-class TestLeapfrog:
-    def test_one_sine_per_step_is_bit_identical(self, quad):
-        # -0.12345 is 123 steps and a remainder, taken backward.
-        for t in (0.5, -0.12345):
-            q, p = flow_map(Pendulum(g=1.3), quad.q, quad.p, t)
-            q_ref, p_ref = _triple_jump(1.3, quad.q, quad.p, t)
-            assert np.array_equal(q, q_ref) and np.array_equal(p, p_ref), t
+def _complete_k(m):
+    """K(m) for 0 <= m < 1 by the arithmetic-geometric mean in plain floats."""
+    a, b = 1.0, math.sqrt(1.0 - m)
+    while abs(a - b) > 1e-15 * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return math.pi / (2.0 * a)
+
+
+def _parameter(g, q, p):
+    return math.sin(q / 2) ** 2 + p * p / (4 * g)
+
+
+def _max_gap(moved, expected):
+    return max(float(np.max(np.abs(np.subtract(x, y)))) for x, y in zip(moved, expected))
+
+
+ORDER_16 = Quadrature.gauss_legendre(order=16)
+
+
+class TestClosedForm:
+    """The pendulum moves by its exact Jacobi-elliptic flow."""
+
+    @pytest.mark.parametrize("t", [0.5, -0.12345, 3.14159])
+    def test_matches_the_triple_jump(self, t):
+        # The oracle runs at 1e-3/4 for both g at once and reads within
+        # 2e-14 of the closed form; at the worst nodes of t = 3.14159 the
+        # closed form matched an mpmath reference to 1e-15.
+        quad, gs = ORDER_16, (1.0, 1.3)
+        m = np.sin(quad.q / 2) ** 2 + quad.p ** 2 / 4
+        assert (m > 1).any() and ((m < 1) & (np.abs(quad.q) > math.pi)).any()
+        g = np.repeat(gs, quad.q.size)
+        reference = _triple_jump(g, np.tile(quad.q, 2), np.tile(quad.p, 2), t, 1e-3 / 4)
+        moved = [np.concatenate(x) for x in zip(*(flow_map(Pendulum(g=gi), quad.q, quad.p, t)
+                                                  for gi in gs))]
+        assert _max_gap(moved, reference) <= 1e-12
+
+    def test_negative_g_matches_the_triple_jump(self):
+        quad = ORDER_16
+        moved = flow_map(Pendulum(g=-1.3), quad.q, quad.p, 0.5)
+        assert _max_gap(moved, _triple_jump(-1.3, quad.q, quad.p, 0.5, 1e-3 / 4)) <= 1e-12
+
+    @pytest.mark.parametrize("q, p", [(1.0 + 2 * math.pi, 0.5), (-5.5, -0.3), (2.0, 0.0)],
+                             ids=["past-2pi", "past-minus-pi", "turning-point"])
+    def test_a_libration_returns_after_its_period(self, q, p):
+        # Nodes past pi are reduced by 2 pi and the multiple added back.
+        g = 1.3
+        period = 4 * _complete_k(_parameter(g, q, p)) / math.sqrt(g)
+        assert _parameter(g, q, p) < 1
+        for laps in (1, 3):
+            assert _max_gap(flow_map(Pendulum(g=g), q, p, laps * period), (q, p)) <= 1e-13
+
+    @pytest.mark.parametrize("q, p", [(0.3, 2.5), (0.3, -2.5), (5.0, 2.5), (-3.0, -4.0)],
+                             ids=["forward", "backward", "past-pi", "past-minus-pi"])
+    def test_a_rotation_gains_two_pi_per_period(self, q, p):
+        g = 1.3
+        m = _parameter(g, q, p)
+        period = 2 * _complete_k(1 / m) / (math.sqrt(g) * math.sqrt(m))
+        assert m > 1
+        for laps in (1, 3):
+            shifted = (q + math.copysign(2 * math.pi * laps, p), p)
+            assert _max_gap(flow_map(Pendulum(g=g), q, p, laps * period), shifted) <= 1e-13
+
+    @pytest.mark.parametrize("t", [0.7, -2.1, 800.0])
+    def test_separatrix_is_the_gudermannian(self, t):
+        # m = 1 exactly: q = 2 gd(omega t) and p = 2 omega sech(omega t); far
+        # out, cosh would overflow while q reaches pi and p underflows to 0.
+        g = 1.3
+        w = math.sqrt(g)
+        if abs(w * t) < 700:
+            expected = (2 * math.atan(math.sinh(w * t)), 2 * w / math.cosh(w * t))
+        else:
+            expected = (math.copysign(math.pi, t), 0.0)
+        for sign in (1.0, -1.0):
+            q, p = flow_map(Pendulum(g=g), 0.0, sign * 2 * w, t)
+            assert _max_gap((q, p), (sign * expected[0], sign * expected[1])) <= 1e-15
+
+    def test_rest_points_stay_put(self):
+        # Hyperbolic at q = +-pi, elliptic at q = 0 and 2 pi; g < 0 swaps them.
+        q = np.array([math.pi, -math.pi, 0.0, 2 * math.pi, -3 * math.pi])
+        p = np.zeros_like(q)
+        for g in (1.0, 1.3, -1.0):
+            for t in (0.5, -7.0):
+                moved = flow_map(Pendulum(g=g), q, p, t)
+                assert np.array_equal(moved[0], q) and np.array_equal(moved[1], p), (g, t)
+
+    def test_zero_g_is_free_flight(self):
+        q, p = ORDER_16.q, ORDER_16.p
+        moved = flow_map(Pendulum(g=0.0), q, p, 0.75)
+        assert np.array_equal(moved[0], q + p * 0.75) and np.array_equal(moved[1], p)
+
+    @pytest.mark.parametrize("g", [1.0, 0.0, -1.0])
+    @pytest.mark.parametrize("point", [(0.4, -0.2), (0.0, 0.0), (math.pi, 0.0), (0.0, 2.0)],
+                             ids=["moving", "bottom", "top", "separatrix"])
+    def test_a_scalar_point_gives_scalars(self, g, point):
+        for t in (0.37, 0.0):
+            q, p = flow_map(Pendulum(g=g), *point, t)
+            assert np.ndim(q) == np.ndim(p) == 0
+
+    def test_grids_keep_their_shape_and_nan_nodes_stay_nan(self):
+        quad = Quadrature.gauss_legendre(order=4)
+        q_nan = quad.q.copy()
+        q_nan[[0, -1]] = np.nan
+        q, _ = flow_map(PEND, q_nan, quad.p, 0.001)
+        assert np.isnan(q[[0, -1]]).all() and np.isfinite(q[1:-1]).all()
+        grid, _ = flow_map(PEND, quad.q.reshape(4, 4), quad.p.reshape(4, 4), 0.001)
+        assert np.array_equal(grid.ravel(), flow_map(PEND, quad.q, quad.p, 0.001)[0])
+
+    @pytest.mark.parametrize("s, t", [(0.3, 0.9), (2.0, -0.7), (-1.25, -1.75)])
+    def test_group_law(self, s, t):
+        quad = ORDER_16
+        for flow in (PEND, Pendulum(g=1.3)):
+            twice = flow_map(flow, *flow_map(flow, quad.q, quad.p, t), s)
+            assert _max_gap(twice, flow_map(flow, quad.q, quad.p, s + t)) <= 1e-13
 
     @pytest.mark.parametrize("t", [0.12345, 3.14159])
-    def test_backward_run_retraces_an_off_grid_span(self, t):
-        # The backward run takes the forward run's steps in reverse order,
-        # remainder first, so each symmetric step undoes one forward step and
-        # only rounding is left.
-        quad = Quadrature.gauss_legendre(order=16)
-        q, p = flow_map(PEND, *flow_map(PEND, quad.q, quad.p, t), -t)
-        assert max(np.abs(q - quad.q).max(), np.abs(p - quad.p).max()) <= 1e-13
+    def test_backward_run_retraces_the_forward_one(self, t):
+        quad = ORDER_16
+        assert _max_gap(flow_map(PEND, *flow_map(PEND, quad.q, quad.p, t), -t),
+                        (quad.q, quad.p)) <= 1e-13
 
-    def test_scalar_point(self):
-        q, p = flow_map(PEND, 0.4, -0.2, 0.00037)
-        q_ref, p_ref = _triple_jump(1.0, 0.4, -0.2, 0.00037)
-        assert (q, p) == (q_ref, p_ref)
-        assert np.ndim(q) == np.ndim(p) == 0
-
-    def test_error_falls_at_fourth_order(self, monkeypatch):
-        # Halving the step divides the error by 2^4; a second-order scheme
-        # would read 2.
-        quad = Quadrature.gauss_legendre(order=16)
-        h = 4e-3
-
-        def transported(step):
-            monkeypatch.setattr(koopman, "PENDULUM_STEP", step)
-            return np.concatenate(flow_map(PEND, quad.q, quad.p, 0.5))
-
-        fine = transported(h / 16)
-        e_h, e_half = (np.abs(transported(step) - fine).max() for step in (h, h / 2))
-        assert 3.7 <= math.log2(e_h / e_half) <= 4.3
-
-    def test_error_at_the_shipped_step(self, monkeypatch):
-        # At a sixteenth of the step the scheme is 16^4 times more accurate,
-        # so the difference is the shipped step's own error, about 2e-12.
-        quad = Quadrature.gauss_legendre(order=16)
-        q, p = flow_map(PEND, quad.q, quad.p, 0.5)
-        monkeypatch.setattr(koopman, "PENDULUM_STEP", koopman.PENDULUM_STEP / 16)
-        q_ref, p_ref = _triple_jump(1.0, quad.q, quad.p, 0.5)
-        assert max(np.abs(q - q_ref).max(), np.abs(p - p_ref).max()) <= 1e-10
-
-    def test_memory_does_not_grow_with_time(self):
-        # The steps are taken in a loop, not listed up front, so 3000 steps
-        # peak about as high as 100 do.
-        peaks = []
-        for t in (0.1, -3.0):
-            tracemalloc.start()
-            try:
-                flow_map(PEND, 0.4, -0.2, t)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert max(peaks) < 8192 and peaks[1] <= peaks[0] + 1024
-
-
-PARITY_SETS = [(order, extent) for order in (2, 3, 63, 64) for extent in (1.0, 5.5, 6.0)]
-
-
-def _record_leapfrog_sizes(monkeypatch):
-    """Wrap _leapfrog so each call appends the number of points it integrates."""
-    sizes, leapfrog = [], koopman._leapfrog
-
-    def recording(g, q, p, t):
-        sizes.append(np.size(q))
-        return leapfrog(g, q, p, t)
-
-    monkeypatch.setattr(koopman, "_leapfrog", recording)
-    return sizes
-
-
-class TestParity:
-    """The pendulum flow commutes with (q, p) -> (-q, -p); a symmetric node set is halved."""
-
-    @pytest.mark.parametrize("order, extent", PARITY_SETS)
-    def test_gauss_legendre_nodes_are_point_symmetric(self, order, extent):
-        quad = Quadrature.gauss_legendre(extent=extent, order=order)
-        assert np.array_equal(quad.q[::-1], -quad.q) and np.array_equal(quad.p[::-1], -quad.p)
-
-    @pytest.mark.parametrize("order, extent", PARITY_SETS)
-    def test_halved_transport_is_the_plain_loop(self, order, extent):
-        # 0.12345 is 123 steps and a remainder.  Equal bytes, stricter than
-        # np.array_equal, also pin the sign of every zero, such as q = 0 on
-        # the middle row of an odd order at t = 0.
-        quad = Quadrature.gauss_legendre(extent=extent, order=order)
-        for t in (0.12345, -0.12345, 0.0):
-            q, p = flow_map(Pendulum(g=1.3), quad.q, quad.p, t)
-            q_ref, p_ref = _triple_jump(1.3, quad.q, quad.p, t)
-            assert q.tobytes() == q_ref.tobytes() and p.tobytes() == p_ref.tobytes(), t
-
-    def test_asymmetric_nodes_are_the_plain_loop(self):
-        quad = Quadrature.gauss_legendre(order=16)
-        q, p = flow_map(Pendulum(g=1.3), quad.q + 0.1, quad.p, 0.12345)
-        q_ref, p_ref = _triple_jump(1.3, quad.q + 0.1, quad.p, 0.12345)
-        assert np.array_equal(q, q_ref) and np.array_equal(p, p_ref)
-
-    @pytest.mark.parametrize("order", [3, 64])
-    def test_symmetric_set_integrates_half_the_points(self, monkeypatch, order):
-        quad = Quadrature.gauss_legendre(order=order)
-        sizes = _record_leapfrog_sizes(monkeypatch)
-        flow_map(PEND, quad.q, quad.p, 0.001)
-        unitarity_residuals([gaussian_observable(width=0.5)], PEND, 0.001, quad)
-        assert sizes == [(order * order + 1) // 2] * 2
-
-    def test_other_inputs_integrate_every_point(self, monkeypatch):
-        quad = Quadrature.gauss_legendre(order=4)
-        q_nan, p_nan = quad.q.copy(), quad.p.copy()
-        q_nan[[0, -1]] = np.nan
-        sizes = _record_leapfrog_sizes(monkeypatch)
-        flow_map(PEND, quad.q + 0.1, quad.p, 0.001)       # shifted: not symmetric
-        q, _ = flow_map(PEND, q_nan, p_nan, 0.001)         # NaN != NaN
-        q_grid, _ = flow_map(PEND, quad.q.reshape(4, 4), quad.p.reshape(4, 4), 0.001)
-        flow_map(PEND, 0.0, 0.0, 0.001)                    # a scalar point
-        assert sizes == [16, 16, 16, 1]
-        assert np.isnan(q[[0, -1]]).all() and np.isfinite(q[1:-1]).all()
-        assert np.array_equal(q_grid.ravel(), flow_map(PEND, quad.q, quad.p, 0.001)[0])
+    def test_an_endless_span_costs_one_evaluation(self):
+        # No step count: t = 1e305 is one closed-form pass, finite everywhere.
+        quad = ORDER_16
+        for flow in (PEND, Pendulum(g=-1.0)):
+            assert all(np.isfinite(x).all() for x in flow_map(flow, quad.q, quad.p, 1e305))
 
 
 class TestFiniteness:
@@ -242,16 +255,26 @@ class TestFiniteness:
         with pytest.raises(ValueError, match="^t must be a finite number, got inf$"):
             unitarity_residual(*gauss_pair, flow, math.inf, quad)
 
-    @pytest.mark.parametrize("omega", [1e300, -1e300])
-    def test_oscillator_angle_overflow_is_named(self, omega, gauss_pair, quad):
-        flow = HarmonicOscillator(omega=omega)
-        message = "^" + re.escape(f"omega * t overflows: omega = {omega:g}, t = 1e+10") + "$"
+    @pytest.mark.parametrize("flow, t, message", [
+        (HarmonicOscillator(omega=1e300), 1e10, "omega * t overflows: omega = 1e+300, t = 1e+10"),
+        (HarmonicOscillator(omega=-1e300), 1e10, "omega * t overflows: omega = -1e+300, t = 1e+10"),
+        (Pendulum(g=1e300), 1e300, "omega * t overflows: omega = sqrt(|g|) = 1e+150, t = 1e+300"),
+        (Pendulum(g=-1e300), -1e300, "omega * t overflows: omega = sqrt(|g|) = 1e+150, t = -1e+300"),
+        # The top speed of the rotating points, 2 omega sqrt(m), bounds how far q moves.
+        (PEND, 1e308, "rotation rate * t overflows: rate = 3, t = 1e+308"),
+        (Pendulum(g=0.0), -1e308, "rotation rate * t overflows: rate = 3, t = -1e+308"),
+    ], ids=["oscillator", "oscillator-negative", "pendulum", "pendulum-negative", "rotation",
+            "free-flight"])
+    def test_overflow_is_named(self, flow, t, message, gauss_pair, quad):
+        points = (np.array([0.4, 1.0, 0.0]), np.array([-0.2, 0.0, 3.0]))
+        message = "^" + re.escape(message) + "$"
         with pytest.raises(ValueError, match=message):
-            flow_map(flow, 1.0, 0.0, 1e10)
+            flow_map(flow, *points, t)
         with pytest.raises(ValueError, match=message):
-            compose(gauss_pair[0], flow, 1e10).eval(0.4, -0.2)
-        with pytest.raises(ValueError, match=message):
-            unitarity_residuals(gauss_pair, flow, 1e10, quad)
+            compose(gauss_pair[0], flow, t).eval(*points)
+        if "rotation" not in message:     # the rule's own rotation rate is another
+            with pytest.raises(ValueError, match=message):
+                unitarity_residuals(gauss_pair, flow, t, quad)
 
 
 class TestCompose:
@@ -426,6 +449,12 @@ class TestQuadrature:
     def test_order_is_an_integer_of_at_least_two(self, order):
         with pytest.raises(ValueError, match=f"^order must be an integer of at least 2, got {order}$"):
             Quadrature.gauss_legendre(order=order)
+
+    @pytest.mark.parametrize("order, extent", [(order, extent) for order in (2, 3, 63, 64)
+                                               for extent in (1.0, 5.5, 6.0)])
+    def test_gauss_legendre_nodes_are_point_symmetric(self, order, extent):
+        quad = Quadrature.gauss_legendre(extent=extent, order=order)
+        assert np.array_equal(quad.q[::-1], -quad.q) and np.array_equal(quad.p[::-1], -quad.p)
 
     def test_numpy_integer_order_is_the_same_rule(self, quad):
         assert np.array_equal(Quadrature.gauss_legendre(order=np.int64(64)).q, quad.q)
