@@ -11,6 +11,7 @@ in the structural invariants is monitored, never repaired.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,56 +113,63 @@ class IntegratorConfig:
         require_count("record_stride", self.record_stride, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded flow: times, states rho_t, and the realizing unitaries u(t)."""
+    """Recorded flow: times, and read-only (T, d, d) stacks of checked states and unitaries."""
 
     times: tuple
-    states: tuple
-    cocycle: tuple
+    rho: np.ndarray
+    u: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.times) == len(self.states) == len(self.cocycle)):
+        if not (len(self.times) == len(self.rho) == len(self.u)):
             raise ValueError("times, states, and cocycle must have equal length")
         if len(self.times) == 0:
             raise ValueError("a trajectory holds at least the initial record")
 
+    @functools.cached_property
+    def states(self) -> tuple:
+        return tuple(map(DensityMatrix._accepted, self.rho))
+
+    @functools.cached_property
+    def cocycle(self) -> tuple:
+        return tuple(map(UnitaryOperator._accepted, self.u))
+
     # Invariant monitors: each is the worst value of one measure over the records.
 
     def max_unitarity_defect(self) -> float:
-        return _worst(unitarity_defect, self.cocycle)[0]
+        return _worst(unitarity_defect, self.u)[0]
 
     def max_cocycle_defect(self) -> float:
         """Worst |rho_t - u rho_0 u_dagger| over the records."""
-        rho0 = self.states[0].matrix
+        rho0 = self.rho[0]
         return _worst(lambda s, u: np.abs(s - u @ rho0 @ u.conj().swapaxes(1, 2)).max(axis=(1, 2)),
-                      self.states, self.cocycle)[0]
+                      self.rho, self.u)[0]
 
     def max_spectrum_drift(self) -> float:
         # Ascending eigenvalues pair up as the descending spectrum's do.
-        base = _eigh(self.states[0].matrix, vectors=False)
-        return _worst(lambda s: np.abs(_eigh(s, vectors=False) - base).max(axis=1), self.states)[0]
+        base = _eigh(self.rho[0], vectors=False)
+        return _worst(lambda s: np.abs(_eigh(s, vectors=False) - base).max(axis=1), self.rho)[0]
 
     def max_trace_defect(self) -> float:
-        return _worst(trace_defect, self.states)[0]
+        return _worst(trace_defect, self.rho)[0]
 
     def max_purity_drift(self) -> float:
-        base = self.states[0].purity()
-        return _worst(lambda s: np.abs(trace_product(s, s).real - base), self.states)[0]
+        base = trace_product(self.rho[0], self.rho[0]).real
+        return _worst(lambda s: np.abs(trace_product(s, s).real - base), self.rho)[0]
 
 
-def _block_size(wrapper) -> int:
-    """Records of wrapper's dimension in one block: RECORD_BLOCK_BYTES of matrices, at least one."""
-    return max(1, RECORD_BLOCK_BYTES // wrapper.matrix.nbytes)
+def _block_size(stack: np.ndarray) -> int:
+    """Records of a (T, d, d) stack in one block: RECORD_BLOCK_BYTES of matrices, at least one."""
+    return max(1, RECORD_BLOCK_BYTES // stack[0].nbytes)
 
 
-def _worst(measure, *columns) -> tuple[float, int]:
-    """The largest of measure's values over blocks of stacked records, and its first record."""
-    size = _block_size(columns[0][0])
+def _worst(measure, *stacks) -> tuple[float, int]:
+    """The largest of measure's values over blocks of the stacks' records, and its first record."""
+    size = _block_size(stacks[0])
     worst, where = -math.inf, 0
-    for start in range(0, len(columns[0]), size):
-        values = measure(*(np.stack([w.matrix for w in column[start:start + size]])
-                           for column in columns))
+    for start in range(0, len(stacks[0]), size):
+        values = measure(*(stack[start:start + size] for stack in stacks))
         i = int(values.argmax())  # the first of equal values
         if values[i] > worst:
             worst, where = float(values[i]), start + i
@@ -212,9 +220,7 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
     Each step conjugates by exp(-i dt D_mid), with D_mid the differential at
     the self-consistent midpoint state, and extends the cocycle u by the
     same factor.  Only h.generator and expm_hermitian run here, on plain
-    arrays.  Each yielded rho and u is a fresh array that the kernel never
-    writes afterwards, so evolve and propagate keep them as the records
-    once a stacked check accepts them.  A function that carries a dimension
+    arrays; _run copies the records it keeps.  A function that carries a dimension
     other than the state's raises ValueError before the first step.
 
     The midpoint iteration refreshes D_mid from the midpoint state it
@@ -281,52 +287,56 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
         yield k, time, rho, u
 
 
-def _identity(dim: int) -> UnitaryOperator:
-    return UnitaryOperator(np.eye(dim, dtype=complex))
+def _run(h: HamiltonianFunction, rho0: DensityMatrix, span: float, cfg: IntegratorConfig,
+         stride: int | None = None) -> Trajectory:
+    """The flow over the signed span, recorded at every stride-th step (or none) and the last.
 
-
-def _accepted(records: list) -> list:
-    """The kernel's records (k, time, rho, u) as (time, state, cocycle) wrappers of its arrays.
-
-    The records are checked in one stack; the first that fails raises
-    StateError, named by its step and time.
+    The records are copied into read-only stacks sized before the first step
+    (a count too large to hold raises ValueError) and checked a block of
+    RECORD_BLOCK_BYTES at a time: a bad record raises StateError once its
+    block is full, the run ends or the kernel raises, before any later error.
     """
-    rejected = first_rejected(np.stack([r[2] for r in records]), np.stack([r[3] for r in records]))
-    if rejected is not None:
-        i, exc = rejected
-        k, time = records[i][:2]
-        raise StateError(str(exc), k, time, time) from exc
-    return [(time, DensityMatrix._accepted(rho), UnitaryOperator._accepted(u))
-            for _, time, rho, u in records]
+    n_full, rem = split_steps(abs(span), cfg.dt)
+    steps = n_full + (rem > 0)
+    stride = stride or max(steps, 1)
+    count = 1 + -(-steps // stride)  # record i holds step min(i * stride, steps)
+    try:
+        rho, u = (np.empty((count, rho0.dim, rho0.dim), dtype=complex) for _ in range(2))
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"a span of {span:g} at dt = {cfg.dt:g} gives {count:.3g} records, "
+                         "too many to hold") from exc
+    rho[0], u[0] = rho0.matrix, np.eye(rho0.dim)
+    times, checked, size = [0.0], 1, _block_size(rho)
+
+    def check():
+        nonlocal checked
+        start, checked = checked, len(times)
+        if (rejected := first_rejected(rho[start:checked], u[start:checked])) is not None:
+            i, exc = start + rejected[0], rejected[1]
+            raise StateError(str(exc), min(i * stride, steps), times[i], times[i]) from exc
+
+    try:
+        for k, time, rho_k, u_k in _steps(h, rho0.matrix, span, cfg):
+            if k % stride == 0 or k == steps:
+                rho[len(times)], u[len(times)] = rho_k, u_k
+                times.append(time)
+                if len(times) - checked == size:
+                    check()
+    finally:  # also when the kernel raises: a bad record's StateError comes first
+        if len(times) > checked:
+            check()
+    for stack in (rho, u):
+        stack.setflags(write=False)
+    return Trajectory(tuple(times), rho, u)
 
 
 def evolve(h: HamiltonianFunction, rho0: DensityMatrix, cfg: IntegratorConfig) -> Trajectory:
     """Integrate from rho0 to cfg.t_final, recording every record_stride-th step.
 
     The final time is always recorded; a shorter last step is taken when
-    t_final is not a multiple of dt.  The records wrap the kernel's own
-    arrays, checked a block of RECORD_BLOCK_BYTES at a time: a bad record
-    raises StateError once its block is full, the run ends or the kernel
-    raises, so the run may go up to one block past it, but no later failure
-    of the kernel hides it.
+    t_final is not a multiple of dt.
     """
-    records = [(0.0, rho0, _identity(rho0.dim))]
-    block, size = [], _block_size(rho0)
-    k = 0
-    try:
-        for k, time, rho, u in _steps(h, rho0.matrix, cfg.t_final, cfg):
-            if k % cfg.record_stride == 0:
-                block.append((k, time, rho, u))
-                if len(block) == size:
-                    full, block = block, []
-                    records += _accepted(full)
-        if k % cfg.record_stride:
-            block.append((k, time, rho, u))
-    finally:  # also when the kernel raises: a bad record's StateError comes first
-        if block:
-            records += _accepted(block)
-    times, states, cocycle = zip(*records)
-    return Trajectory(times, states, cocycle)
+    return _run(h, rho0, cfg.t_final, cfg, cfg.record_stride)
 
 
 def propagate(h: HamiltonianFunction, rho0: DensityMatrix, t: float,
@@ -337,13 +347,8 @@ def propagate(h: HamiltonianFunction, rho0: DensityMatrix, t: float,
     retraces the forward run from rho to rho_t.
     """
     require_real("t", t)
-    end = None
-    for end in _steps(h, rho0.matrix, t, cfg):
-        pass
-    if end is None:
-        return rho0, _identity(rho0.dim)
-    _, rho, u = _accepted([end])[0]
-    return rho, u
+    traj = _run(h, rho0, t, cfg)
+    return (traj.states[-1] if len(traj.times) > 1 else rho0), traj.cocycle[-1]
 
 
 def wigner_deviation(h: HamiltonianFunction, p: DensityMatrix, q: DensityMatrix,
@@ -369,7 +374,7 @@ def overlap_deviation(traj_p: Trajectory, traj_q: Trajectory) -> tuple[float, fl
         raise ValueError("the two trajectories must be recorded at the same times")
     baseline = transition_probability(traj_p.states[0], traj_q.states[0])
     deviation, i = _worst(lambda p, q: np.abs(trace_product(p, q).real - baseline),
-                          traj_p.states, traj_q.states)
+                          traj_p.rho, traj_q.rho)
     return deviation, traj_p.times[i]
 
 

@@ -247,7 +247,8 @@ def gaussian_observable(center=(0.0, 0.0), width: float = 1.0) -> ClassicalObser
     scale = 2.0 * width * width
 
     def evaluate(q, p):
-        return np.exp(-((q - q0) ** 2 + (p - p0) ** 2) / scale)
+        with np.errstate(over="ignore"):  # a distance that overflows reads exp(-inf) = 0
+            return np.exp(-((q - q0) ** 2 + (p - p0) ** 2) / scale)
 
     return ClassicalObservable(eval=evaluate, label=f"gaussian({q0:g},{p0:g};{width:g})")
 

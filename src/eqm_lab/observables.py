@@ -149,7 +149,7 @@ def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times
         require_real(f"times[{i}]", t)
     recorded = {}  # whole steps -> (time, state) of the trajectory's records
     if trajectory is not None:
-        if not np.array_equal(trajectory.states[0].matrix, rho.matrix):
+        if not np.array_equal(trajectory.rho[0], rho.matrix):
             raise ValueError("the trajectory must start at rho")
         for time, state in zip(trajectory.times, trajectory.states):
             n, rem = flow_mod.split_steps(time, cfg.dt)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -21,7 +20,7 @@ from . import flow as flow_mod
 from . import koopman as koopman_mod
 from .config import DEFAULT_THRESHOLDS, SINGLE_STATE_OUTPUTS, ScenarioConfig, build_config, with_dt
 from .flow import ConvergenceError, IntegratorConfig, Trajectory
-from .hamiltonians import linear, mean_field
+from .hamiltonians import linear, mean_field, shift_differential
 from .hilbert import (
     SIGMA_X,
     SIGMA_Z,
@@ -69,17 +68,16 @@ def _csv(header: list[str], rows: list[list[float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _flatten(name: str, matrices) -> tuple[list[str], Iterator[list[float]]]:
-    """Column names and lazy value rows for square matrices written row-major as re/im pairs."""
-    dim = matrices[0].shape[0]
+def _flatten(name: str, stack: np.ndarray) -> tuple[list[str], list[list[float]]]:
+    """Column names and value rows for a (T, d, d) stack, each matrix row-major as re/im pairs."""
+    dim = stack.shape[1]
     header = [f"{name}_{i}_{j}_{part}"
               for i in range(dim) for j in range(dim) for part in ("re", "im")]
-    rows = (re_im_view(m).ravel().tolist() for m in matrices)
-    return header, rows
+    return header, re_im_view(stack).reshape(len(stack), -1).tolist()
 
 
 def _trajectory_table(traj: Trajectory, observables) -> str:
-    columns, entries = _flatten("rho", [state.matrix for state in traj.states])
+    columns, entries = _flatten("rho", traj.rho)
     header = ["t", *columns, "purity", *(f"expval_{f.label}" for f in observables)]
     rows = [[t, *flat, state.purity(), *(trace_pairing(state, f.eval(state)) for f in observables)]
             for t, flat, state in zip(traj.times, entries, traj.states)]
@@ -87,7 +85,7 @@ def _trajectory_table(traj: Trajectory, observables) -> str:
 
 
 def _cocycle_table(traj: Trajectory) -> str:
-    columns, entries = _flatten("u", [u.matrix for u in traj.cocycle])
+    columns, entries = _flatten("u", traj.u)
     return _csv(["t", *columns], [[t, *flat] for t, flat in zip(traj.times, entries)])
 
 
@@ -256,22 +254,17 @@ def _suite_cross_checks(dt: float | None, thresholds: dict) -> list[ReportRow]:
     # The reference takes its own eigh, not the kernel's expm_hermitian.
     eigvals, eigvecs = np.linalg.eigh(SIGMA_Z)
     oracle_defect = 0.0
-    for t, state in zip(traj.times, traj.states):
+    for t, state in zip(traj.times, traj.rho):
         u = (eigvecs * np.exp(-1j * t * eigvals)) @ eigvecs.conj().T
         exact = u @ plus.matrix @ u.conj().T
-        oracle_defect = max(oracle_defect, max_abs(state.matrix - exact))
+        oracle_defect = max(oracle_defect, max_abs(state - exact))
 
-    shift = 10.0
-    base = flow_mod.evolve(mean_field(sx, sz, 1.0), up, cfg)
-    shifted = flow_mod.evolve(mean_field(HermitianOperator(sx.matrix + shift * np.eye(2)),
-                                         sz, 1.0), up, cfg)
-    rho_defect = max(
-        max_abs(a.matrix - b.matrix) for a, b in zip(shifted.states, base.states)
-    )
-    phase_defect = max(
-        max_abs(us.matrix - np.exp(-1j * shift * t) * ub.matrix)
-        for t, us, ub in zip(base.times, shifted.cocycle, base.cocycle)
-    )
+    shift, h = 10.0, mean_field(sx, sz, 1.0)
+    base = flow_mod.evolve(h, up, cfg)
+    shifted = flow_mod.evolve(shift_differential(h, shift), up, cfg)
+    rho_defect = max_abs(shifted.rho - base.rho)
+    phases = np.exp(-1j * shift * np.array(base.times))
+    phase_defect = max_abs(shifted.u - phases[:, None, None] * base.u)
     return [
         ReportRow("suite", "linear_oracle", oracle_defect, thresholds["linear_oracle"]),
         ReportRow("suite", "gauge_shift_state", rho_defect, thresholds["gauge_shift"]),

@@ -6,6 +6,7 @@ overlap curve of the pure-precession flow.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -249,3 +250,13 @@ def test_10_koopman_unitarity_and_generator(capsys):
     _report(capsys, 10, "koopman-unitarity",
             f"composition unitarity {worst_unit:.3e}<=1e-6 (t in 0.5/1/pi), "
             f"generator residual {worst_gen:.3e}<=1e-5 at 10 points", ok)
+
+
+def test_readme_library_use_runs(capsys):
+    # The "Library use" block of README.md, run as written: it prints the
+    # spectrum drift of a mean-field trajectory and a conservation residual.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    drift, residual = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= drift <= 1e-9 and 0.0 <= residual <= 1e-9

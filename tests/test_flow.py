@@ -429,7 +429,31 @@ class TestEvolve:
         traj = evolve(linear(sz), qubit_up, IntegratorConfig(dt=0.1, t_final=0.0))
         assert traj.times == (0.0,)
         assert max_abs(traj.cocycle[0].matrix - np.eye(2)) == 0.0
-        assert traj.states[0] is qubit_up
+        assert np.array_equal(traj.states[0].matrix, qubit_up.matrix)
+        assert traj.rho.shape == traj.u.shape == (1, 2, 2)
+
+    @pytest.mark.parametrize("dt, message, refused", [
+        (1e-300, r"dt = 1e-300 gives 1e\+299 records", False),
+        (1e-3, r"dt = 0\.001 gives 101 records", True),
+    ], ids=["past-numpy-dimension-limit", "past-memory"])
+    def test_too_many_records_raise_before_the_first_step(self, qubit_up, monkeypatch,
+                                                          dt, message, refused):
+        # 5e300 steps at stride 50 ask for a stack of 1e299 records, past
+        # numpy's dimension limit, and a run that would never end.  Past
+        # about 1e12 records numpy raises MemoryError instead; the second
+        # case stands in for it with a refused allocation.
+        def refuse(shape, dtype):
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        if refused:
+            monkeypatch.setattr(flow.np, "empty", refuse)
+        calls = []
+        h = HamiltonianFunction(value=lambda rho: 0.0,
+                                generator=lambda m: calls.append(m) or np.zeros_like(m))
+        cfg = IntegratorConfig(dt=dt, t_final=5.0, record_stride=50)
+        with pytest.raises(ValueError, match=rf"^a span of 5 at {message}, too many to hold$"):
+            evolve(h, qubit_up, cfg)
+        assert calls == []
 
     def test_rabi_oscillation(self, sz, qubit_plus):
         # Exact solution: the sigma_x expectation is cos(2t).
@@ -486,8 +510,8 @@ class TestTrajectory:
         ((0, 0, 0), "^a trajectory holds at least the initial record$"),
     ], ids=["no-cocycle", "extra-time", "empty"])
     def test_rejects_unequal_or_empty_records(self, qubit_up, lengths, message):
-        identity = hilbert.UnitaryOperator(np.eye(2))
-        columns = (0.0,) * lengths[0], (qubit_up,) * lengths[1], (identity,) * lengths[2]
+        columns = ((0.0,) * lengths[0], np.broadcast_to(qubit_up.matrix, (lengths[1], 2, 2)),
+                   np.broadcast_to(np.eye(2), (lengths[2], 2, 2)))
         with pytest.raises(ValueError, match=message):
             flow.Trajectory(*columns)
 
@@ -545,7 +569,7 @@ class TestPropagate:
 
     def test_checks_only_the_endpoint(self, rng, monkeypatch):
         # One stacked check of one record, and no constructor runs: the
-        # endpoint wraps the kernel's arrays once the check accepts them.
+        # endpoint wraps its row of the run's stack once the check accepts it.
         h = mean_field(random_hermitian(rng, 4), random_hermitian(rng, 4), 0.7)
         rho = random_density(rng, 4)
         built = dict.fromkeys(("DensityMatrix", "UnitaryOperator", "HermitianOperator"), 0)
@@ -760,7 +784,8 @@ def random_trajectory(rng, rho0, records):
         times.append(0.01 * n)
         states.append(DensityMatrix(state))
         cocycle.append(hilbert.UnitaryOperator(u))
-    return flow.Trajectory(tuple(times), tuple(states), tuple(cocycle))
+    return flow.Trajectory(tuple(times), np.stack([s.matrix for s in states]),
+                           np.stack([u.matrix for u in cocycle]))
 
 
 class TestRecordBlocks:
@@ -779,8 +804,7 @@ class TestRecordBlocks:
         p, q = (random_trajectory(rng, random_pure(rng, dim), block_size(dim) + 3)
                 for _ in range(2))
         twice = [flow.Trajectory(tuple(x for t in traj.times for x in (t, t + 0.005)),
-                                 tuple(x for s in traj.states for x in (s, s)),
-                                 tuple(x for u in traj.cocycle for x in (u, u)))
+                                 traj.rho.repeat(2, axis=0), traj.u.repeat(2, axis=0))
                  for traj in (p, q)]
         for pair in ((p, q), twice):
             assert overlap_deviation(*pair) == per_record_overlap_deviation(*pair)
@@ -790,11 +814,12 @@ class TestRecordBlocks:
         assert overlap_deviation(traj, traj) == (0.0, 0.0)
 
     @pytest.mark.parametrize("dim", [2, 16, MAX_DIM])
-    def test_records_are_the_kernels_arrays_read_only(self, dim, rng):
+    def test_records_are_read_only(self, dim, rng):
         h = mean_field(random_hermitian(rng, dim), random_hermitian(rng, dim), 0.7)
         cfg = IntegratorConfig(dt=0.01, t_final=0.05)
         traj = evolve(h, random_density(rng, dim), cfg)
-        assert len(traj.times) == 6
+        assert len(traj.times) == 6 and traj.rho.shape == traj.u.shape == (6, dim, dim)
+        assert not (traj.rho.flags.writeable or traj.u.flags.writeable)
         for wrapped in traj.states + traj.cocycle:
             assert not wrapped.matrix.flags.writeable
         rho_t, u_t = propagate(h, traj.states[0], 0.05, cfg)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,27 @@ class TestClosedForm:
         quad = ORDER_16
         for flow in (PEND, Pendulum(g=-1.0)):
             assert all(np.isfinite(x).all() for x in flow_map(flow, quad.q, quad.p, 1e305))
+
+    def test_residuals_at_an_endless_span_raise_no_warning(self):
+        # The pendulum corpus scenario at t = 1e305: rotation nodes move to
+        # |q| ~ 6e305, where a Gaussian's squared distance overflows.
+        fs = (gaussian_observable(center=(0.2, 0.0), width=0.5),
+              gaussian_observable(center=(0.0, -0.1), width=0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = unitarity_residuals(fs, PEND, 1e305, Quadrature.gauss_legendre())
+        assert values.shape == (2, 2) and np.isfinite(values).all()
+
+    def test_gaussian_reads_zero_where_its_distance_overflows(self):
+        # The first three squared distances are finite and keep the formula's
+        # bits (the third underflows to 0); the last two overflow to inf.
+        q = np.array([0.3, -2.0, 1e150, 6e305, -1e308])
+        p = np.array([0.1, 1.5, 0.0, 0.0, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = gaussian_observable(center=(0.2, -0.1), width=0.5).eval(q, p)
+        finite = np.exp(-((q[:3] - 0.2) ** 2 + (p[:3] + 0.1) ** 2) / 0.5)
+        assert np.array_equal(values, [*finite, 0.0, 0.0])
 
 
 class TestFiniteness:

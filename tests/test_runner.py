@@ -117,6 +117,15 @@ class TestRunScenario:
         with pytest.raises(ScenarioError, match="mean-field-qubit.*did not settle"):
             run_scenario(cfg)
 
+    def test_astronomical_step_count_is_annotated_with_scenario_id(self):
+        # dt = 1e-300 asks for 5e300 steps; the evolve stacks cannot hold its
+        # records, so the scenario fails at once instead of running forever.
+        mean_field_doc = next(d for d in corpus_documents() if d["id"] == "mean-field-qubit")
+        cfg = with_dt(build_config(mean_field_doc), 1e-300)
+        with pytest.raises(ScenarioError, match=r"^scenario 'mean-field-qubit': a span of 5 at "
+                                                r"dt = 1e-300 gives 1e\+299 records, too many"):
+            run_scenario(cfg)
+
     def test_measure_initial_conservation_rows_per_point(self):
         doc = rabi_doc(
             initial={"measure": {"support": [matrix_to_pairs(np.diag([1.0, 0.0])),
