@@ -129,11 +129,8 @@ class Trajectory:
 
     @functools.cached_property
     def states(self) -> tuple:
-        return tuple(map(DensityMatrix._accepted, self.rho))
-
-    @functools.cached_property
-    def cocycle(self) -> tuple:
-        return tuple(map(UnitaryOperator._accepted, self.u))
+        """The states as DensityMatrix wrappers, each checked on its own copy of its record."""
+        return tuple(map(DensityMatrix, self.rho))
 
     # Invariant monitors: each is the worst value of one measure over the records.
 
@@ -347,8 +344,9 @@ def propagate(h: HamiltonianFunction, rho0: DensityMatrix, t: float,
     retraces the forward run from rho to rho_t.
     """
     require_real("t", t)
-    traj = _run(h, rho0, t, cfg)
-    return (traj.states[-1] if len(traj.times) > 1 else rho0), traj.cocycle[-1]
+    traj = _run(h, rho0, t, cfg)  # _run checked the endpoint; _accepted wraps it without a copy
+    end = DensityMatrix._accepted(traj.rho[-1]) if len(traj.times) > 1 else rho0
+    return end, UnitaryOperator._accepted(traj.u[-1])
 
 
 def wigner_deviation(h: HamiltonianFunction, p: DensityMatrix, q: DensityMatrix,
@@ -372,7 +370,7 @@ def overlap_deviation(traj_p: Trajectory, traj_q: Trajectory) -> tuple[float, fl
     """
     if traj_p.times != traj_q.times:
         raise ValueError("the two trajectories must be recorded at the same times")
-    baseline = transition_probability(traj_p.states[0], traj_q.states[0])
+    baseline = transition_probability(DensityMatrix(traj_p.rho[0]), DensityMatrix(traj_q.rho[0]))
     deviation, i = _worst(lambda p, q: np.abs(trace_product(p, q).real - baseline),
                           traj_p.rho, traj_q.rho)
     return deviation, traj_p.times[i]

@@ -9,6 +9,11 @@ products are Gauss-Legendre sums over a truncated square.  Test families
 must decay fast enough that no mass crosses the boundary.  Both flows are
 exact: the oscillator is a rotation and the pendulum moves by Jacobi
 elliptic functions, so transporting a rule costs the same at every time.
+Its accuracy does not stay the same: the pendulum's period depends on the
+energy, so moved observables filament until the rule no longer resolves
+them.  For the corpus's pendulum Gaussians the default order-64 rule keeps
+the unitarity residual below 1e-6 for |t| <= 5 (7.7e-11 at t = 0.5, 1.7e-7
+at t = 5); past t = 5.5 it measures the quadrature (1.1e-5 at t = 10).
 """
 
 from __future__ import annotations
@@ -283,13 +288,12 @@ def classical_hamiltonian(flow: SymplecticFlow) -> ClassicalObservable:
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Tensor Gauss-Legendre rule on [-extent, extent]^2, nodes flattened."""
+    """A rule of flat nodes (q, p), weights and boundary flags; gauss_legendre builds one."""
 
     q: np.ndarray
     p: np.ndarray
     weights: np.ndarray
     boundary: np.ndarray
-    extent: float
 
     def __post_init__(self):
         shapes = {np.shape(a) for a in (self.q, self.p, self.weights, self.boundary)}
@@ -313,8 +317,7 @@ class Quadrature:
         edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
         for arr in (qq, pp, ww, edge):
             arr.setflags(write=False)
-        return cls(q=qq.ravel(), p=pp.ravel(), weights=ww.ravel(),
-                   boundary=edge.ravel(), extent=float(extent))
+        return cls(q=qq.ravel(), p=pp.ravel(), weights=ww.ravel(), boundary=edge.ravel())
 
 
 def _node_values(f: ClassicalObservable, q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -399,14 +402,13 @@ def liouville_generator_residual(f: ClassicalObservable, flow: SymplecticFlow,
                                  h_cl: ClassicalObservable, point, dt: float) -> float:
     """|d/dt f(flow_t(m))|_{t=0} - {f, H}(m)| with both sides by central differences.
 
-    The time derivative uses the flow at +/- dt; the bracket
+    The time derivative reads compose(f, flow, +/- dt) at the point; the bracket
     df/dq dH/dp - df/dp dH/dq uses spatial steps of SPATIAL_FD_STEP.
     """
     require_real("dt", dt, GEN_DT_MIN, GEN_DT_MAX)
     q0, p0 = _coordinates("point", point)
-    qf, pf = flow_map(flow, q0, p0, dt)
-    qb, pb = flow_map(flow, q0, p0, -dt)
-    time_deriv = (complex(f.eval(qf, pf)) - complex(f.eval(qb, pb))) / (2.0 * dt)
+    ahead, behind = compose(f, flow, dt), compose(f, flow, -dt)
+    time_deriv = (complex(ahead.eval(q0, p0)) - complex(behind.eval(q0, p0))) / (2.0 * dt)
 
     s = SPATIAL_FD_STEP
 

@@ -147,11 +147,11 @@ def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times
     fs, times = tuple(fs), tuple(times)
     for i, t in enumerate(times):
         require_real(f"times[{i}]", t)
-    recorded = {}  # whole steps -> (time, state) of the trajectory's records
+    recorded = {}  # whole steps -> (time, matrix) of the trajectory's records, checked once read
     if trajectory is not None:
         if not np.array_equal(trajectory.rho[0], rho.matrix):
             raise ValueError("the trajectory must start at rho")
-        for time, state in zip(trajectory.times, trajectory.states):
+        for time, state in zip(trajectory.times, trajectory.rho):
             n, rem = flow_mod.split_steps(time, cfg.dt)
             if rem == 0.0:
                 recorded[n] = (time, state)
@@ -159,11 +159,12 @@ def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times
     columns = {}
     for forward in (True, False):
         grid = sorted({t for t in times if (t >= 0) == forward}, key=abs)
-        chain = {0: (0.0, rho), **(recorded if forward else {})}  # whole steps -> (time, state)
+        chain = {**(recorded if forward else {}), 0: (0.0, rho)}  # whole steps -> (time, state or record)
         for t in grid:
             n, rem = flow_mod.split_steps(abs(t), cfg.dt)
             k = max(j for j in chain if j <= n) if rem == 0.0 else 0
             start, rho_t = chain[k]
+            rho_t = DensityMatrix(rho_t) if isinstance(rho_t, np.ndarray) else rho_t
             try:
                 if k != n or rem:
                     rho_t, _ = flow_mod.propagate(h, rho_t, t - start, cfg)

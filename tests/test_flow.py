@@ -428,7 +428,7 @@ class TestEvolve:
     def test_zero_horizon_single_record(self, sz, qubit_up):
         traj = evolve(linear(sz), qubit_up, IntegratorConfig(dt=0.1, t_final=0.0))
         assert traj.times == (0.0,)
-        assert max_abs(traj.cocycle[0].matrix - np.eye(2)) == 0.0
+        assert max_abs(traj.u[0] - np.eye(2)) == 0.0
         assert np.array_equal(traj.states[0].matrix, qubit_up.matrix)
         assert traj.rho.shape == traj.u.shape == (1, 2, 2)
 
@@ -494,9 +494,9 @@ class TestEvolve:
         traj = evolve(h_mf, rho0, cfg)
         worst = 0.0
         for k in range(1, len(traj.times) - 1):
-            behind = traj.cocycle[k - 1].matrix @ psi0.vector
-            ahead = traj.cocycle[k + 1].matrix @ psi0.vector
-            here = traj.cocycle[k].matrix @ psi0.vector
+            behind = traj.u[k - 1] @ psi0.vector
+            ahead = traj.u[k + 1] @ psi0.vector
+            here = traj.u[k] @ psi0.vector
             derivative = 1j * (ahead - behind) / (2 * cfg.dt)
             generator = h_mf.differential(traj.states[k]).matrix
             worst = max(worst, float(np.linalg.norm(derivative - generator @ here)))
@@ -514,6 +514,14 @@ class TestTrajectory:
                    np.broadcast_to(np.eye(2), (lengths[2], 2, 2)))
         with pytest.raises(ValueError, match=message):
             flow.Trajectory(*columns)
+
+    def test_states_are_checked(self):
+        # The constructor takes its stacks as given; a DensityMatrix it hands
+        # out has passed its checks all the same.
+        traj = flow.Trajectory((0.0,), np.array([[[2, 1], [0, 5]]], complex),
+                               np.array([[[3, 0], [0, 3]]], complex))
+        with pytest.raises(ValueError, match=r"^state is not Hermitian: max \|A - A†\| = 1\.000e\+00$"):
+            traj.states
 
 
 class TestPropagate:
@@ -616,8 +624,8 @@ class TestStateIndependent:
                     assert np.array_equal(u_a.matrix, u_b.matrix), (dim, t)
                 marked, plain = evolve(h, rho, cfg), evolve(reference, rho, cfg)
                 assert marked.times == plain.times
-                for x, y in zip(marked.states + marked.cocycle, plain.states + plain.cocycle):
-                    assert np.array_equal(x.matrix, y.matrix), dim
+                assert np.array_equal(marked.rho, plain.rho), dim
+                assert np.array_equal(marked.u, plain.u), dim
 
     def test_one_exponential_per_step_size(self, rng, monkeypatch):
         exact, sizes = flow.expm_hermitian, []
@@ -692,8 +700,8 @@ class TestGaugeInvariance:
             state_defect = max(max_abs(a.matrix - b.matrix)
                                for a, b in zip(shifted.states, base.states))
             phase_defect = max(
-                max_abs(us.matrix - np.exp(-1j * c * t) * ub.matrix)
-                for t, us, ub in zip(base.times, shifted.cocycle, base.cocycle)
+                max_abs(us - np.exp(-1j * c * t) * ub)
+                for t, us, ub in zip(base.times, shifted.u, base.u)
             )
             assert state_defect <= 1e-10
             assert phase_defect <= 1e-9
@@ -738,10 +746,10 @@ class TestConvergenceOrder:
 # read their records in stacked blocks: the stacked forms must keep these bits.
 PER_RECORD_MONITORS = {
     "max_unitarity_defect": lambda traj: max(
-        max_abs(u.matrix.conj().T @ u.matrix - np.eye(u.dim)) for u in traj.cocycle),
+        max_abs(u.conj().T @ u - np.eye(len(u))) for u in traj.u),
     "max_cocycle_defect": lambda traj: max(
-        max_abs(s.matrix - u.matrix @ traj.states[0].matrix @ u.matrix.conj().T)
-        for s, u in zip(traj.states, traj.cocycle)),
+        max_abs(s.matrix - u @ traj.states[0].matrix @ u.conj().T)
+        for s, u in zip(traj.states, traj.u)),
     "max_spectrum_drift": lambda traj: max(
         max_abs(hilbert.spectrum(s) - hilbert.spectrum(traj.states[0])) for s in traj.states),
     "max_trace_defect": lambda traj: max(
@@ -820,11 +828,11 @@ class TestRecordBlocks:
         traj = evolve(h, random_density(rng, dim), cfg)
         assert len(traj.times) == 6 and traj.rho.shape == traj.u.shape == (6, dim, dim)
         assert not (traj.rho.flags.writeable or traj.u.flags.writeable)
-        for wrapped in traj.states + traj.cocycle:
+        for wrapped in traj.states:
             assert not wrapped.matrix.flags.writeable
         rho_t, u_t = propagate(h, traj.states[0], 0.05, cfg)
         assert np.array_equal(rho_t.matrix, traj.states[-1].matrix)
-        assert np.array_equal(u_t.matrix, traj.cocycle[-1].matrix)
+        assert np.array_equal(u_t.matrix, traj.u[-1])
 
 
 def corrupt_record(monkeypatch, bad_step):

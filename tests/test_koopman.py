@@ -488,8 +488,7 @@ class TestQuadrature:
     ])
     def test_hand_built_arrays_must_be_flat_and_of_one_length(self, field, value):
         rule = Quadrature.gauss_legendre(order=4)
-        fields = dict(q=rule.q, p=rule.p, weights=rule.weights, boundary=rule.boundary,
-                      extent=rule.extent)
+        fields = dict(q=rule.q, p=rule.p, weights=rule.weights, boundary=rule.boundary)
         fields[field] = value
         with pytest.raises(ValueError, match="1-D arrays of one length"):
             Quadrature(**fields)
@@ -500,9 +499,9 @@ class TestQuadrature:
         q, weights = rule.q.copy(), rule.weights.copy()
         q[5], weights[5] = bad, -bad     # -bad is NaN, -inf or inf: not a finite positive weight
         with pytest.raises(ValueError, match="nodes must be finite"):
-            Quadrature(q=q, p=rule.p, weights=rule.weights, boundary=rule.boundary, extent=4.0)
+            Quadrature(q=q, p=rule.p, weights=rule.weights, boundary=rule.boundary)
         with pytest.raises(ValueError, match="weights must be positive"):
-            Quadrature(q=rule.q, p=rule.p, weights=weights, boundary=rule.boundary, extent=4.0)
+            Quadrature(q=rule.q, p=rule.p, weights=weights, boundary=rule.boundary)
 
     def test_builtin_dispatch(self):
         assert builtin_observable("p").label == "p"

@@ -1,5 +1,6 @@
 """Tests for scenario execution, CSV emission, and report semantics."""
 
+import importlib
 import json
 import math
 from dataclasses import replace
@@ -12,6 +13,7 @@ import eqm_lab
 from eqm_lab import flow, hilbert
 from eqm_lab.config import DEFAULT_THRESHOLDS, build_config, with_dt
 from eqm_lab.hamiltonians import HamiltonianFunction
+from eqm_lab.observables import conservation_residuals
 from eqm_lab.runner import (
     ReportRow,
     ScenarioError,
@@ -21,6 +23,7 @@ from eqm_lab.runner import (
     koopman_only,
     render_report,
     run_scenario,
+    run_suite,
     write_outputs,
 )
 from eqm_lab.hilbert import SIGMA_X, SIGMA_Z
@@ -172,6 +175,96 @@ class TestOneForwardRun:
         (row,) = [r for r in rows if r.check == "wigner_deviation"]
         assert row.value == flow.wigner_deviation(cfg.hamiltonian, cfg.initial_state,
                                                   cfg.wigner_pair, cfg.integrator)[0]
+
+
+def wigner_contrast(coupling=1.0):
+    """The wigner-contrast scenario at dt = 1e-2, its coupling lambda scaled by coupling."""
+    doc = next(d for d in corpus_documents() if d["id"] == "wigner-contrast")
+    doc["hamiltonian"]["lambda"] *= coupling
+    return with_dt(build_config(doc), 0.01)
+
+
+class TestNonlinearOracle:
+    """wigner-contrast's mean-field flow in closed form.
+
+    With A = 0, m = Tr(rho B) is conserved along the flow, so
+    rho_t = exp(-it lambda m0 B) rho0 exp(it lambda m0 B): a unitary that
+    depends on the initial state.  Here B = sigma_z, lambda = 1 and
+    m0 = cos 0.2.  The reference takes its own eigh of the corpus's
+    A + lambda m0 B; it calls neither expm_hermitian nor the generator.
+    """
+
+    TOL = 1e-12
+
+    @staticmethod
+    def error(traj):
+        """Largest entry of rho_t minus its closed form over the records."""
+        ham = next(d for d in corpus_documents() if d["id"] == "wigner-contrast")["hamiltonian"]
+        a, b = hilbert.matrix_from_pairs(ham["A"]), hilbert.matrix_from_pairs(ham["B"])
+        rho0 = traj.rho[0]
+        w, v = np.linalg.eigh(a + ham["lambda"] * np.trace(rho0 @ b).real * b)
+        worst = 0.0
+        for t, rho in zip(traj.times, traj.rho):
+            u = (v * np.exp(-1j * t * w)) @ v.conj().T
+            worst = max(worst, hilbert.max_abs(rho - u @ rho0 @ u.conj().T))
+        return worst
+
+    def test_records_follow_the_closed_form(self):
+        cfg = wigner_contrast()
+        traj = flow.evolve(cfg.hamiltonian, cfg.initial_state, cfg.integrator)
+        assert len(traj.times) == 501
+        assert self.error(traj) <= self.TOL  # 2.9e-15
+
+    def test_a_coupling_off_by_one_part_in_a_million_fails(self):
+        cfg = wigner_contrast(1 + 1e-6)
+        assert self.error(flow.evolve(cfg.hamiltonian, cfg.initial_state, cfg.integrator)) > self.TOL
+
+    def test_overlap_deviation_is_its_closed_form(self):
+        # Q = |+><+| has m = 0 and stays put; Tr(P_t Q) moves by
+        # 1/2 sin 0.2 (1 - cos 2 lambda m0 t).
+        cfg = wigner_contrast()
+        m0 = math.cos(0.2)
+        b = hilbert.HermitianOperator(SIGMA_Z)
+        assert hilbert.trace_pairing(cfg.initial_state, b) == pytest.approx(m0, abs=1e-15)
+        p, q = (flow.evolve(cfg.hamiltonian, rho, cfg.integrator)
+                for rho in (cfg.initial_state, cfg.wigner_pair))
+        deviation, _ = flow.overlap_deviation(p, q)
+        exact = max(0.5 * math.sin(0.2) * (1 - math.cos(2 * m0 * t)) for t in p.times)
+        assert abs(deviation - exact) <= self.TOL
+
+
+class TestCheckedRecords:
+    """A reader of a trajectory's stacks checks the records it wraps, and only those."""
+
+    @staticmethod
+    def count_checks(monkeypatch):
+        built, check = [], hilbert.DensityMatrix.__post_init__
+
+        def counted(self):
+            built.append(self.matrix)
+            check(self)
+
+        monkeypatch.setattr(hilbert.DensityMatrix, "__post_init__", counted)
+        return built
+
+    def test_conservation_grid_checks_one_state_per_grid_time(self, monkeypatch):
+        cfg = wigner_contrast()
+        traj = flow.evolve(cfg.hamiltonian, cfg.initial_state, cfg.integrator)
+        built = self.count_checks(monkeypatch)
+        conservation_residuals(cfg.observables, cfg.hamiltonian, cfg.initial_state,
+                               cfg.conservation_times, cfg.integrator, trajectory=traj)
+        assert len(built) <= len(cfg.conservation_times) == 4
+        assert "states" not in vars(traj)  # the cached wrappers of all 501 records
+
+    def test_overlap_deviation_checks_the_two_first_records(self, monkeypatch):
+        cfg = wigner_contrast()
+        p, q = (flow.evolve(cfg.hamiltonian, rho, cfg.integrator)
+                for rho in (cfg.initial_state, cfg.wigner_pair))
+        built = self.count_checks(monkeypatch)
+        flow.overlap_deviation(p, q)
+        assert len(built) == 2
+        assert np.array_equal(built[0], p.rho[0]) and np.array_equal(built[1], q.rho[0])
+        assert "states" not in vars(p) and "states" not in vars(q)
 
 
 class TestWignerPairFailure:
@@ -408,3 +501,18 @@ class TestCorpus:
         a, b = four_level_ops()
         assert np.array_equal(a, ladder)
         assert np.array_equal(b, np.diag([1.5, 0.5, -0.5, -1.5]).astype(complex))
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+class TestBenchmarkRowCheck:
+    def test_every_suite_row_passes_the_corpus_suite_check(self, monkeypatch, tmp_path):
+        # perfbench/workloads.py maps each check name to its threshold key on
+        # its own; a new check name or a threshold edit would otherwise show
+        # only as a failed corpus-suite call in a benchmark run.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        rows = run_suite(tmp_path, 0.01)
+        assert rows
+        assert workloads._row_problems(rows) == []
