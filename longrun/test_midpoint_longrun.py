@@ -4,7 +4,7 @@ Not part of Tier-1 (``testpaths`` lists only ``tests``); run with
 
     PYTHONPATH=src python -m pytest longrun
 
-It takes about 35 s on one core: ~13 s at d = 4 and ~21 s at d = 64.
+It takes about 21 s on one core: ~6 s at d = 4 and ~14 s at d = 64.
 """
 
 import math

@@ -52,20 +52,28 @@ DEFAULT_THRESHOLDS = {
 }
 
 # The keys each kind of object may hold, by its document path with array indices dropped.
-# Top-level keys are declared whatever the outputs are.
+# Top-level keys are declared whatever the outputs are.  A typed object holds only the
+# keys of its own type's entry, "<path>:<type>", as well.
 _DOCUMENT_KEYS = {
     "": ("id", "outputs", "thresholds", "dimension", "hamiltonian", "initial", "integrator",
          "observables", "conservation_times", "wigner_pair", "export_cocycle", "koopman"),
     "thresholds": tuple(DEFAULT_THRESHOLDS),
     "hamiltonian": ("type", "A", "B", "lambda", "terms"),
+    "hamiltonian:linear": ("type", "A"),
+    "hamiltonian:mean_field": ("type", "A", "B", "lambda"),
+    "hamiltonian:polynomial": ("type", "terms"),
     "hamiltonian.terms": ("coefficient", "factors"),
     "initial": ("state_vector", "density_matrix", "measure"),
     "initial.measure": ("support", "weights"),
     "integrator": ("dt", "t_final", "midpoint_tol", "midpoint_max_iter", "record_stride"),
     "observables": ("type", "A", "B"),
+    "observables:constant": ("type", "A"),
+    "observables:trace_scaled": ("type", "A", "B"),
     "wigner_pair": ("state_vector", "density_matrix"),
     "koopman": ("flow", "observables", "times", "quadrature", "points", "generator_dt"),
     "koopman.flow": ("type", "omega", "g"),
+    "koopman.flow:harmonic": ("type", "omega"),
+    "koopman.flow:pendulum": ("type", "g"),
     "koopman.observables": ("name", "center", "width"),
     "koopman.quadrature": ("extent", "order"),
 }
@@ -176,7 +184,8 @@ class _Fields:
 
     Every read reports a failure as a ConfigError at the field's full path;
     the document itself sits at the empty path and is called "<document>".
-    A key that _DOCUMENT_KEYS does not declare for the object is an error.
+    A key that _DOCUMENT_KEYS does not declare for the object, or for the
+    object's type if it has a known one, is an error.
     """
 
     def __init__(self, value, path: str):
@@ -189,6 +198,10 @@ class _Fields:
             if key not in _DOCUMENT_KEYS[kind]:
                 raise ConfigError(self.path_of(key),
                                   "unknown check name" if kind == "thresholds" else "unknown field")
+        own = _DOCUMENT_KEYS.get(f"{kind}:{value.get('type')}")  # None: untyped, or type unknown
+        for key in value:
+            if own and key not in own:
+                raise ConfigError(self.path_of(key), f"unknown field for type {value['type']!r}")
 
     def __contains__(self, key) -> bool:
         return key in self.obj

@@ -17,6 +17,7 @@ state dependence of observables is for.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -140,38 +141,37 @@ def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times
     StepError names the leg and the absolute times.
 
     trajectory, when given, is what evolve recorded from rho with the same
-    dt and midpoint settings as cfg.  Its records at whole numbers of steps
-    join the chain: a grid time it already holds costs no forward step, and
-    a later one chains from the last such record before it.
+    dt and midpoint settings as cfg, at any stride.  A leg to n whole steps
+    starts from the last record on the step grid at or before step n, looked
+    up in times, if it lies past the latest state: a recorded time costs no step.
     """
     fs, times = tuple(fs), tuple(times)
     for i, t in enumerate(times):
         require_real(f"times[{i}]", t)
-    recorded = {}  # whole steps -> (time, matrix) of the trajectory's records, checked once read
-    if trajectory is not None:
-        if not np.array_equal(trajectory.rho[0], rho.matrix):
-            raise ValueError("the trajectory must start at rho")
-        for time, state in zip(trajectory.times, trajectory.rho):
-            n, rem = flow_mod.split_steps(time, cfg.dt)
-            if rem == 0.0:
-                recorded[n] = (time, state)
+    if trajectory is not None and not np.array_equal(trajectory.rho[0], rho.matrix):
+        raise ValueError("the trajectory must start at rho")
     rhs = [trace_pairing(rho, f.eval(rho)) for f in fs]
     columns = {}
     for forward in (True, False):
         grid = sorted({t for t in times if (t >= 0) == forward}, key=abs)
-        chain = {**(recorded if forward else {}), 0: (0.0, rho)}  # whole steps -> (time, state or record)
+        latest = (0, 0.0, rho)  # the last state reached on the step grid: (steps, time, state)
         for t in grid:
             n, rem = flow_mod.split_steps(abs(t), cfg.dt)
-            k = max(j for j in chain if j <= n) if rem == 0.0 else 0
-            start, rho_t = chain[k]
-            rho_t = DensityMatrix(rho_t) if isinstance(rho_t, np.ndarray) else rho_t
+            k, start, rho_t = (0, 0.0, rho) if rem else latest
+            if forward and trajectory is not None and not rem:
+                i = bisect.bisect_right(trajectory.times, (n + 0.5) * cfg.dt) - 1
+                m, off = flow_mod.split_steps(trajectory.times[i], cfg.dt)
+                if off:  # only the final record ends off the step grid, on a shorter step
+                    i, m = i - 1, flow_mod.split_steps(trajectory.times[i - 1], cfg.dt)[0]
+                if m > k:
+                    k, start, rho_t = m, trajectory.times[i], DensityMatrix(trajectory.rho[i])
             try:
                 if k != n or rem:
                     rho_t, _ = flow_mod.propagate(h, rho_t, t - start, cfg)
             except flow_mod.StepError as exc:
                 raise exc.on_leg(f"forward leg from t = {start:g}", start) from exc
-            if rem == 0.0:
-                chain[n] = (t, rho_t)
+            if not rem:
+                latest = (n, t, rho_t)
             try:
                 back = flow_mod.propagate(h, rho_t, -t, cfg)
             except flow_mod.StepError as exc:

@@ -128,6 +128,14 @@ class TestRun:
         assert capsys.readouterr().err == "config error: integrator.recordstride: unknown field\n"
         assert not (tmp_path / "out").exists()
 
+    def test_key_of_another_type_is_config_error(self, koopman_config, tmp_path, capsys):
+        doc = json.loads(koopman_config.read_text())
+        doc["koopman"]["flow"] = {"type": "pendulum", "omega": 7.0}
+        koopman_config.write_text(json.dumps(doc))
+        assert main(["koopman", str(koopman_config), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("config error: koopman.flow.omega: "
+                                           "unknown field for type 'pendulum'\n")
+
     def test_fractionless_dimension_runs(self, rabi_config, tmp_path):
         doc = json.loads(rabi_config.read_text())
         doc["dimension"] = 2.0

@@ -11,6 +11,7 @@ import pytest
 
 import eqm_lab
 from eqm_lab.config import (
+    _DOCUMENT_KEYS,
     DEFAULT_THRESHOLDS,
     ConfigError,
     build_config,
@@ -355,6 +356,71 @@ class TestKeyFuzz:
             with pytest.raises(ConfigError) as err:
                 build_config(renamed)
             assert err.value.path == _path_text(prefix + (f"{key}_x",)), err.value
+
+
+def _typed_objects(node, prefix=()):
+    """(path, kind) of every object below node whose type has its own _DOCUMENT_KEYS entry."""
+    found = []
+    if isinstance(node, dict):
+        kind = re.sub(r"\[\d+\]", "", _path_text(prefix))
+        if f"{kind}:{node.get('type')}" in _DOCUMENT_KEYS:
+            found.append((prefix, kind))
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return []
+    for key, child in children:
+        found.extend(_typed_objects(child, prefix + (key,)))
+    return found
+
+
+class TestForeignTypeKeys:
+    @pytest.mark.parametrize("corpus_path", CORPUS, ids=lambda p: p.stem)
+    def test_a_key_of_another_type_is_a_config_error(self, corpus_path):
+        # Every key that another type of the same object declares is put in
+        # turn into each typed object of a shipped document; parsing fails at
+        # that key's path, naming the object's own type.
+        doc = json.loads(corpus_path.read_text())
+        build_config(doc)
+        tried = 0
+        for prefix, kind in _typed_objects(doc):
+            node = doc
+            for step in prefix:
+                node = node[step]
+            own = _DOCUMENT_KEYS[f"{kind}:{node['type']}"]
+            foreign = {key for entry, keys in _DOCUMENT_KEYS.items()
+                       if entry.startswith(f"{kind}:") for key in keys} - set(own)
+            for key in sorted(foreign):
+                tried += 1
+                with pytest.raises(ConfigError, match=f"unknown field for type {node['type']!r}$") as err:
+                    build_config(_replaced(doc, prefix + (key,), 1.0))
+                assert err.value.path == _path_text(prefix + (key,)), err.value
+        assert tried  # every shipped document holds a type that takes fewer keys than another
+
+    @pytest.mark.parametrize("section, obj, key", [
+        ("koopman", {"type": "pendulum", "omega": 7.0}, "omega"),
+        ("koopman", {"type": "harmonic", "g": 9.0}, "g"),
+        ("hamiltonian", {"type": "linear", "A": SZ, "lambda": 1.0}, "lambda"),
+        ("hamiltonian", {"type": "linear", "A": SZ, "B": SX}, "B"),
+        ("hamiltonian", {"type": "mean_field", "A": SZ, "B": SX, "lambda": 1.0, "terms": []},
+         "terms"),
+        ("hamiltonian", {"type": "polynomial", "terms": [], "A": SZ}, "A"),
+        ("observables", {"type": "constant", "A": SX, "B": SZ}, "B"),
+    ], ids=lambda v: v if isinstance(v, str) else v["type"] if isinstance(v, dict) else None)
+    def test_each_type_takes_only_its_own_keys(self, section, obj, key):
+        # A key that only another type reads is an error, not ignored.
+        if section == "koopman":
+            doc = {"id": "koopman-test", "outputs": ["koopman"],
+                   "koopman": {"flow": obj, "observables": [{"name": "q"}], "times": [0.5]}}
+            path = f"koopman.flow.{key}"
+        elif section == "hamiltonian":
+            doc, path = minimal_doc(hamiltonian=obj), f"hamiltonian.{key}"
+        else:
+            doc, path = minimal_doc(observables=[obj]), f"observables[0].{key}"
+        with pytest.raises(ConfigError, match=f"unknown field for type {obj['type']!r}$") as err:
+            build_config(doc)
+        assert err.value.path == path
 
 
 class TestShippedConfigs:

@@ -397,7 +397,10 @@ class TestRecordedForwardStates:
         # of the grid times, and 2 and 5 chain from the record at 1.
         fs = (constant_observable(sx), trace_scaled_observable(sz, sx))
         times = (0.5, 1.0, 2.0, 5.0)
-        for t_final, stride in ((1.0, 10), (5.0, 50), (5.0, 1)):
+        # Strides 3, 7 and 1000 hold few or none of them: a fed trajectory
+        # need share only dt and the midpoint settings.
+        for t_final, stride in ((1.0, 10), (5.0, 50), (5.0, 1),
+                                (1.0, 1), (5.0, 3), (5.0, 7), (5.0, 1000)):
             cfg = IntegratorConfig(dt=0.01, t_final=t_final, record_stride=stride)
             for h in (linear(sz), h_mf):
                 fed, unfed = self._fed_and_unfed(fs, h, qubit_up, times, cfg)
@@ -408,9 +411,10 @@ class TestRecordedForwardStates:
         # used; 0.7 and 2.1 are whole numbers of steps.
         fs = (constant_observable(sx), trace_scaled_observable(sz, sx))
         times = (0.5, 0.7, 1.1, 2.1, -0.7)
-        cfg = IntegratorConfig(dt=0.007, t_final=1.1, record_stride=4)
-        fed, unfed = self._fed_and_unfed(fs, h_mf, qubit_up, times, cfg)
-        assert np.all(fed == unfed)
+        for stride in (4, 1, 3, 7, 1000):
+            cfg = IntegratorConfig(dt=0.007, t_final=1.1, record_stride=stride)
+            fed, unfed = self._fed_and_unfed(fs, h_mf, qubit_up, times, cfg)
+            assert np.all(fed == unfed), stride
 
     def test_recorded_times_cost_no_forward_steps(self, h_mf, sx, qubit_up, monkeypatch):
         spans = []
@@ -426,6 +430,24 @@ class TestRecordedForwardStates:
         conservation_residuals((constant_observable(sx),), h_mf, qubit_up, (0.5, 1.0, 2.0), cfg, traj)
         # Backward runs from 0.5, 1 and 2, and one forward leg from 1 to 2.
         assert spans == pytest.approx([-0.5, -1.0, 1.0, -2.0])
+
+    def test_leg_past_an_off_grid_last_record_starts_at_the_record_before(self, h_mf, sx, qubit_up,
+                                                                           monkeypatch):
+        # At dt = 0.007 and stride 4 the last record, 1.1, ends on a shorter
+        # step after step 157; the leg to 2.1 starts at the record of step 156.
+        cfg = IntegratorConfig(dt=0.007, t_final=1.1, record_stride=4)
+        traj = evolve(h_mf, qubit_up, cfg)
+        assert traj.times[-2:] == (156 * 0.007, 1.1)
+        spans = []
+        counted = flow.propagate
+
+        def propagate_counted(h, rho, t, cfg):
+            spans.append(t)
+            return counted(h, rho, t, cfg)
+
+        monkeypatch.setattr(flow, "propagate", propagate_counted)
+        conservation_residuals((constant_observable(sx),), h_mf, qubit_up, (2.1,), cfg, traj)
+        assert spans == [2.1 - 156 * 0.007, -2.1]  # 1.008 forward, then back from 2.1
 
     def test_trajectory_must_start_at_rho(self, h_mf, sx, qubit_up, qubit_plus):
         cfg = IntegratorConfig(dt=0.01, t_final=0.1)

@@ -1,8 +1,11 @@
 """Tests for scenario execution, CSV emission, and report semantics."""
 
+import ast
 import importlib
+import inspect
 import json
 import math
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 
 import eqm_lab
-from eqm_lab import flow, hilbert
+from eqm_lab import flow, hilbert, observables
 from eqm_lab.config import DEFAULT_THRESHOLDS, build_config, with_dt
 from eqm_lab.hamiltonians import HamiltonianFunction
 from eqm_lab.observables import conservation_residuals
@@ -265,6 +268,39 @@ class TestCheckedRecords:
         assert len(built) == 2
         assert np.array_equal(built[0], p.rho[0]) and np.array_equal(built[1], q.rho[0])
         assert "states" not in vars(p) and "states" not in vars(q)
+
+
+class TestRecordLookup:
+    """The conservation grid reads the record each forward leg starts from, not every record."""
+
+    def test_split_steps_calls_do_not_grow_with_the_record_count(self, monkeypatch):
+        cfg = wigner_contrast()
+        calls, split = [], flow.split_steps
+
+        def counted(span, dt):
+            calls.append(span)
+            return split(span, dt)
+
+        counts = {}
+        for stride in (1, 10):
+            integrator = replace(cfg.integrator, record_stride=stride)
+            traj = flow.evolve(cfg.hamiltonian, cfg.initial_state, integrator)
+            monkeypatch.setattr(flow, "split_steps", counted)
+            calls.clear()
+            conservation_residuals(cfg.observables, cfg.hamiltonian, cfg.initial_state,
+                                   cfg.conservation_times, integrator, trajectory=traj)
+            monkeypatch.setattr(flow, "split_steps", split)
+            counts[len(traj.times)] = len(calls)
+        assert counts[501] == counts[51]  # 16 each: one lookup per forward grid time
+
+    def test_no_loop_over_records_and_no_type_branch(self):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(observables.conservation_residuals)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id != "isinstance"
+            if isinstance(node, (ast.For, ast.comprehension)):
+                names = {n.id for n in ast.walk(node.iter) if isinstance(n, ast.Name)}
+                assert "trajectory" not in names, ast.unparse(node.iter)
 
 
 class TestWignerPairFailure:
