@@ -35,6 +35,15 @@ OUTPUT_KINDS = ("trajectory", "invariants", "wigner", "conservation", "koopman")
 SINGLE_STATE_OUTPUTS = ("trajectory", "invariants", "wigner")  # read off one evolved state
 FLOW_OUTPUTS = SINGLE_STATE_OUTPUTS + ("conservation",)
 
+# A mean field steps by its split where the scenario's longest leg is at most
+# SPLIT_MAX_STEPS steps at dimension at most SPLIT_MAX_DIM, by the midpoint
+# rule elsewhere.  The split repeats the rounding of its cached half step, so
+# its trace defect grows with the step count: at d = 4 and dt = 1e-3 by
+# ~1.6e-15 a step, past the trace row's 1e-11 at step 6542 and TRACE_TOL at
+# step 31445 (longrun/test_split_longrun.py).  It was measured only up to d = 4.
+SPLIT_MAX_STEPS = 5000
+SPLIT_MAX_DIM = 4
+
 # Check thresholds; config values override these module defaults.
 DEFAULT_THRESHOLDS = {
     "unitarity": hilbert.UNITARITY_TOL,
@@ -149,7 +158,21 @@ def with_dt(cfg: ScenarioConfig, dt: float) -> ScenarioConfig:
     with _at("integrator.dt"):
         hilbert.require_real("dt", dt, positive=True)  # before float() reads a bool or a string
         integrator = replace(cfg.integrator, dt=float(dt))
-    return replace(cfg, integrator=integrator)
+    hamiltonian = _fit_split(cfg.hamiltonian, integrator, cfg.conservation_times)
+    return replace(cfg, hamiltonian=hamiltonian, integrator=integrator)
+
+
+def _fit_split(h: HamiltonianFunction, integrator: IntegratorConfig,
+               conservation_times: tuple) -> HamiltonianFunction:
+    """h, without its split unless the scenario's longest leg is in the split's measured range.
+
+    Every run of a scenario, its evolve and each conservation leg, then takes
+    the same step, and the chained legs keep their bits.
+    """
+    reach = max((integrator.t_final, *map(abs, conservation_times)))
+    if h.split is None or (h.dim <= SPLIT_MAX_DIM and reach / integrator.dt <= SPLIT_MAX_STEPS):
+        return h
+    return replace(h, split=None)
 
 
 _REQUIRED = object()
@@ -251,7 +274,8 @@ def _parse_hamiltonian(f: _Fields, dim) -> HamiltonianFunction:
     if kind == "linear":
         return linear(f.hermitian("A", dim))
     if kind == "mean_field":
-        return mean_field(f.hermitian("A", dim), f.hermitian("B", dim), f.number("lambda"))
+        return mean_field(f.hermitian("A", dim), f.hermitian("B", dim), f.number("lambda"),
+                          split=True)
     if kind == "polynomial":
         terms = []
         for entry in f.items("terms"):
@@ -352,11 +376,18 @@ def _parse_flow(top: _Fields, outputs: tuple) -> dict:
         hilbert.require_dim("dimension", dimension)
     hamiltonian = _parse_hamiltonian(top.fields("hamiltonian"), dimension)
     initial = _parse_initial(top.fields("initial"), dimension)
-    integrator = _parse_integrator(top.fields("integrator"))
+    integrator_f = top.fields("integrator")
+    integrator = _parse_integrator(integrator_f)
     observables = tuple(_parse_observable(_Fields(*entry), dimension, i)
                         for i, entry in enumerate(top.items("observables", [])))
     conservation_times = tuple(_number(*entry)
                                for entry in top.items("conservation_times", [integrator.t_final]))
+    hamiltonian = _fit_split(hamiltonian, integrator, conservation_times)
+    if hamiltonian.split is not None:
+        for key in ("midpoint_tol", "midpoint_max_iter"):
+            if key in integrator_f:
+                raise ConfigError(integrator_f.path_of(key), "not used: this mean field takes "
+                                  "its split step, which has no midpoint iteration")
     wigner_pair = _state(top.fields("wigner_pair"), dimension) if "wigner_pair" in top else None
 
     for out in SINGLE_STATE_OUTPUTS:

@@ -5,7 +5,9 @@ unitary family solves i du/dt = D(rho_t) u with u(0) = identity and D the
 operator-valued differential of the generating Hamiltonian function.  One
 step uses an exponential-midpoint rule: the generator is evaluated at a
 self-consistent midpoint state found by fixed-point iteration, and the step
-map exp(-i dt D_mid) is exactly unitary because D_mid is Hermitian.  Drift
+map exp(-i dt D_mid) is exactly unitary because D_mid is Hermitian.  A
+mean field that carries its split (see eqm_lab.hamiltonians) steps instead
+by the Strang composition of its two exact flows, with no iteration.  Drift
 in the structural invariants is monitored, never repaired.
 """
 
@@ -239,19 +241,44 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
     pass with an increment of exactly 0, and the step map is exp(-i dt D)
     of the one matrix D; it is computed once per signed step size (the full
     step and the remainder), which gives the same bits every step.
+
+    A mean field h = Tr(rho A) + (s/2) Tr(rho B)^2 that carries h.split
+    steps by the Strang composition phi^A_(dt/2) o phi^B_dt o phi^A_(dt/2)
+    of its two exact flows: conjugation by H = exp(-i dt/2 A), and by
+    exp(-i dt s m B), where m = Tr(rho B) is constant along that flow
+    (G. Strang, SIAM J. Numer. Anal. 5, 506 (1968)).  The step is
+    symmetric, of second order and a Poisson map, and calls no generator.
+    With B = V diag(w) V^dagger, taken once per run, and H, HV, V^dagger H
+    and the pairing with H^dagger B H cached per signed step size, the step
+    map is S = (HV exp(-i dt s m w)) V^dagger H with m = Tr(rho H^dagger B H).
+    The cached H repeats its rounding every step, so a split run drifts in
+    trace as a linear one does; config splits runs of at most
+    config.SPLIT_MAX_STEPS steps.
     """
     if h.dim is not None and h.dim != rho.shape[0]:
         raise ValueError(f"Hamiltonian function {h.label!r} acts on dimension {h.dim}, "
                          f"the state has dimension {rho.shape[0]}")
     generator = h.generator
     fixed = generator(rho) if h.state_independent else None
-    steppers = {}  # signed step size -> exp(-i dt D) of the fixed generator
+    split = h.split
+    if split is not None:
+        a, b, strength = split
+        w, v = _eigh(b)
+    steppers = {}  # signed step size -> exp(-i dt D) of the fixed generator, or split factors
     tol, estimate_tol = cfg.midpoint_tol, MIDPOINT_KAPPA * cfg.midpoint_tol
     u = np.eye(rho.shape[0], dtype=complex)
     # Products go through ndarray.dot: the same zgemm call as @, with the same
     # bits, without the matmul gufunc's dispatch (which dominates at small d).
     for k, (dt, time) in enumerate(schedule(span, cfg.dt), 1):
-        if fixed is not None:
+        if split is not None:
+            if dt not in steppers:
+                half = expm_hermitian(a, 0.5 * dt)
+                pairing = half.conj().T.dot(b).dot(half).T.ravel()
+                steppers[dt] = half.dot(v), v.conj().T.dot(half), pairing, -dt * strength * w
+            half_v, v_half, pairing, angles = steppers[dt]
+            m = float(rho.ravel().dot(pairing).real)
+            stepper = (half_v * np.exp(1j * m * angles)).dot(v_half)
+        elif fixed is not None:
             if dt not in steppers:
                 if not np.isfinite(fixed).all():
                     raise GeneratorError(h.label, k, time - dt, time)

@@ -22,7 +22,7 @@ validates the operator it returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,6 +55,12 @@ class HamiltonianFunction:
     ``dim`` is the dimension the function acts on, or None when it fits any
     state; the integrator rejects a state of another dimension before its
     first step.  The factories set it from their operators.
+
+    ``split`` is None, or the matrices (A, B) and the strength s of a mean
+    field h = Tr(rho A) + (s/2) Tr(rho B)^2 whose flow the integrator is to
+    step by the Strang split of its two exact flows in place of the
+    midpoint rule (see eqm_lab.flow).  ``mean_field(..., split=True)`` sets
+    it; a function built by hand has none.
     """
 
     value: Callable[[DensityMatrix], float]
@@ -63,6 +69,7 @@ class HamiltonianFunction:
     generator: Callable[[np.ndarray], np.ndarray] | None = None
     state_independent: bool = False
     dim: int | None = None
+    split: tuple | None = field(default=None, compare=False)  # arrays: no == or hash
 
     def __post_init__(self):
         if self.dim is not None:
@@ -94,6 +101,7 @@ def mean_field(
     coupling: HermitianOperator,
     strength: float,
     label: str = "mean_field",
+    split: bool = False,
 ) -> HamiltonianFunction:
     require_same_dim(linear_term, coupling)
     require_real("strength", strength)
@@ -109,7 +117,8 @@ def mean_field(
         return a + strength * float(m.ravel().dot(b_t).real) * b
 
     return HamiltonianFunction(value=value, label=label, generator=generator,
-                               dim=linear_term.dim)
+                               dim=linear_term.dim,
+                               split=(a, b, float(strength)) if split else None)
 
 
 def polynomial(terms: Sequence, label: str = "polynomial") -> HamiltonianFunction:
@@ -251,7 +260,8 @@ def shift_differential(h: HamiltonianFunction, c: float) -> HamiltonianFunction:
     """Add the gauge term c*Tr(rho): value shifts by c, differential by c*identity.
 
     The shifted function generates the same state flow; only the global phase
-    of the realizing unitaries changes.
+    of the realizing unitaries changes.  A split function stays split, with
+    A + c*identity as its linear term.
     """
     require_real("c", c)
 
@@ -262,5 +272,9 @@ def shift_differential(h: HamiltonianFunction, c: float) -> HamiltonianFunction:
         base = h.generator(m)
         return base + c * np.eye(base.shape[0])
 
+    split = None
+    if h.split is not None:
+        a, b, strength = h.split
+        split = (a + c * np.eye(a.shape[0]), b, strength)
     return HamiltonianFunction(value=value, label=f"{h.label}+{c:g}*tr", generator=generator,
-                               state_independent=h.state_independent, dim=h.dim)
+                               state_independent=h.state_independent, dim=h.dim, split=split)

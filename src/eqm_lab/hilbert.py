@@ -256,11 +256,12 @@ def trace_pairing(rho: DensityMatrix, a: HermitianOperator) -> float:
     """Re Tr(rho A), the duality pairing between states and observables.
 
     The imaginary part of the trace vanishes for valid inputs and is asserted
-    to be below HERMITICITY_TOL; a larger value signals corrupted inputs.
+    to be below HERMITICITY_TOL * max(1, max_abs(A)), since its rounding grows
+    with A's entries; a larger value signals corrupted inputs.
     """
     require_same_dim(rho, a)
     value = complex(trace_product(rho.matrix, a.matrix))
-    if abs(value.imag) > HERMITICITY_TOL:
+    if abs(value.imag) > HERMITICITY_TOL * max(1.0, max_abs(a.matrix)):
         raise ValueError(f"trace pairing has a non-negligible imaginary part: {value.imag:.3e}")
     return value.real
 

@@ -128,6 +128,17 @@ class TestRun:
         assert capsys.readouterr().err == "config error: integrator.recordstride: unknown field\n"
         assert not (tmp_path / "out").exists()
 
+    def test_midpoint_key_of_a_split_scenario_is_config_error(self, tmp_path, capsys):
+        doc = json.loads((CORPUS / "02-mean-field-qubit.json").read_text())
+        doc["integrator"]["midpoint_tol"] = 1e-10
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("config error: integrator.midpoint_tol: not used: this "
+                                           "mean field takes its split step, which has no "
+                                           "midpoint iteration\n")
+        assert not (tmp_path / "out").exists()
+
     def test_key_of_another_type_is_config_error(self, koopman_config, tmp_path, capsys):
         doc = json.loads(koopman_config.read_text())
         doc["koopman"]["flow"] = {"type": "pendulum", "omega": 7.0}
@@ -168,7 +179,11 @@ class TestRun:
         doc = {
             "id": "too-coarse",
             "dimension": 2,
-            "hamiltonian": {"type": "mean_field", "A": SX, "B": SZ, "lambda": 1.0},
+            # The mean field Tr(rho A) + Tr(rho B)^2 / 2 as a polynomial, which
+            # takes the midpoint rule on a run of any length.
+            "hamiltonian": {"type": "polynomial", "terms": [
+                {"coefficient": 1.0, "factors": [SX]},
+                {"coefficient": 0.5, "factors": [SZ, SZ]}]},
             "initial": {"density_matrix": matrix_to_pairs(np.diag([1.0, 0.0]))},
             "integrator": {"dt": 3.0, "t_final": 6.0},
             "outputs": ["invariants"],

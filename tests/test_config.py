@@ -13,6 +13,7 @@ import eqm_lab
 from eqm_lab.config import (
     _DOCUMENT_KEYS,
     DEFAULT_THRESHOLDS,
+    SPLIT_MAX_DIM,
     ConfigError,
     build_config,
     parse_config,
@@ -190,6 +191,40 @@ class TestValidation:
         doc = minimal_doc(integrator={"dt": 0.5, "t_final": 0.1})
         with pytest.raises(ConfigError, match="integrator"):
             build_config(doc)
+
+    def test_a_mean_field_carries_its_split(self):
+        doc = minimal_doc(hamiltonian={"type": "mean_field", "A": SX, "B": SZ, "lambda": 0.5})
+        a, b, strength = build_config(doc).hamiltonian.split
+        assert np.array_equal(a, SIGMA_X) and np.array_equal(b, SIGMA_Z) and strength == 0.5
+
+    @pytest.mark.parametrize("integrator, times, split", [
+        ({"dt": 1e-3, "t_final": 5.0}, [], True),            # 5000 steps, SPLIT_MAX_STEPS
+        ({"dt": 1e-3, "t_final": 0.1}, [5.0, -5.0], True),
+        ({"dt": 1e-3, "t_final": 5.5}, [], False),
+        ({"dt": 1e-3, "t_final": 0.1}, [0.5, 5.5], False),   # the longest conservation leg
+        ({"dt": 1e-3, "t_final": 0.1}, [-5.5], False),
+    ], ids=["at-limit", "legs-at-limit", "evolve-past", "leg-past", "backward-leg-past"])
+    def test_the_split_is_dropped_when_the_longest_leg_is_past_the_limit(
+            self, integrator, times, split):
+        # Every run of a scenario takes the same step: the split if its
+        # longest leg fits, the midpoint on every run otherwise.
+        doc = minimal_doc(hamiltonian={"type": "mean_field", "A": SX, "B": SZ, "lambda": 1.0},
+                          integrator=integrator,
+                          conservation_times=times or [integrator["t_final"]])
+        assert (build_config(doc).hamiltonian.split is not None) == split
+
+    @pytest.mark.parametrize("dim", [SPLIT_MAX_DIM, SPLIT_MAX_DIM + 1])
+    def test_the_split_is_dropped_above_the_measured_dimension(self, dim):
+        a, b = (matrix_to_pairs(m) for m in (np.diag(np.arange(dim, dtype=float)), np.eye(dim)))
+        doc = minimal_doc(dimension=dim,
+                          hamiltonian={"type": "mean_field", "A": a, "B": b, "lambda": 1.0},
+                          initial={"density_matrix": matrix_to_pairs(np.eye(dim) / dim)})
+        assert (build_config(doc).hamiltonian.split is not None) == (dim <= SPLIT_MAX_DIM)
+
+    def test_other_families_carry_no_split(self):
+        polynomial = {"type": "polynomial", "terms": [{"coefficient": 0.5, "factors": [SZ, SZ]}]}
+        for hamiltonian in ({"type": "linear", "A": SZ}, polynomial):
+            assert build_config(minimal_doc(hamiltonian=hamiltonian)).hamiltonian.split is None
 
     def test_missing_required_field(self):
         doc = minimal_doc()
@@ -423,6 +458,27 @@ class TestForeignTypeKeys:
         assert err.value.path == path
 
 
+class TestMidpointKeys:
+    DOC = dict(hamiltonian={"type": "mean_field", "A": SX, "B": SZ, "lambda": 1.0})
+
+    @pytest.mark.parametrize("key, value", [("midpoint_tol", 1e-10), ("midpoint_max_iter", 20)])
+    def test_a_midpoint_key_of_a_split_scenario_is_a_config_error(self, key, value):
+        # The split step takes no midpoint iteration, so the key would be ignored.
+        doc = minimal_doc(integrator={"dt": 1e-3, "t_final": 0.1, key: value}, **self.DOC)
+        with pytest.raises(ConfigError) as err:
+            build_config(doc)
+        assert err.value.path == f"integrator.{key}"
+        assert str(err.value) == (f"integrator.{key}: not used: this mean field takes its "
+                                  "split step, which has no midpoint iteration")
+
+    @pytest.mark.parametrize("key, value", [("midpoint_tol", 1e-10), ("midpoint_max_iter", 20)])
+    def test_a_midpoint_key_is_read_where_the_midpoint_runs(self, key, value):
+        long = minimal_doc(integrator={"dt": 1e-3, "t_final": 6.0, key: value}, **self.DOC)
+        assert getattr(build_config(long).integrator, key) == value
+        linear = minimal_doc(integrator={"dt": 1e-3, "t_final": 0.1, key: value})
+        assert getattr(build_config(linear).integrator, key) == value
+
+
 class TestShippedConfigs:
     def test_sample_documents_parse(self):
         # The shipped configs are the corpus files, one per suite scenario.
@@ -457,6 +513,18 @@ class TestDtOverride:
         assert with_dt(cfg, np.float64(0.05)).integrator.dt == 0.05
         cfg = build_config(minimal_doc(integrator={"dt": 0.1, "t_final": 1.0}))
         assert with_dt(cfg, 1).integrator.dt == 1.0
+
+    def test_override_refits_the_split(self):
+        doc = minimal_doc(hamiltonian={"type": "mean_field", "A": SX, "B": SZ, "lambda": 1.0},
+                          integrator={"dt": 1e-3, "t_final": 1.0})
+        cfg = build_config(doc)
+        assert cfg.hamiltonian.split is not None
+        assert with_dt(cfg, 1e-2).hamiltonian.split is not None
+        fine = with_dt(cfg, 1e-4)  # 10^4 steps
+        assert fine.hamiltonian.split is None
+        assert fine.hamiltonian.generator is cfg.hamiltonian.generator
+        # A split dropped stays dropped: the scenario keeps the midpoint at any dt.
+        assert with_dt(fine, 1e-2).hamiltonian.split is None
 
     def test_override_without_integrator(self):
         doc = {

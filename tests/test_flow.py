@@ -742,6 +742,43 @@ class TestConvergenceOrder:
             float(np.linalg.norm(coarse * np.eye(2))), float(np.linalg.norm(fine * np.eye(2))))
 
 
+def exact_conjugation(a, s):
+    """exp(-i s A) by numpy's own eigh, not the package's expm_hermitian."""
+    w, v = np.linalg.eigh(a)
+    return (v * np.exp(-1j * s * w)) @ v.conj().T
+
+
+class TestSplitStep:
+    """The Strang split of a mean field, phi^A_(dt/2) o phi^B_dt o phi^A_(dt/2)."""
+
+    @staticmethod
+    def split_pair(rng, dim):
+        a, b = (random_hermitian(rng, dim, scale=1 / math.sqrt(dim)) for _ in range(2))
+        return mean_field(a, b, 0.7, split=True), a.matrix, b.matrix
+
+    def test_a_step_is_the_three_exact_flows(self, rng):
+        for dim in STEP_DIMS:
+            h, a, b = self.split_pair(rng, dim)
+            rho = random_density(rng, dim)
+            half = exact_conjugation(a, 0.005)
+            m = np.trace(half @ rho.matrix @ half.conj().T @ b).real
+            step = half @ exact_conjugation(0.7 * m * b, 0.01) @ half
+            rho1, u1 = propagate(h, rho, 0.01, IntegratorConfig(dt=0.01, t_final=0.01))
+            assert max_abs(u1.matrix - step) < 1e-14, dim
+            assert max_abs(rho1.matrix - step @ rho.matrix @ step.conj().T) < 1e-14, dim
+
+    def test_calls_no_generator(self, sx, sz, qubit_up):
+        h = mean_field(sx, sz, 1.0, split=True)
+
+        def generator(m):
+            raise AssertionError("the split step called the generator")
+
+        by_hand = HamiltonianFunction(value=h.value, generator=generator, dim=2, split=h.split)
+        cfg = IntegratorConfig(dt=0.01, t_final=1.0, record_stride=10)
+        traj, reference = evolve(by_hand, qubit_up, cfg), evolve(h, qubit_up, cfg)
+        assert np.array_equal(traj.rho, reference.rho) and np.array_equal(traj.u, reference.u)
+
+
 # The per-record scans the monitors and overlap_deviation ran before they
 # read their records in stacked blocks: the stacked forms must keep these bits.
 PER_RECORD_MONITORS = {

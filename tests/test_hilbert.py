@@ -203,6 +203,22 @@ class TestTracePairing:
                                              r"part: 1\.000e\+00$"):
             trace_pairing(corrupted, sy)
 
+    def test_accepts_valid_pairings_of_large_operators(self):
+        # The imaginary part's rounding grows with A: at scale 1e6 it passed
+        # an absolute 1e-12 on 76 of these 200 pairs, and the tolerance now
+        # scales with A's largest entry.
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            rho, a = random_density(rng, 4), random_hermitian(rng, 4, 1e6)
+            assert trace_pairing(rho, a) == pytest.approx(
+                float(np.trace(rho.matrix @ a.matrix).real), rel=1e-12, abs=1e-6)
+
+    def test_rejects_an_imaginary_part_of_a_large_operator(self, sy):
+        corrupted = DensityMatrix._accepted(np.array([[1.0, 1e-3], [0.0, 0.0]], dtype=complex))
+        with pytest.raises(ValueError, match=r"^trace pairing has a non-negligible imaginary "
+                                             r"part: 1\.000e\+03$"):
+            trace_pairing(corrupted, HermitianOperator(1e6 * sy.matrix))
+
 
 class TestTransitionProbability:
     def test_require_pure_names_what_it_rejects(self, qubit_up, qubit_plus):

@@ -402,7 +402,7 @@ class TestRecordedForwardStates:
         for t_final, stride in ((1.0, 10), (5.0, 50), (5.0, 1),
                                 (1.0, 1), (5.0, 3), (5.0, 7), (5.0, 1000)):
             cfg = IntegratorConfig(dt=0.01, t_final=t_final, record_stride=stride)
-            for h in (linear(sz), h_mf):
+            for h in (linear(sz), h_mf, mean_field(sx, sz, 1.0, split=True)):
                 fed, unfed = self._fed_and_unfed(fs, h, qubit_up, times, cfg)
                 assert np.all(fed == unfed), (t_final, stride, h.label)
 

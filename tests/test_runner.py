@@ -14,7 +14,8 @@ import pytest
 
 import eqm_lab
 from eqm_lab import flow, hilbert, observables
-from eqm_lab.config import DEFAULT_THRESHOLDS, build_config, with_dt
+from eqm_lab.config import (DEFAULT_THRESHOLDS, SPLIT_MAX_DIM, SPLIT_MAX_STEPS, build_config,
+                            with_dt)
 from eqm_lab.hamiltonians import HamiltonianFunction
 from eqm_lab.observables import conservation_residuals
 from eqm_lab.runner import (
@@ -50,6 +51,11 @@ def rabi_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def on_the_midpoint(cfg):
+    """cfg with its mean field stepped by the midpoint rule, as a run too long to split is."""
+    return replace(cfg, hamiltonian=replace(cfg.hamiltonian, split=None))
 
 
 def parse_csv(text):
@@ -119,7 +125,7 @@ class TestRunScenario:
 
     def test_nonconvergence_is_annotated_with_scenario_id(self):
         mean_field_doc = next(d for d in corpus_documents() if d["id"] == "mean-field-qubit")
-        cfg = with_dt(build_config(mean_field_doc), 3.0)
+        cfg = on_the_midpoint(with_dt(build_config(mean_field_doc), 3.0))
         with pytest.raises(ScenarioError, match="mean-field-qubit.*did not settle"):
             run_scenario(cfg)
 
@@ -236,6 +242,43 @@ class TestNonlinearOracle:
         assert abs(deviation - exact) <= self.TOL
 
 
+SPLIT_SCENARIOS = ("mean-field-qubit", "gauge-shift", "conservation-mean-field-n4",
+                   "wigner-contrast")
+
+
+class TestSplitCorpus:
+    """The corpus's mean-field scenarios step by the Strang split, and stay clear of its limit."""
+
+    @pytest.mark.parametrize("dt", [None, 1e-2])
+    def test_the_mean_field_scenarios_run_the_split(self, dt):
+        for doc in corpus_documents():
+            if "hamiltonian" in doc:
+                cfg = build_config(doc) if dt is None else with_dt(build_config(doc), dt)
+                split = cfg.hamiltonian.split is not None
+                assert split == (doc["id"] in SPLIT_SCENARIOS), doc["id"]
+
+    def test_mean_field_qubit_is_second_order(self):
+        cfg = build_config(next(d for d in corpus_documents() if d["id"] == "mean-field-qubit"))
+        estimate = flow.convergence_order(cfg.hamiltonian, cfg.initial_state, 1.0, dt=0.01)
+        assert not estimate.exact
+        assert 1.8 <= estimate.order <= 2.2  # 2.00003
+
+    def test_no_leg_nears_the_compounding_limit(self, monkeypatch):
+        legs, kernel = [], flow._steps
+
+        def counted(h, rho, span, integrator):
+            legs.append([h.split is not None, len(rho), 0])
+            for step in kernel(h, rho, span, integrator):
+                legs[-1][2] += 1
+                yield step
+
+        monkeypatch.setattr(flow, "_steps", counted)
+        for scenario in SPLIT_SCENARIOS:
+            run_scenario(build_config(next(d for d in corpus_documents() if d["id"] == scenario)))
+        assert all(split and dim <= SPLIT_MAX_DIM for split, dim, _ in legs)
+        assert max(steps for _, _, steps in legs) <= SPLIT_MAX_STEPS
+
+
 class TestCheckedRecords:
     """A reader of a trajectory's stacks checks the records it wraps, and only those."""
 
@@ -345,7 +388,7 @@ class TestMidpointPasses:
         # exponential per midpoint pass.  The plain increment rule takes 3.99
         # per step here; the contraction estimate 3.13.
         doc = next(d for d in corpus_documents() if d["id"] == "conservation-mean-field-n4")
-        cfg = with_dt(build_config(doc), 0.01)
+        cfg = on_the_midpoint(with_dt(build_config(doc), 0.01))
         exact, sizes = flow.expm_hermitian, []
 
         def counted(mat, s):
@@ -365,7 +408,7 @@ class TestAsymmetricStep:
     @pytest.mark.parametrize("scenario", ["mean-field-qubit", "conservation-mean-field-n4"])
     def test_only_the_conservation_rows_fail(self, monkeypatch, scenario):
         doc = next(d for d in corpus_documents() if d["id"] == scenario)
-        cfg = with_dt(build_config(doc), 1e-2)
+        cfg = on_the_midpoint(with_dt(build_config(doc), 1e-2))
         _, rows = run_scenario(cfg)
         assert all(row.passed for row in rows)
         # A nonlinear step calls expm_hermitian at s = dt / 2 once per midpoint
@@ -382,6 +425,32 @@ class TestAsymmetricStep:
             return exact(mat, s)
 
         monkeypatch.setattr(flow, "expm_hermitian", start_of_step)
+        _, mutated = run_scenario(cfg)
+        assert [row.check for row in mutated] == [row.check for row in rows]
+        conservation = [row.check.startswith("conservation[") for row in mutated]
+        assert sum(conservation) == 8
+        assert [not row.passed for row in mutated] == conservation
+
+    @pytest.mark.parametrize("scenario", ["mean-field-qubit", "conservation-mean-field-n4"])
+    def test_an_asymmetric_split_fails_only_the_conservation_rows(self, monkeypatch, scenario):
+        doc = next(d for d in corpus_documents() if d["id"] == scenario)
+        cfg = with_dt(build_config(doc), 1e-2)
+        assert cfg.hamiltonian.split is not None
+        _, rows = run_scenario(cfg)
+        assert all(row.passed for row in rows)
+
+        def asymmetric(h, rho, span, integrator):
+            # phi^A_dt o phi^B_dt: each factor an exact unitary flow, the
+            # composition of first order and not symmetric.
+            a, b, strength = h.split
+            u = np.eye(len(rho), dtype=complex)
+            for k, (dt, time) in enumerate(flow.schedule(span, integrator.dt), 1):
+                m = np.trace(rho @ b).real
+                step = hilbert.expm_hermitian(a, dt) @ hilbert.expm_hermitian(strength * m * b, dt)
+                rho, u = step @ rho @ step.conj().T, step @ u
+                yield k, time, rho, u
+
+        monkeypatch.setattr(flow, "_steps", asymmetric)
         _, mutated = run_scenario(cfg)
         assert [row.check for row in mutated] == [row.check for row in rows]
         conservation = [row.check.startswith("conservation[") for row in mutated]
