@@ -44,6 +44,9 @@ EXACT_ERROR_FLOOR = 1e-12  # self-convergence errors below this count as exact
 # Records are checked and monitored in stacks of at most this many bytes of
 # matrices: 1024 records at d = 2, 16 at d = 16, one at d = 64.
 RECORD_BLOCK_BYTES = 1 << 16
+# The most steps one run takes: past 2**53 a float no longer tells
+# consecutive step counts apart.
+MAX_STEPS = 2**53
 
 
 class StepError(Exception):
@@ -316,9 +319,10 @@ def _run(h: HamiltonianFunction, rho0: DensityMatrix, span: float, cfg: Integrat
     """The flow over the signed span, recorded at every stride-th step (or none) and the last.
 
     The records are copied into read-only stacks sized before the first step
-    (a count too large to hold raises ValueError) and checked a block of
-    RECORD_BLOCK_BYTES at a time: a bad record raises StateError once its
-    block is full, the run ends or the kernel raises, before any later error.
+    (a count too large to hold, or more than MAX_STEPS steps, raises
+    ValueError) and checked a block of RECORD_BLOCK_BYTES at a time: a bad
+    record raises StateError once its block is full, the run ends or the
+    kernel raises, before any later error.
     """
     n_full, rem = split_steps(abs(span), cfg.dt)
     steps = n_full + (rem > 0)
@@ -329,6 +333,9 @@ def _run(h: HamiltonianFunction, rho0: DensityMatrix, span: float, cfg: Integrat
     except (ValueError, MemoryError) as exc:
         raise ValueError(f"a span of {span:g} at dt = {cfg.dt:g} gives {count:.3g} records, "
                          "too many to hold") from exc
+    if steps > MAX_STEPS:
+        raise ValueError(f"a span of {span:g} at dt = {cfg.dt:g} takes {steps:.3g} steps, "
+                         "more than MAX_STEPS = 2**53")
     rho[0], u[0] = rho0.matrix, np.eye(rho0.dim)
     times, checked, size = [0.0], 1, _block_size(rho)
 

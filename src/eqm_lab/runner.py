@@ -19,19 +19,11 @@ import numpy as np
 from . import flow as flow_mod
 from . import koopman as koopman_mod
 from .config import DEFAULT_THRESHOLDS, SINGLE_STATE_OUTPUTS, ScenarioConfig, build_config, with_dt
-from .flow import ConvergenceError, IntegratorConfig, Trajectory
-from .hamiltonians import linear, mean_field, shift_differential
-from .hilbert import (
-    SIGMA_X,
-    SIGMA_Z,
-    DensityMatrix,
-    HermitianOperator,
-    matrix_from_pairs,
-    max_abs,
-    re_im_view,
-    trace_pairing,
-)
-# conservation_residual is looked up here by perfbench/tracer.py; keep the name.
+from .flow import ConvergenceError, Trajectory
+# linear, mean_field and conservation_residual are looked up here by
+# perfbench/tracer.py; keep the names.
+from .hamiltonians import linear, mean_field, shift_differential  # noqa: F401
+from .hilbert import matrix_from_pairs, max_abs, re_im_view, trace_pairing
 from .observables import StateMeasure, conservation_residual, conservation_residuals  # noqa: F401
 
 
@@ -227,41 +219,50 @@ def corpus_documents() -> list[dict]:
     return [json.loads(f.read_text()) for f in files]
 
 
+def _corpus(dt: float | None = None, scenario_id: str | None = None):
+    """Yield (document, config) of each corpus scenario in suite order, or of scenario_id only.
+
+    A config with an integrator takes step dt, unless dt is None.
+    """
+    for doc in corpus_documents():
+        if scenario_id in (None, doc["id"]):
+            cfg = build_config(doc)
+            yield doc, (cfg if dt is None or cfg.integrator is None else with_dt(cfg, dt))
+
+
 def four_level_ops() -> tuple[np.ndarray, np.ndarray]:
     """The N=4 ladder operator and diag(1.5, 0.5, -0.5, -1.5).
 
     They are the Hamiltonian and the constant observable of the
     ``conservation-linear-n4`` corpus scenario.
     """
-    doc = next(d for d in corpus_documents() if d["id"] == "conservation-linear-n4")
+    ((doc, _),) = _corpus(scenario_id="conservation-linear-n4")
     constant = next(f for f in doc["observables"] if f["type"] == "constant")
     return matrix_from_pairs(doc["hamiltonian"]["A"]), matrix_from_pairs(constant["A"])
 
 
 def _suite_cross_checks(dt: float | None, thresholds: dict) -> list[ReportRow]:
-    """Suite-level comparisons across runs: linear oracle and gauge shift.
+    """Suite-level comparisons across runs of corpus flows: linear oracle and gauge shift.
 
-    The oracle starts from |+>, which sigma_z rotates, so a phase error of
-    the integrator shows in the state.
+    The oracle evolves ``linear-qubit``, whose sigma_z rotates its |+>, so a
+    phase error of the integrator shows in the state.  The gauge check
+    evolves ``gauge-shift`` with and without 10 Tr(rho) added to h: the
+    states must agree and the cocycles differ by the phase exp(-10 i t).
     """
-    cfg = IntegratorConfig(dt=1e-3 if dt is None else dt, t_final=1.0, record_stride=10)
-    sx = HermitianOperator(SIGMA_X)
-    sz = HermitianOperator(SIGMA_Z)
-    up = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-    plus = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
-
-    traj = flow_mod.evolve(linear(sz), plus, cfg)
+    ((doc, cfg),) = _corpus(dt, "linear-qubit")
+    traj = flow_mod.evolve(cfg.hamiltonian, cfg.initial_state, cfg.integrator)
     # The reference takes its own eigh, not the kernel's expm_hermitian.
-    eigvals, eigvecs = np.linalg.eigh(SIGMA_Z)
+    eigvals, eigvecs = np.linalg.eigh(matrix_from_pairs(doc["hamiltonian"]["A"]))
+    rho0 = cfg.initial_state.matrix
     oracle_defect = 0.0
     for t, state in zip(traj.times, traj.rho):
         u = (eigvecs * np.exp(-1j * t * eigvals)) @ eigvecs.conj().T
-        exact = u @ plus.matrix @ u.conj().T
-        oracle_defect = max(oracle_defect, max_abs(state - exact))
+        oracle_defect = max(oracle_defect, max_abs(state - u @ rho0 @ u.conj().T))
 
-    shift, h = 10.0, mean_field(sx, sz, 1.0)
-    base = flow_mod.evolve(h, up, cfg)
-    shifted = flow_mod.evolve(shift_differential(h, shift), up, cfg)
+    ((_, cfg),) = _corpus(dt, "gauge-shift")
+    shift = 10.0
+    base, shifted = (flow_mod.evolve(h, cfg.initial_state, cfg.integrator)
+                     for h in (cfg.hamiltonian, shift_differential(cfg.hamiltonian, shift)))
     rho_defect = max_abs(shifted.rho - base.rho)
     phases = np.exp(-1j * shift * np.array(base.times))
     phase_defect = max_abs(shifted.u - phases[:, None, None] * base.u)
@@ -288,10 +289,7 @@ def run_suite(out_dir: Path, dt: float | None = None) -> list[ReportRow]:
     Cross-checks that fail the same way give one such row for ``suite``.
     """
     all_rows: list[ReportRow] = []
-    for doc in corpus_documents():
-        cfg = build_config(doc)
-        if dt is not None and cfg.integrator is not None:
-            cfg = with_dt(cfg, dt)
+    for _, cfg in _corpus(dt):
         try:
             all_rows.extend(run_and_write(cfg, out_dir))
         except ScenarioError as exc:

@@ -1,6 +1,9 @@
 """Tests for the command-line front end and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -217,6 +220,26 @@ def test_uncountable_span_exits_one_with_scenario_id(command, name, edit, messag
     assert not (tmp_path / "out").exists()
 
 
+def test_huge_conservation_time_exits_one_within_seconds(tmp_path):
+    # The conservation leg to t = 1e300 records only its endpoint, so no
+    # record allocation stops its 1e303 steps; the step bound does.  A
+    # subprocess with a timeout makes a regression fail instead of hang.
+    doc = json.loads((CORPUS / "01-linear-qubit.json").read_text())
+    doc["conservation_times"] = [1e300]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(eqm_lab.__file__).resolve().parent.parent)
+    path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
+    result = subprocess.run([sys.executable, "-m", "eqm_lab.cli", "run", str(path),
+                             "--out-dir", str(tmp_path / "out"), "--quiet"],
+                            capture_output=True, text=True, timeout=60, env=env)
+    assert result.returncode == 1
+    assert result.stderr == ("error: scenario 'linear-qubit': a span of 1e+300 at dt = 0.001 "
+                             "takes 1e+303 steps, more than MAX_STEPS = 2**53\n")
+    assert not (tmp_path / "out").exists()
+
+
 def _rule_rotation_rate():
     """2 omega sqrt(m) at g = 1, largest over the default rule's rotating nodes."""
     quad = koopman.Quadrature.gauss_legendre()
@@ -348,7 +371,10 @@ class TestSuite:
         assert main(["suite", "--dt", "0.01", "--out-dir", str(failing), "--quiet"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        # The cross-checks run the same gauge-shift config, and fail with it.
         assert captured.err == ("error: scenario 'gauge-shift': generator of 'broken' gave a "
+                                "non-finite matrix at step 1, t = 0 to 0.01\n"
+                                "error: suite cross-checks: generator of 'broken' gave a "
                                 "non-finite matrix at step 1, t = 0 to 0.01\n")
         # Every other scenario writes the same bytes as without the failure.
         written = sorted(p.relative_to(clean) for p in clean.rglob("*") if p.is_file())
@@ -356,19 +382,22 @@ class TestSuite:
         for name in written:
             if name.parts[0] not in ("gauge-shift", "suite_report.txt"):
                 assert (failing / name).read_bytes() == (clean / name).read_bytes(), name
-        # The report holds one FAIL row in place of the scenario's rows, and counts it.
-        fail_row = runner.render_report(
-            [runner.ReportRow("gauge-shift", "scenario_error", 1.0, 0.0)]).splitlines()[2]
-        assert fail_row.endswith(" FAIL")
+        # The report holds one FAIL row in place of the scenario's rows, one in
+        # place of the cross-checks' rows, and counts them.
+        fail_row, suite_row = (runner.render_report(
+            [runner.ReportRow(sid, "scenario_error", 1.0, 0.0)]).splitlines()[2]
+            for sid in ("gauge-shift", "suite"))
+        assert fail_row.endswith(" FAIL") and suite_row.endswith(" FAIL")
         assert (failing / "gauge-shift" / "report.txt").read_text().splitlines()[2:] == [
             fail_row, "0/1 checks passed"]
         rows = (clean / "suite_report.txt").read_text().splitlines()[2:-1]
         first = next(i for i, row in enumerate(rows) if row.startswith("gauge-shift "))
+        replaced = ("gauge-shift ", "suite ")
         expected = [*rows[:first], fail_row,
-                    *(row for row in rows[first:] if not row.startswith("gauge-shift "))]
+                    *(row for row in rows[first:] if not row.startswith(replaced)), suite_row]
         report = (failing / "suite_report.txt").read_text().splitlines()
         assert report[2:-1] == expected
-        assert report[-1] == f"{len(expected) - 1}/{len(expected)} checks passed"
+        assert report[-1] == f"{len(expected) - 2}/{len(expected)} checks passed"
 
     def test_failing_cross_checks_are_reported(self, tmp_path, capsys):
         # No step count of dt = 1e-320 fits in a float: every flow scenario

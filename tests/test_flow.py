@@ -455,6 +455,22 @@ class TestEvolve:
             evolve(h, qubit_up, cfg)
         assert calls == []
 
+    @pytest.mark.parametrize("span, steps", [(1e300, "1e+303"), (-1e300, "1e+303"),
+                                             (2.0**53 * 1e-3 * 2, "1.8e+16")])
+    def test_more_steps_than_a_float_counts_raise_before_the_first_step(self, qubit_up,
+                                                                        span, steps):
+        # An endpoint-only leg holds two records, so no allocation stops its
+        # steps; a count past MAX_STEPS is refused instead of run for ever.
+        # The generator fails the test at the first step rather than hang it.
+        def no_steps(m):
+            raise AssertionError("a step was taken")
+
+        h = HamiltonianFunction(value=lambda rho: 0.0, generator=no_steps)
+        message = (f"a span of {span:g} at dt = 0.001 takes {steps} steps, "
+                   "more than MAX_STEPS = 2**53")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            propagate(h, qubit_up, span, IntegratorConfig(dt=1e-3, t_final=1.0))
+
     def test_rabi_oscillation(self, sz, qubit_plus):
         # Exact solution: the sigma_x expectation is cos(2t).
         cfg = IntegratorConfig(dt=1e-3, t_final=np.pi, record_stride=100)

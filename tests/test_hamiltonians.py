@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eqm_lab.config import build_config, with_dt
 from eqm_lab.flow import GeneratorError, IntegratorConfig, evolve, propagate
 from eqm_lab.hamiltonians import (
     GENERIC_FD_STEP,
@@ -34,12 +35,22 @@ from eqm_lab.hilbert import (
     max_abs,
     trace_pairing,
 )
+from eqm_lab.runner import corpus_documents
 from conftest import (
     random_density,
     random_hermitian,
     random_interior_density,
     random_traceless_hermitian,
 )
+
+ORBIT_EPS = 1e-5
+# The corpus's generators read at most 8.2e-10 (gauge-shift); the mean-field
+# coupling off by a factor 1 + 1e-6 reads 9.6e-8 (conservation-mean-field-n4)
+# to 1.3e-6, so a bound of 1e-7 would let that mutant pass.
+ORBIT_BOUND = 1e-8
+FLOW_DOCUMENTS = {doc["id"]: doc for doc in corpus_documents() if "integrator" in doc}
+MEAN_FIELDS = [sid for sid, doc in FLOW_DOCUMENTS.items()
+               if doc["hamiltonian"]["type"] == "mean_field"]
 
 
 def _dense_basis(dim):
@@ -640,3 +651,67 @@ class TestPairingAgainstTraces:
             with pytest.raises(ValueError, match=message):
                 run()
         assert calls == []
+
+
+def _orbit_residuals(h, value, states, directions):
+    """The worst orbit-curve residual of each differential of h, by its source.
+
+    For each state rho and Hermitian X: the central difference
+    (h(e^{-ieX} rho e^{ieX}) - h(e^{ieX} rho e^{-ieX})) / 2e of value against
+    -i Tr(D(rho) [X, rho]).  D comes from h.generator, and also from h.split
+    (D = A + s Tr(rho B) B) when h carries one, since the split step never
+    calls the generator.  The exponentials take their own eigh.
+    """
+    rotations = []
+    for x in directions:
+        w, v = np.linalg.eigh(x)
+        rotations.append((x, *((v * np.exp(sign * 1j * ORBIT_EPS * w)) @ v.conj().T
+                               for sign in (-1, 1))))
+    worst = {}
+    for rho in states:
+        differentials = {"generator": h.generator(rho)}
+        if h.split is not None:
+            a, b, strength = h.split
+            differentials["split"] = a + strength * np.trace(rho @ b).real * b
+        for x, forward, backward in rotations:
+            slope = (value(DensityMatrix(forward @ rho @ forward.conj().T))
+                     - value(DensityMatrix(backward @ rho @ backward.conj().T))) / (2 * ORBIT_EPS)
+            for source, d in differentials.items():
+                predicted = (-1j * np.trace(d @ (x @ rho - rho @ x))).real
+                worst[source] = max(worst.get(source, 0.0), abs(slope - predicted))
+    return worst
+
+
+class TestCorpusGeneratorsFollowTheirValues:
+    """Each corpus flow's D is the differential of its h along orbit curves.
+
+    Every suite row holds for any Hermitian generator field, so a generator
+    that disagrees with its value passes them all; this ties the two
+    together.  The states are the flow's records at dt = 1e-2.
+    """
+
+    @staticmethod
+    def _flow(scenario):
+        cfg = with_dt(build_config(FLOW_DOCUMENTS[scenario]), 1e-2)
+        records = evolve(cfg.hamiltonian, cfg.initial_state, cfg.integrator).rho
+        rng = np.random.default_rng(20)
+        directions = [random_hermitian(rng, cfg.hamiltonian.dim).matrix for _ in range(3)]
+        return cfg.hamiltonian, records, directions
+
+    @pytest.mark.parametrize("scenario", FLOW_DOCUMENTS)
+    def test_generator_is_the_differential_of_the_value(self, scenario):
+        h, records, directions = self._flow(scenario)
+        worst = _orbit_residuals(h, h.value, records, directions)
+        assert max(worst.values()) <= ORBIT_BOUND, worst
+
+    @pytest.mark.parametrize("factor", [1 + 1e-6, 2.0, -1.0], ids=["1+1e-6", "x2", "sign"])
+    @pytest.mark.parametrize("scenario", MEAN_FIELDS)
+    def test_a_wrong_coupling_is_caught(self, scenario, factor):
+        # The coupling s of the generator and the split scaled by factor, the
+        # value left alone: the negative control of the bound.
+        h, records, directions = self._flow(scenario)
+        a, b, strength = h.split
+        wrong = mean_field(HermitianOperator(a), HermitianOperator(b), strength * factor,
+                           split=True)
+        worst = _orbit_residuals(wrong, h.value, records, directions)
+        assert min(worst.values()) > ORBIT_BOUND, worst

@@ -503,6 +503,29 @@ class TestSuiteCrossChecks:
         assert not row.passed
 
 
+class TestCrossChecksRunTheCorpusFlows:
+    def test_runs_are_evolves_of_the_corpus_configs(self, monkeypatch):
+        runs, exact = [], flow.evolve
+        monkeypatch.setattr(flow, "evolve", lambda *args: runs.append(exact(*args)) or runs[-1])
+        _suite_cross_checks(0.01, dict(DEFAULT_THRESHOLDS))
+        assert len(runs) == 3  # the oracle, then the gauge pair unshifted and shifted
+        for run, scenario in zip(runs, ("linear-qubit", "gauge-shift")):
+            cfg = with_dt(build_config(next(d for d in corpus_documents() if d["id"] == scenario)),
+                          0.01)
+            ref = exact(cfg.hamiltonian, cfg.initial_state, cfg.integrator)
+            assert run.times == ref.times
+            assert np.array_equal(run.rho, ref.rho) and np.array_equal(run.u, ref.u), scenario
+        assert cfg.hamiltonian.split is not None  # the gauge pair takes the corpus's split step
+
+    def test_runner_builds_no_flow_of_its_own(self):
+        # Every flow the runner integrates comes from a corpus document or a
+        # config, so a second definition of a corpus flow cannot come back.
+        tree = ast.parse(Path(eqm_lab.runner.__file__).read_text())
+        calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        called = {getattr(func, "id", None) or getattr(func, "attr", None) for func in calls}
+        assert not called & {"IntegratorConfig", "HermitianOperator", "DensityMatrix"}
+
+
 class TestReportRendering:
     def test_pass_fail_semantics(self):
         good = ReportRow("s", "c", 1e-12, 1e-10)
