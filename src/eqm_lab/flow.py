@@ -7,8 +7,11 @@ step uses an exponential-midpoint rule: the generator is evaluated at a
 self-consistent midpoint state found by fixed-point iteration, and the step
 map exp(-i dt D_mid) is exactly unitary because D_mid is Hermitian.  A
 mean field that carries its split (see eqm_lab.hamiltonians) steps instead
-by the Strang composition of its two exact flows, with no iteration.  Drift
-in the structural invariants is monitored, never repaired.
+by the Strang composition of its two exact flows, with no iteration.  A
+state-independent function takes no steps at all: its flow is
+u(t) = exp(-i t A), computed in closed form from one eigendecomposition per
+run at the recorded times only.  Drift in the structural invariants is
+monitored, never repaired.
 """
 
 from __future__ import annotations
@@ -216,14 +219,57 @@ def schedule(span: float, dt: float):
         yield -dt, -(rem + k * dt)
 
 
-def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: IntegratorConfig):
+def _time_after(k: int, span: float, n_full: int, rem: float, dt: float) -> float:
+    """The signed time after step k of schedule(span, dt), with the same bits."""
+    if span >= 0:
+        return k * dt if k <= n_full else span
+    if rem:
+        return -rem if k == 1 else -(rem + (k - 1) * dt)
+    return -(rem + k * dt)
+
+
+def _closed_form(h: HamiltonianFunction, a: np.ndarray, rho: np.ndarray, span: float,
+                 dt: float, stride: int):
+    """Yield (k, time, rho, u) for a state-independent h at the steps _run keeps, and no others.
+
+    With the fixed generator A = V diag(w) V^dagger, taken once per run, and
+    rho~ = V^dagger rho V, the record after step k, at the signed time t_k
+    that schedule(span, dt) gives, is u_k = (V p) V^dagger and
+    rho_k = V (rho~ o p p^dagger) V^dagger with p = exp(-i t_k w), so that
+    entry (i, j) of rho~ turns by exp(-i t_k (w_i - w_j)) (C. Moler and C. Van Loan,
+    SIAM Rev. 45, 3 (2003), the decomposition method).  The state is built
+    in the eigenbasis, not as u_k rho u_k^dagger, so the cocycle monitor
+    still compares two computations.  Each record reads the run's clock, so
+    no rounding compounds from step to step.  A non-finite A raises
+    GeneratorError at step 1.
+    """
+    n_full, rem = split_steps(abs(span), dt)
+    steps = n_full + (rem > 0)
+    if not steps:
+        return
+    if not np.isfinite(a).all():
+        first, time = next(schedule(span, dt))
+        raise GeneratorError(h.label, 1, time - first, time)
+    w, v = _eigh(a)
+    vh = v.conj().T
+    rho_eig = vh.dot(rho).dot(v)
+    for k in (*range(stride, steps, stride), steps):
+        time = _time_after(k, span, n_full, rem, dt)
+        phases = np.exp(-1j * time * w)
+        u = (v * phases).dot(vh)
+        yield k, time, v.dot(rho_eig * np.outer(phases, phases.conj())).dot(vh), u
+
+
+def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: IntegratorConfig,
+           stride: int):
     """Yield (k, time, rho, u) as arrays after each step k = 1, 2, ... of the signed span.
 
     Each step conjugates by exp(-i dt D_mid), with D_mid the differential at
     the self-consistent midpoint state, and extends the cocycle u by the
     same factor.  Only h.generator and expm_hermitian run here, on plain
-    arrays; _run copies the records it keeps.  A function that carries a dimension
-    other than the state's raises ValueError before the first step.
+    arrays; _run copies the records it keeps, every stride-th step and the
+    last.  A function that carries a dimension other than the state's raises
+    ValueError before the first step.
 
     The midpoint iteration refreshes D_mid from the midpoint state it
     gives.  Pass j measures its increment delta_j, the largest entry of the
@@ -240,10 +286,8 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
     is finite only if the output is, given a finite predecessor.  So every
     matrix exponentiated here is finite, as expm_hermitian requires.
 
-    For a state-independent h the midpoint iteration settles on its first
-    pass with an increment of exactly 0, and the step map is exp(-i dt D)
-    of the one matrix D; it is computed once per signed step size (the full
-    step and the remainder), which gives the same bits every step.
+    A state-independent h takes no steps: _closed_form yields its kept
+    records alone, from one eigendecomposition of the one matrix D.
 
     A mean field h = Tr(rho A) + (s/2) Tr(rho B)^2 that carries h.split
     steps by the Strang composition phi^A_(dt/2) o phi^B_dt o phi^A_(dt/2)
@@ -255,19 +299,20 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
     and the pairing with H^dagger B H cached per signed step size, the step
     map is S = (HV exp(-i dt s m w)) V^dagger H with m = Tr(rho H^dagger B H).
     The cached H repeats its rounding every step, so a split run drifts in
-    trace as a linear one does; config splits runs of at most
-    config.SPLIT_MAX_STEPS steps.
+    trace; config splits runs of at most config.SPLIT_MAX_STEPS steps.
     """
     if h.dim is not None and h.dim != rho.shape[0]:
         raise ValueError(f"Hamiltonian function {h.label!r} acts on dimension {h.dim}, "
                          f"the state has dimension {rho.shape[0]}")
     generator = h.generator
-    fixed = generator(rho) if h.state_independent else None
+    if h.state_independent:
+        yield from _closed_form(h, generator(rho), rho, span, cfg.dt, stride)
+        return
     split = h.split
     if split is not None:
         a, b, strength = split
         w, v = _eigh(b)
-    steppers = {}  # signed step size -> exp(-i dt D) of the fixed generator, or split factors
+    steppers = {}  # signed step size -> the split's factors
     tol, estimate_tol = cfg.midpoint_tol, MIDPOINT_KAPPA * cfg.midpoint_tol
     u = np.eye(rho.shape[0], dtype=complex)
     # Products go through ndarray.dot: the same zgemm call as @, with the same
@@ -281,12 +326,6 @@ def _steps(h: HamiltonianFunction, rho: np.ndarray, span: float, cfg: Integrator
             half_v, v_half, pairing, angles = steppers[dt]
             m = float(rho.ravel().dot(pairing).real)
             stepper = (half_v * np.exp(1j * m * angles)).dot(v_half)
-        elif fixed is not None:
-            if dt not in steppers:
-                if not np.isfinite(fixed).all():
-                    raise GeneratorError(h.label, k, time - dt, time)
-                steppers[dt] = expm_hermitian(fixed, dt)
-            stepper = steppers[dt]
         else:
             gen = generator(rho)
             if not np.isfinite(gen).all():
@@ -347,7 +386,7 @@ def _run(h: HamiltonianFunction, rho0: DensityMatrix, span: float, cfg: Integrat
             raise StateError(str(exc), min(i * stride, steps), times[i], times[i]) from exc
 
     try:
-        for k, time, rho_k, u_k in _steps(h, rho0.matrix, span, cfg):
+        for k, time, rho_k, u_k in _steps(h, rho0.matrix, span, cfg, stride):
             if k % stride == 0 or k == steps:
                 rho[len(times)], u[len(times)] = rho_k, u_k
                 times.append(time)

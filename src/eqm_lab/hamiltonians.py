@@ -49,8 +49,9 @@ class HamiltonianFunction:
     operator make.  When both are given, they are trusted to agree.
 
     ``state_independent`` marks a generator that returns the same matrix at
-    every state; the integrator then exponentiates it once per step size.
-    The factories set it; a function built by hand is not marked.
+    every state; the integrator then takes its flow in closed form, from
+    one eigendecomposition per run.  The factories set it; a function built
+    by hand is not marked.
 
     ``dim`` is the dimension the function acts on, or None when it fits any
     state; the integrator rejects a state of another dimension before its

@@ -131,19 +131,24 @@ def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times
                            cfg: IntegratorConfig, trajectory: Trajectory | None = None) -> np.ndarray:
     """conservation_residual for every observable in fs (rows) at every time in times (columns).
 
-    Each flow is integrated once.  The forward leg of each sign chains
-    propagate through the sorted distinct times that are whole numbers of
-    steps, e.g. 0 -> 0.5 -> 1 -> 2 -> 5; the integrator never reads the
-    absolute time, so every such state is bit-identical to a run restarted
-    from 0.  A time off the step grid ends in a shorter step that a chained
-    leg would take elsewhere, so its leg restarts from 0.  The backward run
-    from rho_t depends only on t and is shared by all observables.  A
+    Each flow is integrated once.  For a stepped flow the forward leg of
+    each sign chains propagate through the sorted distinct times that are
+    whole numbers of steps, e.g. 0 -> 0.5 -> 1 -> 2 -> 5; a step never reads
+    the absolute time, so every such state is bit-identical to a run
+    restarted from 0.  A time off the step grid ends in a shorter step that
+    a chained leg would take elsewhere, so its leg restarts from 0.  A
+    state-independent h is integrated in closed form on the run's own clock,
+    where a chained leg would agree with a run from 0 only to rounding; a
+    leg costs it no steps, so every leg starts from rho at 0.  The backward
+    run from rho_t depends only on t and is shared by all observables.  A
     StepError names the leg and the absolute times.
 
     trajectory, when given, is what evolve recorded from rho with the same
-    dt and midpoint settings as cfg, at any stride.  A leg to n whole steps
-    starts from the last record on the step grid at or before step n, looked
-    up in times, if it lies past the latest state: a recorded time costs no step.
+    dt and midpoint settings as cfg, at any stride.  A stepped leg to n
+    whole steps starts from the last record on the step grid at or before
+    step n, looked up in times, if it lies past the latest state: a recorded
+    time costs no step.  So the grid is the same, bit for bit, with or
+    without it.
     """
     fs, times = tuple(fs), tuple(times)
     for i, t in enumerate(times):
@@ -157,8 +162,9 @@ def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times
         latest = (0, 0.0, rho)  # the last state reached on the step grid: (steps, time, state)
         for t in grid:
             n, rem = flow_mod.split_steps(abs(t), cfg.dt)
-            k, start, rho_t = (0, 0.0, rho) if rem else latest
-            if forward and trajectory is not None and not rem:
+            chains = not (rem or h.state_independent)  # starts from, and extends, the chain
+            k, start, rho_t = latest if chains else (0, 0.0, rho)
+            if forward and trajectory is not None and chains:
                 i = bisect.bisect_right(trajectory.times, (n + 0.5) * cfg.dt) - 1
                 m, off = flow_mod.split_steps(trajectory.times[i], cfg.dt)
                 if off:  # only the final record ends off the step grid, on a shorter step
@@ -170,7 +176,7 @@ def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times
                     rho_t, _ = flow_mod.propagate(h, rho_t, t - start, cfg)
             except flow_mod.StepError as exc:
                 raise exc.on_leg(f"forward leg from t = {start:g}", start) from exc
-            if not rem:
+            if chains:
                 latest = (n, t, rho_t)
             try:
                 back = flow_mod.propagate(h, rho_t, -t, cfg)

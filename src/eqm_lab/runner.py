@@ -251,7 +251,7 @@ def _suite_cross_checks(dt: float | None, thresholds: dict) -> list[ReportRow]:
     """
     ((doc, cfg),) = _corpus(dt, "linear-qubit")
     traj = flow_mod.evolve(cfg.hamiltonian, cfg.initial_state, cfg.integrator)
-    # The reference takes its own eigh, not the kernel's expm_hermitian.
+    # The reference takes numpy's own eigh, not the kernel's _eigh or expm_hermitian.
     eigvals, eigvecs = np.linalg.eigh(matrix_from_pairs(doc["hamiltonian"]["A"]))
     rho0 = cfg.initial_state.matrix
     oracle_defect = 0.0

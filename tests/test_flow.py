@@ -15,6 +15,7 @@ from eqm_lab.flow import (
     convergence_order,
     StateError,
     StepError,
+    Trajectory,
     evolve,
     overlap_deviation,
     propagate,
@@ -39,7 +40,8 @@ from eqm_lab.hilbert import (
     projector,
     unitary_exponential,
 )
-from eqm_lab.runner import four_level_ops
+from eqm_lab.config import DEFAULT_THRESHOLDS, build_config, with_dt
+from eqm_lab.runner import corpus_documents, four_level_ops, run_scenario
 from conftest import random_density, random_hermitian, random_pure, random_traceless_hermitian
 
 STEP_DIMS = (2, 4, 16, MAX_DIM)
@@ -626,34 +628,114 @@ class TestStateIndependent:
         assert all(h.state_independent for h in marked)
         assert not any(h.state_independent for h in unmarked)
 
-    def test_marked_run_is_the_midpoint_run_bit_for_bit(self, rng):
-        # 0.05 is five whole steps, 0.037 three steps and a remainder.
+    def test_marked_run_is_the_midpoint_run_to_rounding(self, rng):
+        # 0.05 is five whole steps, 0.037 three steps and a remainder.  The
+        # closed form reads each record off the run's clock, the midpoint
+        # steps to it: they agree to rounding (3.9e-15 here).  A marked
+        # rebuild takes the closed form with the same bits.
         for dim in STEP_DIMS:
             a = random_hermitian(rng, dim)
             rho = random_density(rng, dim)
             cfg = IntegratorConfig(dt=0.01, t_final=0.037)
             for h in (linear(a), shift_differential(linear(a), -2.0)):
-                reference = HamiltonianFunction(h.value, h.differential, generator=h.generator)
+                stepped = HamiltonianFunction(h.value, h.differential, generator=h.generator)
+                rebuilt = HamiltonianFunction(h.value, h.differential, generator=h.generator,
+                                              state_independent=True)
                 for t in (0.05, -0.05, 0.037, -0.037):
-                    (rho_a, u_a), (rho_b, u_b) = (propagate(g, rho, t, cfg) for g in (h, reference))
-                    assert np.array_equal(rho_a.matrix, rho_b.matrix), (dim, t)
-                    assert np.array_equal(u_a.matrix, u_b.matrix), (dim, t)
-                marked, plain = evolve(h, rho, cfg), evolve(reference, rho, cfg)
+                    (rho_a, u_a), (rho_b, u_b), (rho_c, u_c) = (propagate(g, rho, t, cfg)
+                                                                for g in (h, stepped, rebuilt))
+                    assert max_abs(rho_a.matrix - rho_b.matrix) <= 1e-14, (dim, t)
+                    assert max_abs(u_a.matrix - u_b.matrix) <= 1e-14, (dim, t)
+                    assert np.array_equal(rho_a.matrix, rho_c.matrix), (dim, t)
+                    assert np.array_equal(u_a.matrix, u_c.matrix), (dim, t)
+                marked, plain = evolve(h, rho, cfg), evolve(stepped, rho, cfg)
                 assert marked.times == plain.times
-                assert np.array_equal(marked.rho, plain.rho), dim
-                assert np.array_equal(marked.u, plain.u), dim
+                assert max_abs(marked.rho - plain.rho) <= 1e-14, dim
+                assert max_abs(marked.u - plain.u) <= 1e-14, dim
 
-    def test_one_exponential_per_step_size(self, rng, monkeypatch):
-        exact, sizes = flow.expm_hermitian, []
+    @pytest.mark.parametrize("span, dt", [(0.05, 0.01), (-0.05, 0.01), (0.037, 0.01),
+                                          (-0.037, 0.01), (2.1, 0.007), (-1.1, 0.007)])
+    def test_records_carry_the_times_of_the_schedule(self, rng, span, dt):
+        # The closed form computes the time of each record it keeps; stepping
+        # through the schedule gives the same bits, on either sign.
+        h, rho = linear(random_hermitian(rng, 2)), random_density(rng, 2)
+        traj = flow._run(h, rho, span, IntegratorConfig(dt=dt, t_final=abs(span)), 1)
+        assert traj.times[1:] == tuple(time for _, time in flow.schedule(span, dt))
 
-        def counted(mat, s):
-            sizes.append(s)
-            return exact(mat, s)
+    @staticmethod
+    def _count(monkeypatch, name):
+        """A list that grows by one at each call of flow's binding of name."""
+        calls, exact = [], getattr(flow, name)
+        monkeypatch.setattr(flow, name,
+                            lambda *args, **kw: calls.append(name) or exact(*args, **kw))
+        return calls
 
-        monkeypatch.setattr(flow, "expm_hermitian", counted)
-        cfg = IntegratorConfig(dt=0.01, t_final=0.037)
-        propagate(linear(random_hermitian(rng, 4)), random_density(rng, 4), -0.037, cfg)
-        assert sizes == pytest.approx([-0.007, -0.01])
+    @staticmethod
+    def _records(monkeypatch):
+        """The step numbers the kernel yields, one list per run."""
+        runs, kernel = [], flow._steps
+
+        def counted(*args):
+            runs.append([])
+            for record in kernel(*args):
+                runs[-1].append(record[0])
+                yield record
+
+        monkeypatch.setattr(flow, "_steps", counted)
+        return runs
+
+    def test_the_closed_form_pays_per_record_not_per_step(self, rng, monkeypatch):
+        exponentials = self._count(monkeypatch, "expm_hermitian")
+        eighs = self._count(monkeypatch, "_eigh")
+        runs = self._records(monkeypatch)
+        # 0.037 is four steps; stride 2 keeps steps 2 and 4.
+        traj = evolve(linear(random_hermitian(rng, 4)), random_density(rng, 4),
+                      IntegratorConfig(dt=0.01, t_final=0.037, record_stride=2))
+        assert len(exponentials) == 0 and len(eighs) == 1
+        assert runs == [[2, 4]] and traj.times == (0.0, 0.02, 0.037)
+
+    def test_an_endpoint_over_many_steps_is_one_record(self, rng, monkeypatch):
+        runs = self._records(monkeypatch)
+        h, rho = linear(random_hermitian(rng, 4)), random_density(rng, 4)
+        for t in (100.0, -100.0):  # 1e5 steps each way
+            propagate(h, rho, t, IntegratorConfig(dt=1e-3, t_final=1.0))
+        assert runs == [[100_000], [100_000]]
+
+    def test_the_linear_conservation_scenario_takes_no_step(self, monkeypatch):
+        cfg = with_dt(build_config(next(d for d in corpus_documents()
+                                        if d["id"] == "conservation-linear-n4")), 0.01)
+        exponentials = self._count(monkeypatch, "expm_hermitian")
+        runs, recorded, run = self._records(monkeypatch), [], flow._run
+        monkeypatch.setattr(flow, "_run", lambda *args: recorded.append(run(*args)) or recorded[-1])
+        _, rows = run_scenario(cfg)
+        assert all(row.passed for row in rows)
+        assert exponentials == []
+        # The evolve, then a forward leg from 0 and a backward run per grid
+        # time, each yielding only the records it keeps.
+        assert len(runs) == 1 + 2 * len(cfg.conservation_times)
+        assert [len(r) for r in runs] == [len(traj.times) - 1 for traj in recorded]
+        assert [len(r) for r in runs[1:]] == [1] * 8
+
+
+class TestLongLinearRun:
+    MONITORS = {"unitarity": Trajectory.max_unitarity_defect,
+                "cocycle": Trajectory.max_cocycle_defect,
+                "spectrum_drift": Trajectory.max_spectrum_drift,
+                "trace": Trajectory.max_trace_defect,
+                "purity_drift": Trajectory.max_purity_drift}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_keeps_its_invariants_over_two_hundred_thousand_steps(self, seed):
+        # A kernel that stepped by one cached exp(-i dt A) compounded its
+        # rounding until seeds 1, 2 and 4 raised StateError at steps 80 000,
+        # 59 000 and 125 000.  The closed form reads at most 1.6e-15.
+        rng = np.random.default_rng(seed)
+        h, rho = linear(random_hermitian(rng, 4)), random_density(rng, 4)
+        traj = evolve(h, rho, IntegratorConfig(dt=1e-3, t_final=200.0, record_stride=1000))
+        assert len(traj.times) == 201
+        over = {name: value for name, monitor in self.MONITORS.items()
+                if not (value := monitor(traj)) <= DEFAULT_THRESHOLDS[name]}
+        assert not over, over
 
 
 class TestWignerDeviation:
@@ -897,8 +979,8 @@ def corrupt_record(monkeypatch, bad_step):
     """
     steps, seen = flow._steps, []
 
-    def corrupted(h, rho, span, cfg):
-        for k, time, rho_k, u in steps(h, rho, span, cfg):
+    def corrupted(h, rho, span, cfg, stride):
+        for k, time, rho_k, u in steps(h, rho, span, cfg, stride):
             if k == bad_step:
                 rho_k = rho_k * (1 + 1e-8)
                 seen.append((k, time, rho_k, u))

@@ -96,12 +96,18 @@ def test_shift_differential_moves_only_the_phase(family, dim, seed, t, c):
 @at_max_dim(s=7, t=3)
 @given(family=families, dim=dims, seed=seeds, s=st.integers(0, 10), t=st.integers(0, 10))
 def test_cocycle_law(family, dim, seed, s, t):
-    # Whole steps: the flow to s, then on to s + t, retraces the flow to s + t.
+    # Whole steps: the flow to s, then on to s + t, retraces the flow to s + t,
+    # bit for bit where the kernel steps.  The linear closed form reads each
+    # run's own clock, so its two routes agree to rounding (6.1e-16 measured
+    # over d = 2 to 64).
     h, _, _, rho = _setup(family, dim, seed)
     rho_s, u_s = propagate(h, rho, s * CFG.dt, CFG)
     rho_st, u_t = propagate(h, rho_s, t * CFG.dt, CFG)
     whole, u_whole = propagate(h, rho, (s + t) * CFG.dt, CFG)
-    assert np.array_equal(rho_st.matrix, whole.matrix)
+    if family == "linear":
+        assert max_abs(rho_st.matrix - whole.matrix) <= 2e-15
+    else:
+        assert np.array_equal(rho_st.matrix, whole.matrix)
     # u(t, rho_s) u(s, rho) = u(s + t, rho), to the rounding of the regrouped product.
     assert max_abs(u_t.matrix @ u_s.matrix - u_whole.matrix) <= 1e-12
 

@@ -266,9 +266,9 @@ class TestSplitCorpus:
     def test_no_leg_nears_the_compounding_limit(self, monkeypatch):
         legs, kernel = [], flow._steps
 
-        def counted(h, rho, span, integrator):
+        def counted(h, rho, span, integrator, stride):
             legs.append([h.split is not None, len(rho), 0])
-            for step in kernel(h, rho, span, integrator):
+            for step in kernel(h, rho, span, integrator, stride):
                 legs[-1][2] += 1
                 yield step
 
@@ -439,7 +439,7 @@ class TestAsymmetricStep:
         _, rows = run_scenario(cfg)
         assert all(row.passed for row in rows)
 
-        def asymmetric(h, rho, span, integrator):
+        def asymmetric(h, rho, span, integrator, stride):
             # phi^A_dt o phi^B_dt: each factor an exact unitary flow, the
             # composition of first order and not symmetric.
             a, b, strength = h.split
@@ -476,27 +476,33 @@ class TestNonFiniteGenerator:
             run_scenario(replace(cfg, hamiltonian=h))
 
 
+def _stretched_eigh(exact):
+    """exact's eigendecomposition with every eigenvalue scaled by 1 + 1e-6."""
+    def wrong(mat, vectors=True):
+        if not vectors:
+            return exact(mat, vectors)
+        eigvals, eigvecs = exact(mat)
+        return eigvals * (1 + 1e-6), eigvecs
+
+    return wrong
+
+
 class TestSuiteCrossChecks:
     def test_linear_oracle_sees_a_phase_error(self, monkeypatch):
-        # The oracle's state must move: a relative angle error of 1e-6 in
-        # every step exponential turns the phase by ~2e-6 over t = 1.
-        exact = flow.expm_hermitian
-        monkeypatch.setattr(flow, "expm_hermitian", lambda mat, s: exact(mat, s * (1 + 1e-6)))
+        # The oracle's state must move: a relative error of 1e-6 in the
+        # eigenvalues of the closed form turns the phase by ~2e-6 over t = 1.
+        monkeypatch.setattr(flow, "_eigh", _stretched_eigh(flow._eigh))
         (row,) = [row for row in _suite_cross_checks(0.01, dict(DEFAULT_THRESHOLDS))
                   if row.check == "linear_oracle"]
         assert row.value > 1e-7
         assert not row.passed
 
-    def test_linear_oracle_reference_does_not_share_the_exponential(self, monkeypatch):
-        # With every binding of expm_hermitian off by the same angle, a
-        # reference built from it would move with the flow and hide the error.
-        exact = hilbert.expm_hermitian
-
-        def wrong(mat, s):
-            return exact(mat, s * (1 + 1e-6))
-
-        monkeypatch.setattr(flow, "expm_hermitian", wrong)
-        monkeypatch.setattr(hilbert, "expm_hermitian", wrong)
+    def test_linear_oracle_reference_does_not_share_the_eigendecomposition(self, monkeypatch):
+        # With every binding of _eigh off by the same factor, a reference
+        # built from it would move with the flow and hide the error.
+        wrong = _stretched_eigh(hilbert._eigh)
+        monkeypatch.setattr(flow, "_eigh", wrong)
+        monkeypatch.setattr(hilbert, "_eigh", wrong)
         (row,) = [row for row in _suite_cross_checks(0.01, dict(DEFAULT_THRESHOLDS))
                   if row.check == "linear_oracle"]
         assert row.value > 1e-7
