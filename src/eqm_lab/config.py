@@ -162,18 +162,23 @@ def with_dt(cfg: ScenarioConfig, dt: float) -> ScenarioConfig:
     with _at("integrator.dt"):
         hilbert.require_real("dt", dt, positive=True)  # before float() reads a bool or a string
         integrator = replace(cfg.integrator, dt=float(dt))
-    hamiltonian = _fit_split(cfg.hamiltonian, integrator, cfg.conservation_times)
+    hamiltonian = _fit_split(cfg.hamiltonian, integrator, cfg.conservation_times, cfg.outputs)
     return replace(cfg, hamiltonian=hamiltonian, integrator=integrator)
 
 
-def _fit_split(h: HamiltonianFunction, integrator: IntegratorConfig,
-               conservation_times: tuple) -> HamiltonianFunction:
+def _fit_split(h: HamiltonianFunction, integrator: IntegratorConfig, conservation_times: tuple,
+               outputs: tuple) -> HamiltonianFunction:
     """h, without its split unless the scenario's longest leg is in the split's measured range.
 
-    Every run of a scenario, its evolve and each conservation leg, then takes
-    the same step, and the chained legs keep their bits.
+    A leg counts if the scenario runs it: the evolve to t_final for any of
+    SINGLE_STATE_OUTPUTS, each conservation time's legs for conservation.
+    Every run of a scenario then takes the same step, and the chained legs
+    keep their bits.
     """
-    reach = max((integrator.t_final, *map(abs, conservation_times)))
+    legs = [integrator.t_final] if any(out in outputs for out in SINGLE_STATE_OUTPUTS) else []
+    if "conservation" in outputs:
+        legs.extend(map(abs, conservation_times))
+    reach = max(legs, default=0.0)
     if h.split is None or (h.dim <= SPLIT_MAX_DIM and reach / integrator.dt <= SPLIT_MAX_STEPS):
         return h
     return replace(h, split=None)
@@ -246,9 +251,9 @@ class _Fields:
     def number(self, key: str, default=_REQUIRED, minimum=-math.inf, maximum=math.inf) -> float:
         return _number(self.get(key, default), self.path_of(key), minimum, maximum)
 
-    def integer(self, key: str, default=_REQUIRED, minimum=1) -> int:
-        """A count: a finite number at least minimum with no fractional part (50.0 reads as 50)."""
-        value = self.number(key, default, minimum)
+    def integer(self, key: str, default=_REQUIRED, minimum=1, maximum=math.inf) -> int:
+        """A count: a finite number in [minimum, maximum] with no fractional part (50.0 reads as 50)."""
+        value = self.number(key, default, minimum, maximum)
         if not value.is_integer():
             raise ConfigError(self.path_of(key), f"expected an integer, got {value!r}")
         return int(value)
@@ -359,7 +364,7 @@ def _parse_koopman(f: _Fields) -> KoopmanSetup:
 
     quad = f.fields("quadrature", {})
     extent = quad.number("extent", koopman.DEFAULT_EXTENT)
-    order = quad.integer("order", koopman.DEFAULT_ORDER, minimum=2)
+    order = quad.integer("order", koopman.DEFAULT_ORDER, minimum=2, maximum=koopman.MAX_ORDER)
     with _at(quad.path):
         quadrature = Quadrature.gauss_legendre(extent=extent, order=order)
 
@@ -386,7 +391,7 @@ def _parse_flow(top: _Fields, outputs: tuple) -> dict:
                         for i, entry in enumerate(top.items("observables", [])))
     conservation_times = tuple(_number(*entry)
                                for entry in top.items("conservation_times", [integrator.t_final]))
-    hamiltonian = _fit_split(hamiltonian, integrator, conservation_times)
+    hamiltonian = _fit_split(hamiltonian, integrator, conservation_times, outputs)
     if hamiltonian.split is not None:
         for key in ("midpoint_tol", "midpoint_max_iter"):
             if key in integrator_f:

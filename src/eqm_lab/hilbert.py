@@ -19,10 +19,11 @@ from numpy.linalg import _umath_linalg
 # Invariant tolerances, fixed package-wide.
 HERMITICITY_TOL = 1e-12  # max-abs entry of A - A_dagger
 UNITARITY_TOL = 1e-10    # max-abs entry of U_dagger U - identity
-# Unit-trace gate.  Repeated conjugation by one rounded exponential drifts the
-# trace systematically at ~1 ulp per step, so states carried through 10^4-step
-# runs reach a few 1e-12; the gate sits above that, while trajectory trace
-# drift is monitored against the tighter flow bound (see eqm_lab.flow).
+# Unit-trace gate.  The mean-field split repeats the rounding of its cached
+# half step, so its trace drifts by ~1.6e-15 a step at d = 4 and reaches this
+# gate at step 31 445 (longrun/test_split_longrun.py); config.SPLIT_MAX_STEPS
+# bounds a split run well below that.  Trajectory trace drift is monitored
+# against the tighter trace row (see eqm_lab.flow).
 TRACE_TOL = 5e-11
 PSD_SLACK = 1e-10        # how far below zero the smallest eigenvalue may sit
 NORM_TOL = 1e-12         # deviation of a state vector from unit norm

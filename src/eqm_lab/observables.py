@@ -26,8 +26,8 @@ import numpy as np
 from . import flow as flow_mod
 from .flow import IntegratorConfig, Trajectory
 from .hamiltonians import HamiltonianFunction
-from .hilbert import (DensityMatrix, HermitianOperator, UnitaryOperator, require_real,
-                      require_same_dim, trace_pairing)
+from .hilbert import (DensityMatrix, HermitianOperator, require_real, require_same_dim,
+                      trace_pairing, trace_product)
 
 WEIGHT_TOL = 1e-12
 
@@ -96,12 +96,6 @@ def expectation(omega: StateMeasure, f: ObservableFunction) -> float:
     ))
 
 
-def _pull_back(f: ObservableFunction, rho_t: DensityMatrix,
-               u: UnitaryOperator) -> HermitianOperator:
-    """u^dagger f(rho_t) u: f read at the end of a flow, conjugated back by its cocycle."""
-    return HermitianOperator(u.matrix.conj().T.dot(f.eval(rho_t).matrix).dot(u.matrix))
-
-
 def heisenberg_transform(f: ObservableFunction, h: HamiltonianFunction, t: float,
                          cfg: IntegratorConfig) -> ObservableFunction:
     """The time-t Heisenberg transport of f along the flow generated by h.
@@ -115,7 +109,8 @@ def heisenberg_transform(f: ObservableFunction, h: HamiltonianFunction, t: float
     require_real("t", t)
 
     def evaluate(rho: DensityMatrix) -> HermitianOperator:
-        return _pull_back(f, *flow_mod.propagate(h, rho, t, cfg))
+        rho_t, u = flow_mod.propagate(h, rho, t, cfg)
+        return HermitianOperator(u.matrix.conj().T.dot(f.eval(rho_t).matrix).dot(u.matrix))
 
     return ObservableFunction(eval=evaluate, label=f"T[{t:g}]{f.label}")
 
@@ -140,8 +135,9 @@ def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times
     state-independent h is integrated in closed form on the run's own clock,
     where a chained leg would agree with a run from 0 only to rounding; a
     leg costs it no steps, so every leg starts from rho at 0.  The backward
-    run from rho_t depends only on t and is shared by all observables.  A
-    StepError names the leg and the absolute times.
+    run from rho_t to (rho_b, u_b) depends only on t and is shared by all
+    observables; a cell reads Re Tr(rho_t u_b^dagger f(rho_b) u_b) off the
+    arrays that run checked.  A StepError names the leg and the absolute times.
 
     trajectory, when given, is what evolve recorded from rho with the same
     dt and midpoint settings as cfg, at any stride.  A stepped leg to n
@@ -179,11 +175,12 @@ def conservation_residuals(fs, h: HamiltonianFunction, rho: DensityMatrix, times
             if chains:
                 latest = (n, t, rho_t)
             try:
-                back = flow_mod.propagate(h, rho_t, -t, cfg)
+                rho_b, u_b = flow_mod.propagate(h, rho_t, -t, cfg)
             except flow_mod.StepError as exc:
                 raise exc.on_leg(f"backward run from grid time t = {t:g}", t) from exc
-            columns[t] = [abs(trace_pairing(rho_t, _pull_back(f, *back)) - ref)
-                          for f, ref in zip(fs, rhs)]
+            u, u_h = u_b.matrix, u_b.matrix.conj().T
+            columns[t] = [abs(trace_product(rho_t.matrix, u_h.dot(f.eval(rho_b).matrix).dot(u)).real
+                              - ref) for f, ref in zip(fs, rhs)]
     return np.array([columns[t] for t in times], dtype=float).reshape(len(times), len(fs)).T
 
 

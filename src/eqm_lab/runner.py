@@ -23,7 +23,7 @@ from .flow import ConvergenceError, Trajectory
 # linear, mean_field and conservation_residual are looked up here by
 # perfbench/tracer.py; keep the names.
 from .hamiltonians import linear, mean_field, shift_differential  # noqa: F401
-from .hilbert import matrix_from_pairs, max_abs, re_im_view, trace_pairing
+from .hilbert import DensityMatrix, matrix_from_pairs, max_abs, re_im_view, trace_pairing
 from .observables import StateMeasure, conservation_residual, conservation_residuals  # noqa: F401
 
 
@@ -71,8 +71,9 @@ def _flatten(name: str, stack: np.ndarray) -> tuple[list[str], list[list[float]]
 def _trajectory_table(traj: Trajectory, observables) -> str:
     columns, entries = _flatten("rho", traj.rho)
     header = ["t", *columns, "purity", *(f"expval_{f.label}" for f in observables)]
+    states = map(DensityMatrix._accepted, traj.rho)  # evolve checked every record
     rows = [[t, *flat, state.purity(), *(trace_pairing(state, f.eval(state)) for f in observables)]
-            for t, flat, state in zip(traj.times, entries, traj.states)]
+            for t, flat, state in zip(traj.times, entries, states)]
     return _csv(header, rows)
 
 

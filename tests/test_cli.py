@@ -314,6 +314,27 @@ class TestKoopmanCommand:
         assert "koopman.generator_dt" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_quadrature_order_past_max_order_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def unbuilt(n):
+            raise AssertionError(f"leggauss({n}) was called")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", unbuilt)
+        doc = {
+            "id": "koopman-fine",
+            "outputs": ["koopman"],
+            "koopman": {
+                "flow": {"type": "pendulum"},
+                "observables": [{"name": "q"}],
+                "times": [0.5],
+                "quadrature": {"order": 10**9},
+            },
+        }
+        path = tmp_path / "fine.json"
+        path.write_text(json.dumps(doc))
+        assert main(["koopman", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: koopman.quadrature.order: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestSuite:
     def test_fresh_checkout_passes(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import eqm_lab
+from eqm_lab import koopman
 from eqm_lab.config import (
     _DOCUMENT_KEYS,
     DEFAULT_THRESHOLDS,
@@ -207,11 +208,25 @@ class TestValidation:
     def test_the_split_is_dropped_when_the_longest_leg_is_past_the_limit(
             self, integrator, times, split):
         # Every run of a scenario takes the same step: the split if its
-        # longest leg fits, the midpoint on every run otherwise.
+        # longest leg fits, the midpoint on every run otherwise.  Given times
+        # come with a conservation output, so their legs run.
+        conservation = dict(outputs=["invariants", "conservation"], conservation_times=times,
+                            observables=[{"type": "constant", "A": SX}]) if times else {}
         doc = minimal_doc(hamiltonian={"type": "mean_field", "A": SX, "B": SZ, "lambda": 1.0},
-                          integrator=integrator,
-                          conservation_times=times or [integrator["t_final"]])
+                          integrator=integrator, **conservation)
         assert (build_config(doc).hamiltonian.split is not None) == split
+
+    @pytest.mark.parametrize("outputs, integrator, times", [
+        (["invariants"], {"dt": 1e-3, "t_final": 1.0}, [100.0]),
+        (["conservation"], {"dt": 1e-3, "t_final": 100.0}, [1.0]),
+    ], ids=["unused-times", "unused-t_final"])
+    def test_a_leg_the_scenario_does_not_run_keeps_the_split(self, outputs, integrator, times):
+        doc = minimal_doc(hamiltonian={"type": "mean_field", "A": SX, "B": SZ, "lambda": 1.0},
+                          integrator=integrator, outputs=outputs, conservation_times=times,
+                          observables=[{"type": "constant", "A": SX}])
+        cfg = build_config(doc)
+        assert cfg.hamiltonian.split is not None
+        assert with_dt(cfg, 2e-3).hamiltonian.split is not None
 
     @pytest.mark.parametrize("dim", [SPLIT_MAX_DIM, SPLIT_MAX_DIM + 1])
     def test_the_split_is_dropped_above_the_measured_dimension(self, dim):
@@ -262,6 +277,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"{section}\.{key}: expected an integer, got 2\.5$"):
             build_config(doc)
         build_config(_with_integer(section, key, 50.0))
+
+    @pytest.mark.parametrize("order", [koopman.MAX_ORDER + 1, 10**9])
+    def test_quadrature_order_is_at_most_max_order(self, order, monkeypatch):
+        def unbuilt(n):
+            raise AssertionError(f"leggauss({n}) was called")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", unbuilt)
+        with pytest.raises(ConfigError, match=r"^koopman\.quadrature\.order: order must be a "
+                                              rf"finite number in \[2, 512\], got {order}$"):
+            build_config(_with_integer("quadrature", "order", order))
+        monkeypatch.undo()
+        cfg = build_config(_with_integer("quadrature", "order", koopman.MAX_ORDER))
+        assert cfg.koopman.quadrature.q.shape == (koopman.MAX_ORDER ** 2,)
 
     @pytest.mark.parametrize("value", [1, 0, "true", None, [True]], ids=repr)
     def test_export_cocycle_must_be_a_bool(self, value):

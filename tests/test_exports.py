@@ -61,3 +61,13 @@ def test_each_reference_is_read_where_it_says():
     for name, files in REFERENCES.items():
         for file in files:
             assert name in _read_names([TESTS / file]), (name, file)
+
+
+def test_no_package_module_reads_trajectory_states():
+    # Trajectory.states builds a checked copy of every record; the package
+    # reads the checked stacks instead, so the benchmark is its only reader.
+    # Once perfbench/ reads traj.rho too, the property can go (ROADMAP item 16).
+    readers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "states"]
+    assert readers == []

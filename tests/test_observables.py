@@ -454,3 +454,44 @@ class TestRecordedForwardStates:
         with pytest.raises(ValueError, match="start at rho"):
             conservation_residuals((constant_observable(sx),), h_mf, qubit_up, (0.1,), cfg,
                                    evolve(h_mf, qubit_plus, cfg))
+
+
+class TestObservableScale:
+    """A conservation cell is a number read off the checked run: no absolute gate reads it again."""
+
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    def test_cells_of_large_constant_observables_scale_with_them(self, scale):
+        # The rounding of u^dagger F u grows with F: at 1e4 its anti-Hermitian
+        # part reaches 8.1e-12, past HERMITICITY_TOL, on all 20 seeds.
+        cfg = IntegratorConfig(dt=0.01, t_final=0.1)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            h = mean_field(random_hermitian(rng, 4), random_hermitian(rng, 4), 1.0)
+            f = constant_observable(random_hermitian(rng, 4, scale))
+            cell = conservation_residual(f, h, random_density(rng, 4), 0.1, cfg)
+            assert cell / scale <= 1e-13, seed  # 7.4e-15 at most
+
+    def test_a_grid_builds_only_the_observables_own_operators(self, h_mf, sx, sz, qubit_up,
+                                                              monkeypatch):
+        inside, built, check = [0], [], HermitianOperator.__post_init__
+
+        def counted(self):
+            built.append(inside[0] > 0)
+            check(self)
+
+        def counting(f):
+            def evaluate(rho):
+                inside[0] += 1
+                try:
+                    return f.eval(rho)
+                finally:
+                    inside[0] -= 1
+
+            return ObservableFunction(eval=evaluate, label=f.label)
+
+        fs = tuple(map(counting, (constant_observable(sx), trace_scaled_observable(sz, sx))))
+        cfg = IntegratorConfig(dt=0.01, t_final=0.2)
+        monkeypatch.setattr(HermitianOperator, "__post_init__", counted)
+        conservation_residuals(fs, h_mf, qubit_up, (0.05, 0.2, -0.1), cfg)
+        assert len(built) == 4  # the trace-scaled f at rho and at each grid time's rho_b
+        assert all(built)

@@ -22,6 +22,7 @@ from eqm_lab.runner import (
     ReportRow,
     ScenarioError,
     _suite_cross_checks,
+    _trajectory_table,
     corpus_documents,
     four_level_ops,
     koopman_only,
@@ -257,6 +258,15 @@ class TestSplitCorpus:
                 split = cfg.hamiltonian.split is not None
                 assert split == (doc["id"] in SPLIT_SCENARIOS), doc["id"]
 
+    def test_conservation_times_without_conservation_keep_the_split(self):
+        # gauge-shift asks for invariants alone, so a leg of 100 never runs.
+        doc = next(d for d in corpus_documents() if d["id"] == "gauge-shift")
+        _, rows = run_scenario(build_config(doc))
+        doc["conservation_times"] = [100]
+        cfg = build_config(doc)
+        assert cfg.hamiltonian.split is not None
+        assert run_scenario(cfg)[1] == rows
+
     def test_mean_field_qubit_is_second_order(self):
         cfg = build_config(next(d for d in corpus_documents() if d["id"] == "mean-field-qubit"))
         estimate = flow.convergence_order(cfg.hamiltonian, cfg.initial_state, 1.0, dt=0.01)
@@ -311,6 +321,29 @@ class TestCheckedRecords:
         assert len(built) == 2
         assert np.array_equal(built[0], p.rho[0]) and np.array_equal(built[1], q.rho[0])
         assert "states" not in vars(p) and "states" not in vars(q)
+
+    def test_trajectory_table_checks_no_record(self, monkeypatch):
+        doc = next(d for d in corpus_documents() if d["id"] == "mean-field-qubit")
+        cfg = with_dt(build_config(doc), 0.01)
+        traj = flow.evolve(cfg.hamiltonian, cfg.initial_state, cfg.integrator)
+        built = self.count_checks(monkeypatch)
+        _trajectory_table(traj, cfg.observables)
+        assert built == []
+        assert "states" not in vars(traj)
+
+
+class TestLargeObservables:
+    """Observables scaled by 1e4 give conservation rows, not a hermiticity error of the run's output."""
+
+    @pytest.mark.parametrize("scenario", ["mean-field-qubit", "conservation-mean-field-n4",
+                                          "conservation-linear-n4"])
+    def test_conservation_rows_pass(self, scenario):
+        doc = next(d for d in corpus_documents() if d["id"] == scenario)
+        for f in doc["observables"]:
+            f["A"] = [[[1e4 * x for x in pair] for pair in row] for row in f["A"]]
+        _, rows = run_scenario(with_dt(build_config(doc), 0.01))
+        cells = [row for row in rows if row.check.startswith("conservation[")]
+        assert len(cells) == 8 and all(row.passed for row in cells)  # 3.4e-9 at worst
 
 
 class TestRecordLookup:
