@@ -146,17 +146,36 @@ def _at(path: str):
 
 
 def parse_config(document: str) -> ScenarioConfig:
-    """Parse and fully validate a JSON scenario document."""
+    """Parse and fully validate a JSON scenario document.
+
+    A key given twice in one object is a ConfigError, not a silent
+    overwrite by its last value.
+    """
     try:
-        doc = json.loads(document)
+        doc = json.loads(document, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>",
                           f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     return build_config(doc)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A decoded JSON object as a dict; a key given twice raises ConfigError naming it."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError("<document>", f"key {key!r} is given twice in one object")
+        obj[key] = value
+    return obj
+
+
 def with_dt(cfg: ScenarioConfig, dt: float) -> ScenarioConfig:
-    """Return the config with the integrator step overridden."""
+    """Return the config with the integrator step overridden.
+
+    The new dt can drop the mean field's split, where the scenario's longest
+    leg is past SPLIT_MAX_STEPS steps of it, but never restores a split that
+    the document's own dt dropped: such a scenario stays on the midpoint.
+    """
     if cfg.integrator is None:
         raise ConfigError("integrator", "cannot override dt: config has no integrator section")
     with _at("integrator.dt"):

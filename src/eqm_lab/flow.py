@@ -10,8 +10,10 @@ mean field that carries its split (see eqm_lab.hamiltonians) steps instead
 by the Strang composition of its two exact flows, with no iteration.  A
 state-independent function takes no steps at all: its flow is
 u(t) = exp(-i t A), computed in closed form from one eigendecomposition per
-run at the recorded times only.  Drift in the structural invariants is
-monitored, never repaired.
+run at the recorded times only.  All three read one step clock, _step:
+the signed size and end time of step k of a span, which schedule yields
+for the stepped runs and the closed form reads at its kept records.  Drift
+in the structural invariants is monitored, never repaired.
 """
 
 from __future__ import annotations
@@ -57,16 +59,14 @@ class StepError(Exception):
 
     ``step`` counts from the start of the failing run; ``start`` and ``end``
     bound the step on that run's clock, which reads 0 at its start.
-    ``detail`` is the subclass's own datum, which its ``_text`` names, and
-    ``leg`` prefixes the message when the run is one leg of a larger one.
+    ``detail`` is the subclass's own datum, named by the message that the
+    subclass's ``_text`` builds (only subclasses are raised), and ``leg``
+    prefixes the message when the run is one leg of a larger one.
     """
 
     def __init__(self, detail, step: int, start: float, end: float, leg: str = ""):
         self.detail, self.step, self.start, self.end, self.leg = detail, step, start, end, leg
         super().__init__(f"{leg}{self._text()}")
-
-    def _text(self) -> str:
-        raise NotImplementedError
 
     def _span(self) -> str:
         return f"step {self.step}, t = {self.start:g} to {self.end:g}"
@@ -197,35 +197,28 @@ def split_steps(span: float, dt: float) -> tuple[int, float]:
     return n, rem
 
 
-def schedule(span: float, dt: float):
-    """Yield (signed step size, signed time after the step) for each step of span.
+def _step(k: int, span: float, dt: float, n_full: int, rem: float) -> tuple[float, float]:
+    """(signed step size, signed time after the step) of step k of span, the one step clock.
 
-    Full steps of size dt cover the span, plus one shorter step for the
-    remainder when span is not a multiple of dt: last on a forward span and
-    first on a backward one, so a backward run from rho_t retraces, step for
-    step, the forward run that reached it.  The density-matrix kernel steps
-    on it.
+    n_full and rem are split_steps(abs(span), dt).  Full steps of size dt
+    cover the span, plus one shorter step for the remainder when rem > 0:
+    last on a forward span and first on a backward one, so a backward run
+    from rho_t retraces, step for step, the forward run that reached it.
+    """
+    if span >= 0:
+        return (dt, k * dt) if k <= n_full else (rem, span)
+    j = k - 1 if rem else k  # the full steps taken by the end of step k
+    return (-rem, -rem) if j == 0 else (-dt, -(rem + j * dt))
+
+
+def schedule(span: float, dt: float):
+    """Yield _step's (signed step size, signed time after the step) for each step of span.
+
+    The density-matrix kernel steps on it.
     """
     n_full, rem = split_steps(abs(span), dt)
-    if span >= 0:
-        for k in range(1, n_full + 1):
-            yield dt, k * dt
-        if rem:
-            yield rem, span
-        return
-    if rem:
-        yield -rem, -rem
-    for k in range(1, n_full + 1):
-        yield -dt, -(rem + k * dt)
-
-
-def _time_after(k: int, span: float, n_full: int, rem: float, dt: float) -> float:
-    """The signed time after step k of schedule(span, dt), with the same bits."""
-    if span >= 0:
-        return k * dt if k <= n_full else span
-    if rem:
-        return -rem if k == 1 else -(rem + (k - 1) * dt)
-    return -(rem + k * dt)
+    for k in range(1, n_full + (rem > 0) + 1):
+        yield _step(k, span, dt, n_full, rem)
 
 
 def _closed_form(h: HamiltonianFunction, a: np.ndarray, rho: np.ndarray, span: float,
@@ -234,7 +227,7 @@ def _closed_form(h: HamiltonianFunction, a: np.ndarray, rho: np.ndarray, span: f
 
     With the fixed generator A = V diag(w) V^dagger, taken once per run, and
     rho~ = V^dagger rho V, the record after step k, at the signed time t_k
-    that schedule(span, dt) gives, is u_k = (V p) V^dagger and
+    that _step gives the stepped runs too, is u_k = (V p) V^dagger and
     rho_k = V (rho~ o p p^dagger) V^dagger with p = exp(-i t_k w), so that
     entry (i, j) of rho~ turns by exp(-i t_k (w_i - w_j)) (C. Moler and C. Van Loan,
     SIAM Rev. 45, 3 (2003), the decomposition method).  The state is built
@@ -248,13 +241,13 @@ def _closed_form(h: HamiltonianFunction, a: np.ndarray, rho: np.ndarray, span: f
     if not steps:
         return
     if not np.isfinite(a).all():
-        first, time = next(schedule(span, dt))
+        first, time = _step(1, span, dt, n_full, rem)
         raise GeneratorError(h.label, 1, time - first, time)
     w, v = _eigh(a)
     vh = v.conj().T
     rho_eig = vh.dot(rho).dot(v)
     for k in (*range(stride, steps, stride), steps):
-        time = _time_after(k, span, n_full, rem, dt)
+        time = _step(k, span, dt, n_full, rem)[1]
         phases = np.exp(-1j * time * w)
         u = (v * phases).dot(vh)
         yield k, time, v.dot(rho_eig * np.outer(phases, phases.conj())).dot(vh), u

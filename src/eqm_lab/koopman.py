@@ -208,19 +208,19 @@ def flow_map(flow: SymplecticFlow, q, p, t: float):
     2 omega sqrt(m) times t, is not a finite float, ValueError names it.
     """
     require_real("t", t)
+    if not isinstance(flow, (HarmonicOscillator, Pendulum)):
+        raise TypeError(f"unknown flow: {type(flow).__name__}")
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
+    if t == 0.0:
+        return q.copy()[()], p.copy()[()]
     if isinstance(flow, HarmonicOscillator):
         angle = flow.omega * t
         if not math.isfinite(angle):
             raise ValueError(f"omega * t overflows: omega = {flow.omega:g}, t = {t:g}")
         c, s = math.cos(angle), math.sin(angle)
         return q * c + p * s, -q * s + p * c
-    if isinstance(flow, Pendulum):
-        if t == 0.0:
-            return q.copy()[()], p.copy()[()]
-        return _pendulum_flow(flow.g, q, p, t)
-    raise TypeError(f"unknown flow: {type(flow).__name__}")
+    return _pendulum_flow(flow.g, q, p, t)
 
 
 @dataclass(frozen=True)

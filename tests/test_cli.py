@@ -2,6 +2,7 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from dataclasses import replace
@@ -122,6 +123,17 @@ class TestRun:
         assert "config error: id: must name one directory" in capsys.readouterr().err
         assert not escaped.exists() and not (tmp_path / "out").exists()
 
+    def test_runs_as_a_module(self, rabi_config, tmp_path, monkeypatch):
+        # As `python -m eqm_lab.cli`, in this process; dropping the imported
+        # module first spares runpy's warning about re-executing it.
+        monkeypatch.delitem(sys.modules, "eqm_lab.cli")
+        monkeypatch.setattr(sys, "argv", ["eqm-lab", "run", str(rabi_config),
+                                          "--out-dir", str(tmp_path / "out"), "--quiet"])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("eqm_lab.cli", run_name="__main__")
+        assert exited.value.code == 0
+        assert (tmp_path / "out" / "rabi-cli" / "trajectory.csv").exists()
+
     def test_misspelt_key_is_config_error(self, tmp_path, capsys):
         doc = json.loads((CORPUS / "01-linear-qubit.json").read_text())
         doc["integrator"]["recordstride"] = doc["integrator"].pop("record_stride")
@@ -129,6 +141,18 @@ class TestRun:
         path.write_text(json.dumps(doc))
         assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "config error: integrator.recordstride: unknown field\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_key_is_config_error(self, tmp_path, capsys):
+        # json.loads alone keeps the last value, and would run at dt = 0.5.
+        text = (CORPUS / "01-linear-qubit.json").read_text()
+        repeated = text.replace('"dt": 0.001', '"dt": 0.001, "dt": 0.5', 1)
+        assert repeated != text
+        path = tmp_path / "repeated.json"
+        path.write_text(repeated)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("config error: <document>: key 'dt' is given "
+                                           "twice in one object\n")
         assert not (tmp_path / "out").exists()
 
     def test_midpoint_key_of_a_split_scenario_is_config_error(self, tmp_path, capsys):

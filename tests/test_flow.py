@@ -618,6 +618,18 @@ class TestPropagate:
         assert not (rho_t.matrix.flags.writeable or u_t.matrix.flags.writeable)
 
 
+@pytest.mark.parametrize("span, dt", [(0.05, 0.01), (0.037, 0.01), (2.1, 0.007), (0.0, 0.01)])
+def test_schedule_is_the_step_clock(span, dt):
+    # Full steps of dt, the remainder step last going forward and first
+    # going back, with each time written out from split_steps.
+    n_full, rem = flow.split_steps(span, dt)
+    full = range(1, n_full + 1)
+    forward = [(dt, k * dt) for k in full] + ([(rem, span)] if rem else [])
+    backward = ([(-rem, -rem)] if rem else []) + [(-dt, -(rem + k * dt)) for k in full]
+    assert list(flow.schedule(span, dt)) == forward
+    assert list(flow.schedule(-span, dt)) == backward
+
+
 class TestStateIndependent:
     def test_factories_set_the_mark(self, rng, sz):
         a, b = random_hermitian(rng, 2), random_hermitian(rng, 2)

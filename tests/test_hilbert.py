@@ -40,7 +40,8 @@ from eqm_lab.hilbert import (
     vector_from_pairs,
 )
 from eqm_lab.hilbert import _TAYLOR
-from eqm_lab.runner import corpus_documents
+from eqm_lab.config import build_config, with_dt
+from eqm_lab.runner import corpus_documents, run_scenario
 from conftest import (
     matrix_to_pairs,
     random_density,
@@ -395,6 +396,19 @@ class TestQubitClosedForm:
         # Below POLYNOMIAL_MIN_DIM, eigh's bits.
         a = random_hermitian(rng, dim).matrix
         assert np.array_equal(expm_hermitian(a, 0.37), _eigh_exponential(a, 0.37))
+
+    def test_sets_the_split_drift_of_the_qubit_scenario(self):
+        # The split caches exp(-i dt/2 A) and repeats its rounding every step,
+        # so the closed form's rounding sets mean-field-qubit's trace row:
+        # 3.3e-15 at dt 0.01, where the eigh path reads 4.5e-13.  No row's
+        # threshold tells the two apart, so the closed form stays for this,
+        # not for speed.
+        doc = next(d for d in corpus_documents() if d["id"] == "mean-field-qubit")
+        cfg = with_dt(build_config(doc), 0.01)
+        assert cfg.hamiltonian.split is not None
+        _, rows = run_scenario(cfg)
+        (trace,) = (row.value for row in rows if row.check == "trace")
+        assert trace <= 1e-13
 
     def test_qubit_flow_takes_no_eigendecomposition(self, rng, monkeypatch):
         # A 20-step mean-field run at d = 2 must stay on the closed form; the

@@ -71,6 +71,15 @@ class TestFlows:
         q, p = flow_map(flow, quad.q, quad.p, 0.0)
         assert np.array_equal(q, quad.q) and np.array_equal(p, quad.p)
 
+    @pytest.mark.parametrize("flow", [OSC, PEND])
+    @pytest.mark.parametrize("q, p", [([-0.0, 1.0, -2.0], [1.0, -0.0, -0.0]), (-0.0, 1.0),
+                                      (-2.0, -0.0)], ids=["vector", "0-d-q", "0-d-p"])
+    def test_zero_time_keeps_signed_zeros(self, flow, q, p):
+        for moved, given in zip(flow_map(flow, q, p, 0.0), (np.asarray(q), np.asarray(p))):
+            assert np.shape(moved) == given.shape
+            assert np.array_equal(moved, given)
+            assert np.array_equal(np.signbit(moved), np.signbit(given))
+
     def test_small_angle_pendulum_matches_oscillator(self):
         q, p = flow_map(PEND, 0.01, 0.0, 1.0)
         assert q == pytest.approx(0.01 * math.cos(1.0), abs=1e-6)
